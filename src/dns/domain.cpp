@@ -7,28 +7,42 @@
 
 namespace sham::dns {
 
-namespace {
-
-bool valid_label(std::string_view label) {
-  if (label.empty() || label.size() > 63) return false;
-  for (const char c : label) {
+bool DomainName::normalize(std::string& out, std::string_view name,
+                           std::string_view origin) {
+  out.assign(name);
+  if (!origin.empty()) {
+    out += '.';
+    out += origin;
+  }
+  const std::size_t size = out.size();
+  if (size == 0 || size > 253) return false;
+  // Through locals: a store via out[i] may alias the string's own fields,
+  // which would reload its size and data pointer on every octet.
+  char* const p = out.data();
+  std::size_t label_start = 0;
+  for (std::size_t i = 0; i <= size; ++i) {
+    if (i == size || p[i] == '.') {
+      const std::size_t length = i - label_start;
+      if (length == 0 || length > 63 || p[label_start] == '-' || p[i - 1] == '-') {
+        return false;
+      }
+      label_start = i + 1;
+      continue;
+    }
+    char c = p[i];
+    if (c >= 'A' && c <= 'Z') p[i] = c = static_cast<char>(c - 'A' + 'a');
     const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-' ||
                     c == '_';
     if (!ok) return false;
   }
-  return label.front() != '-' && label.back() != '-';
+  return true;
 }
-
-}  // namespace
 
 std::optional<DomainName> DomainName::parse(std::string_view text) {
   if (!text.empty() && text.back() == '.') text.remove_suffix(1);  // FQDN dot
-  if (text.empty() || text.size() > 253) return std::nullopt;
-  const std::string lowered = util::to_lower_ascii(text);
-  for (const auto label : util::split(lowered, '.')) {
-    if (!valid_label(label)) return std::nullopt;
-  }
-  return DomainName{lowered};
+  DomainName out;
+  if (!out.assign(text)) return std::nullopt;
+  return out;
 }
 
 DomainName DomainName::parse_or_throw(std::string_view text) {

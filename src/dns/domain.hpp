@@ -25,6 +25,23 @@ class DomainName {
   /// Parse, throwing std::invalid_argument on violation.
   static DomainName parse_or_throw(std::string_view text);
 
+  /// The one set of name rules. Sets `out` to `name`, followed by "." and
+  /// `origin` when `origin` is non-empty, lowercases it in place, and
+  /// returns whether it is 1-253 octets of labels that are 1-63 octets of
+  /// LDH (underscore tolerated) and neither start nor end with '-'. No FQDN
+  /// dot is stripped. Allocates only if `out` lacks the capacity. parse()
+  /// runs it, and the zone reader runs it on every owner and every
+  /// NS/CNAME/MX target.
+  static bool normalize(std::string& out, std::string_view name,
+                        std::string_view origin = {});
+
+  /// normalize() into this name's own buffer, which keeps its capacity, so
+  /// a DomainName reused line after line (the zone reader's owner) stops
+  /// allocating. Returns false, leaving the name unspecified, on violation.
+  bool assign(std::string_view name, std::string_view origin = {}) {
+    return normalize(name_, name, origin);
+  }
+
   [[nodiscard]] const std::string& str() const noexcept { return name_; }
   [[nodiscard]] std::vector<std::string_view> labels() const;
 
@@ -46,7 +63,6 @@ class DomainName {
   [[nodiscard]] auto operator<=>(const DomainName&) const = default;
 
  private:
-  explicit DomainName(std::string name) : name_{std::move(name)} {}
   std::string name_;
 };
 

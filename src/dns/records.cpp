@@ -1,7 +1,5 @@
 #include "dns/records.hpp"
 
-#include "util/strings.hpp"
-
 namespace sham::dns {
 
 std::string_view record_type_name(RecordType type) noexcept {
@@ -26,20 +24,26 @@ std::optional<RecordType> parse_record_type(std::string_view text) noexcept {
   return std::nullopt;
 }
 
+// Exactly four dot-separated octets of 1-3 decimal digits, each <= 255.
 std::optional<Ipv4> Ipv4::parse(std::string_view text) {
-  const auto parts = util::split(text, '.');
-  if (parts.size() != 4) return std::nullopt;
   std::uint32_t value = 0;
-  for (const auto part : parts) {
-    if (part.empty() || part.size() > 3) return std::nullopt;
-    std::uint64_t octet = 0;
-    for (const char c : part) {
-      if (c < '0' || c > '9') return std::nullopt;
-      octet = octet * 10 + static_cast<std::uint64_t>(c - '0');
+  for (int part = 0; part < 4; ++part) {
+    if (part != 0) {
+      if (text.empty() || text.front() != '.') return std::nullopt;
+      text.remove_prefix(1);
     }
-    if (octet > 255) return std::nullopt;
-    value = (value << 8) | static_cast<std::uint32_t>(octet);
+    std::size_t digits = 0;
+    std::uint32_t octet = 0;
+    while (digits < text.size() && digits <= 3 && text[digits] >= '0' &&
+           text[digits] <= '9') {
+      octet = octet * 10 + static_cast<std::uint32_t>(text[digits] - '0');
+      ++digits;
+    }
+    if (digits == 0 || digits > 3 || octet > 255) return std::nullopt;
+    value = (value << 8) | octet;
+    text.remove_prefix(digits);
   }
+  if (!text.empty()) return std::nullopt;
   return Ipv4{value};
 }
 

@@ -3,6 +3,11 @@
 // Supports the subset registry zones use: $ORIGIN/$TTL directives,
 // owner-relative names, NS/A/AAAA/MX/CNAME/TXT records, ';' comments,
 // and blank owner continuation (repeat previous owner).
+//
+// Record lifetime: the streaming entry points hand each record to `sink`
+// as a `const ResourceRecord&` to the reader's one reused record, valid
+// only during that call. A sink copies whatever it keeps (parse_zone
+// copies every record).
 #pragma once
 
 #include <functional>

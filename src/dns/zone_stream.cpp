@@ -1,12 +1,38 @@
 #include "dns/zone_stream.hpp"
 
+#include <array>
+#include <charconv>
 #include <limits>
-
-#include "util/strings.hpp"
 
 namespace sham::dns {
 
 namespace {
+
+/// A record line reads at most six tokens (owner, TTL, class, type, MX
+/// priority, host), so splitting stops at kMaxTokens; a directive with
+/// extra tokens still counts more than two.
+constexpr std::size_t kMaxTokens = 8;
+using Tokens = std::array<std::string_view, kMaxTokens>;
+
+/// ASCII whitespace, as std::isspace classifies it in the "C" locale.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// Split `line` on runs of whitespace into `out`; returns the token count
+/// (at most kMaxTokens).
+std::size_t split_tokens(std::string_view line, Tokens& out) noexcept {
+  std::size_t count = 0;
+  std::size_t i = 0;
+  while (count < kMaxTokens) {
+    while (i < line.size() && is_space(line[i])) ++i;
+    if (i == line.size()) break;
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) ++i;
+    out[count++] = line.substr(start, i - start);
+  }
+  return count;
+}
 
 /// Parse a non-negative decimal token, rejecting values above `max` with
 /// a diagnostic naming `what` — registry feeds with corrupted TTL or
@@ -14,9 +40,8 @@ namespace {
 std::uint64_t parse_bounded(std::string_view token, std::uint64_t max,
                             const char* what, std::size_t line_no) {
   std::uint64_t value = 0;
-  try {
-    value = util::parse_u64(token);
-  } catch (const std::invalid_argument&) {
+  const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
+  if (ec != std::errc{} || end != token.data() + token.size()) {
     throw ZoneParseError{line_no, std::string{"bad "} + what + " value: '" +
                                       std::string{token} + "'"};
   }
@@ -28,49 +53,51 @@ std::uint64_t parse_bounded(std::string_view token, std::uint64_t max,
   return value;
 }
 
-}  // namespace
+/// An owner or target token resolved against $ORIGIN but not yet copied:
+/// the name is `name`, followed by "." and `origin` when that is non-empty.
+struct NameParts {
+  std::string_view name;
+  std::string_view origin;
+};
 
-ZoneStreamReader::ZoneStreamReader(Sink sink) : sink_{std::move(sink)} {}
-
-// Resolve an owner/target token against $ORIGIN: "@" means the origin,
-// names without a trailing dot are origin-relative, names with one are
-// absolute. "$ORIGIN ." (the DNS root) makes relative names absolute
-// as-is; the root itself ("@" under it, or a bare ".") is not a
-// registrable name and is rejected with a diagnostic instead of being
-// collapsed to an empty string.
-namespace {
-
-std::string resolve_name(std::string_view token, const std::string& origin,
-                         bool origin_seen, std::size_t line_no) {
+// "@" means the origin, names without a trailing dot are origin-relative,
+// and names with one are absolute: exactly that one dot is stripped, so
+// "foo.." stays invalid. Under "$ORIGIN ." (the DNS root, tracked as the
+// empty origin) relative names are absolute as-is; the root itself ("@"
+// under it, or a bare ".") is not a registrable name and is rejected with a
+// diagnostic instead of being collapsed to an empty string.
+NameParts resolve_name(std::string_view token, const std::string& origin,
+                       bool origin_seen, std::size_t line_no) {
   if (token == "@") {
     if (!origin_seen) throw ZoneParseError{line_no, "'@' without $ORIGIN"};
     if (origin.empty()) {
       throw ZoneParseError{line_no, "'@' under '$ORIGIN .' names the DNS root"};
     }
-    return origin;
+    return {origin, {}};
   }
   if (token == ".") {
     throw ZoneParseError{line_no, "the DNS root '.' is not a valid name here"};
   }
-  std::string name{token};
-  if (!name.empty() && name.back() == '.') {
-    name.pop_back();
-  } else if (origin_seen && !origin.empty()) {
-    name += '.';
-    name += origin;
-  }
-  return util::to_lower_ascii(name);
+  if (token.back() == '.') return {token.substr(0, token.size() - 1), {}};
+  return {token, origin};
+}
+
+[[noreturn]] void throw_bad_name(std::size_t line_no, const char* what,
+                                 std::string_view token) {
+  throw ZoneParseError{line_no, std::string{"bad "} + what + " name: '" +
+                                    std::string{token} + "'"};
 }
 
 }  // namespace
 
-void ZoneStreamReader::process_line(std::string_view raw_line) {
+ZoneStreamReader::ZoneStreamReader(Sink sink) : sink_{std::move(sink)} {}
+
+void ZoneStreamReader::process_line(std::string_view line) {
   ++line_no_;
   const std::size_t line_no = line_no_;
 
   // CRLF: the terminator was consumed by feed(); a trailing CR belongs to
   // the line ending, not the last token.
-  auto line = raw_line;
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
 
   // Strip comments (zone files quote TXT data; registry zones we model
@@ -79,11 +106,12 @@ void ZoneStreamReader::process_line(std::string_view raw_line) {
     line = line.substr(0, semi);
   }
   const bool owner_continuation = !line.empty() && (line[0] == ' ' || line[0] == '\t');
-  const auto tokens = util::split_ws(line);
-  if (tokens.empty()) return;
+  Tokens tokens;
+  const std::size_t count = split_tokens(line, tokens);
+  if (count == 0) return;
 
   if (tokens[0] == "$ORIGIN") {
-    if (tokens.size() != 2) throw ZoneParseError{line_no, "$ORIGIN needs a name"};
+    if (count != 2) throw ZoneParseError{line_no, "$ORIGIN needs a name"};
     if (tokens[1] == ".") {
       // The absolute root: relative names below are already fully
       // qualified. Tracked as the empty origin.
@@ -98,39 +126,41 @@ void ZoneStreamReader::process_line(std::string_view raw_line) {
     return;
   }
   if (tokens[0] == "$TTL") {
-    if (tokens.size() != 2) throw ZoneParseError{line_no, "$TTL needs a value"};
+    if (count != 2) throw ZoneParseError{line_no, "$TTL needs a value"};
     default_ttl_ = static_cast<std::uint32_t>(parse_bounded(
         tokens[1], std::numeric_limits<std::uint32_t>::max(), "$TTL", line_no));
     return;
   }
 
+  ResourceRecord& record = record_;
   std::size_t i = 0;
-  std::string owner;
   if (owner_continuation) {
-    if (last_owner_.empty()) throw ZoneParseError{line_no, "record without owner"};
-    owner = last_owner_;
+    if (record.owner.str().empty()) throw ZoneParseError{line_no, "record without owner"};
   } else {
-    owner = resolve_name(tokens[i++], origin_, origin_seen_, line_no);
-    last_owner_ = owner;
+    const auto token = tokens[i++];
+    const auto parts = resolve_name(token, origin_, origin_seen_, line_no);
+    if (!record.owner.assign(parts.name, parts.origin)) {
+      throw_bad_name(line_no, "owner", token);
+    }
   }
 
-  if (i >= tokens.size()) throw ZoneParseError{line_no, "missing record type"};
+  if (i >= count) throw ZoneParseError{line_no, "missing record type"};
 
-  ResourceRecord record;
-  const auto parsed_owner = DomainName::parse(owner);
-  if (!parsed_owner) throw ZoneParseError{line_no, "bad owner name: " + owner};
-  record.owner = *parsed_owner;
+  // Every field is set afresh: the record still holds the previous line's.
   record.ttl = default_ttl_;
+  record.target.clear();
+  record.address = {};
+  record.priority = 0;
 
-  // Optional TTL and/or class ("IN") in either order before the type.
-  for (int guard = 0; guard < 2 && i < tokens.size(); ++guard) {
+  // Optional TTL and/or class ("IN") in either order before the type. No
+  // record type starts with a digit.
+  for (int guard = 0; guard < 2 && i < count; ++guard) {
     const auto token = tokens[i];
     if (token == "IN") {
       ++i;
       continue;
     }
-    if (!token.empty() && token[0] >= '0' && token[0] <= '9' &&
-        !parse_record_type(token)) {
+    if (token[0] >= '0' && token[0] <= '9') {
       record.ttl = static_cast<std::uint32_t>(parse_bounded(
           token, std::numeric_limits<std::uint32_t>::max(), "TTL", line_no));
       ++i;
@@ -139,38 +169,44 @@ void ZoneStreamReader::process_line(std::string_view raw_line) {
     break;
   }
 
-  if (i >= tokens.size()) throw ZoneParseError{line_no, "missing record type"};
+  if (i >= count) throw ZoneParseError{line_no, "missing record type"};
   const auto type = parse_record_type(tokens[i]);
   if (!type) throw ZoneParseError{line_no, "unknown record type: " + std::string{tokens[i]}};
   record.type = *type;
   ++i;
 
+  const auto set_target = [&](std::string_view token) {
+    const auto parts = resolve_name(token, origin_, origin_seen_, line_no);
+    if (!DomainName::normalize(record.target, parts.name, parts.origin)) {
+      throw_bad_name(line_no, "target", token);
+    }
+  };
   switch (record.type) {
     case RecordType::kA: {
-      if (i >= tokens.size()) throw ZoneParseError{line_no, "A record needs an address"};
+      if (i >= count) throw ZoneParseError{line_no, "A record needs an address"};
       const auto addr = Ipv4::parse(tokens[i]);
       if (!addr) throw ZoneParseError{line_no, "bad IPv4 address"};
       record.address = *addr;
       break;
     }
     case RecordType::kMx: {
-      if (i + 1 >= tokens.size()) throw ZoneParseError{line_no, "MX needs priority + host"};
+      if (i + 1 >= count) throw ZoneParseError{line_no, "MX needs priority + host"};
       record.priority = static_cast<std::uint16_t>(parse_bounded(
           tokens[i], std::numeric_limits<std::uint16_t>::max(), "MX priority",
           line_no));
-      record.target = resolve_name(tokens[i + 1], origin_, origin_seen_, line_no);
+      set_target(tokens[i + 1]);
       break;
     }
     case RecordType::kNs:
     case RecordType::kCname: {
-      if (i >= tokens.size()) throw ZoneParseError{line_no, "record needs a target"};
-      record.target = resolve_name(tokens[i], origin_, origin_seen_, line_no);
+      if (i >= count) throw ZoneParseError{line_no, "record needs a target"};
+      set_target(tokens[i]);
       break;
     }
     case RecordType::kAaaa:
     case RecordType::kTxt: {
-      if (i >= tokens.size()) throw ZoneParseError{line_no, "record needs rdata"};
-      record.target = std::string{tokens[i]};
+      if (i >= count) throw ZoneParseError{line_no, "record needs rdata"};
+      record.target.assign(tokens[i]);
       break;
     }
   }

@@ -9,6 +9,11 @@
 // continuation lines, the running line number for diagnostics) carries
 // across chunk boundaries, so a stream cut into 1-byte chunks yields the
 // record sequence of a one-shot parse, byte for byte.
+//
+// The per-record path allocates nothing in steady state: every line is
+// parsed into one member ResourceRecord whose owner and target strings
+// keep their capacity, tokens land in a fixed array, and names are
+// resolved, lowercased and validated in place (DomainName::normalize).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +30,9 @@ class ZoneStreamReader {
  public:
   using Sink = std::function<void(const ResourceRecord&)>;
 
-  /// `sink` is invoked once per parsed record, in file order.
+  /// `sink` is invoked once per parsed record, in file order. The record
+  /// it receives is the reader's own, reused for the next line: it is
+  /// valid only during the call, so a sink copies whatever it keeps.
   explicit ZoneStreamReader(Sink sink);
 
   /// Consume the next chunk of zone text. Chunks may be any size (one
@@ -56,13 +63,15 @@ class ZoneStreamReader {
   [[nodiscard]] std::uint32_t default_ttl() const noexcept { return default_ttl_; }
 
  private:
-  void process_line(std::string_view raw_line);
+  void process_line(std::string_view line);
 
   Sink sink_;
   std::string origin_;
   bool origin_seen_ = false;
   std::uint32_t default_ttl_ = 86400;
-  std::string last_owner_;
+  /// The record every line is parsed into. Its owner is also the previous
+  /// owner a continuation line inherits (empty before the first record).
+  ResourceRecord record_;
   /// Partial final line of the previous chunk, awaiting its newline.
   std::string pending_;
   std::size_t line_no_ = 0;

@@ -15,6 +15,7 @@
 #include "db/artifact.hpp"
 #include "dns/zone_file.hpp"
 #include "dns/zone_stream.hpp"
+#include "idna/idna.hpp"
 #include "unicode/confusables.hpp"
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
@@ -149,28 +150,36 @@ class BoundedQueue {
 /// the periodic progress callback.
 class IdnBatcher {
  public:
-  IdnBatcher(std::string tld, const StreamOptions& options,
+  IdnBatcher(const std::string& tld, const StreamOptions& options,
              const std::function<void(std::span<const detect::IdnEntry>)>& on_batch)
-      : tld_{std::move(tld)},
+      : tld_{tld},
+        suffix_{"." + tld},
         options_{&options},
         on_batch_{&on_batch},
         cap_{std::max<std::size_t>(1, options.batch_size)} {}
 
   void record(const dns::ResourceRecord& r) {
     ++stats_.records;
-    auto owner = r.owner.str();
+    const std::string_view owner = r.owner.str();
     // Registry zones group a delegation's records under one owner, so a
     // consecutive-duplicate check deduplicates almost everything; stray
     // repeats are harmless (verdicts are deduplicated canonically).
     if (owner == last_owner_) return;
-    last_owner_ = std::move(owner);
+    last_owner_.assign(owner);
     ++stats_.domains;
-    pending_.push_back(last_owner_);
-    if (pending_.size() >= cap_) extract_pending();
+    // Copy and queue only the owners that pass extract_idns's own first two
+    // tests (the ".<tld>" suffix, then the ACE prefix on what precedes it);
+    // no other owner can yield an IdnEntry.
+    if (owner.ends_with(suffix_) &&
+        idna::is_a_label(owner.substr(0, owner.size() - suffix_.size()))) {
+      pending_.emplace_back(owner);
+      if (pending_.size() >= cap_) extract_pending();
+    }
     if (options_->progress_interval != 0 && options_->on_progress &&
         stats_.domains % options_->progress_interval == 0) {
-      // idns includes the extracted-but-undelivered tail so the progress
-      // line doesn't lag by a whole batch.
+      // idns covers every owner seen so far, including the
+      // extracted-but-undelivered tail.
+      extract_pending();
       options_->on_progress({stats_.domains, stats_.idns + batch_.size(),
                              stats_.records, resident_kib()});
     }
@@ -193,6 +202,7 @@ class IdnBatcher {
   }
 
   void extract_pending() {
+    if (pending_.empty()) return;
     auto idns = core::ShamFinder::extract_idns(pending_, tld_);
     pending_.clear();
     for (auto& entry : idns) {
@@ -202,11 +212,12 @@ class IdnBatcher {
   }
 
   std::string tld_;
+  std::string suffix_;  // "." + tld_
   const StreamOptions* options_;
   const std::function<void(std::span<const detect::IdnEntry>)>* on_batch_;
   std::size_t cap_;
   ZoneStreamStats stats_;
-  std::vector<std::string> pending_;  // owner names awaiting IDN extraction
+  std::vector<std::string> pending_;  // IDN candidates awaiting extraction
   std::vector<detect::IdnEntry> batch_;
   std::string last_owner_;
 };

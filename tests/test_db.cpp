@@ -20,6 +20,7 @@
 #include "kernels/kernels.hpp"
 #include "simchar/simchar.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace sham {
 namespace {
@@ -77,7 +78,7 @@ Workload small_workload(std::uint64_t seed, std::size_t ref_count = 40,
 }
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "sham_" + name + ".artifact";
+  return test::temp_path("sham_" + name + ".artifact");
 }
 
 /// Write the small databases (plus a reference skeleton index) to a fresh

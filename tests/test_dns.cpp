@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,24 @@
 #include "dns/zone_file.hpp"
 #include "dns/zone_stream.hpp"
 #include "util/rng.hpp"
+
+// A counting replacement for the global allocator: it counts only while
+// armed, on the arming thread, so ZoneStream.SteadyStateAllocatesNothing
+// can see every heap allocation the reader makes.
+namespace {
+thread_local bool g_count_allocations = false;
+thread_local std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+// Out of line, so the compiler cannot pair an inlined free() with an
+// allocation made by operator new and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sham::dns {
 namespace {
@@ -259,6 +279,39 @@ TEST(ZoneFile, RootOriginSupported) {
   }
 }
 
+// --- Host-name validation ---------------------------------------------
+
+/// Line number of the ZoneParseError `text` raises, or 0 if it parses.
+std::size_t error_line(const std::string& text) {
+  try {
+    static_cast<void>(parse_zone(text));
+  } catch (const ZoneParseError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+TEST(ZoneFile, HostNamesValidatedLikeDomainName) {
+  // Exactly one trailing dot marks a name absolute, so "foo.." keeps an
+  // empty label.
+  EXPECT_EQ(error_line("$ORIGIN com.\nok IN A 1.2.3.4\nfoo.. IN A 1.2.3.4\n"), 3u);
+  // NS/CNAME/MX targets pass the same rules as owners.
+  EXPECT_EQ(error_line("$ORIGIN com.\nok IN A 1.2.3.4\nfoo IN NS ns1..bad..\n"), 3u);
+  EXPECT_EQ(error_line("$ORIGIN com.\nfoo IN CNAME -.\n"), 2u);
+  EXPECT_EQ(error_line("$ORIGIN com.\nfoo IN MX 10 -.\n"), 2u);
+
+  // Valid targets are resolved against $ORIGIN and lowercased.
+  const auto zone = parse_zone(
+      "$ORIGIN com.\n"
+      "a IN NS NS1.Hoster.NET.\n"
+      "b IN CNAME www\n"
+      "c IN MX 5 @\n");
+  ASSERT_EQ(zone.records.size(), 3u);
+  EXPECT_EQ(zone.records[0].target, "ns1.hoster.net");
+  EXPECT_EQ(zone.records[1].target, "www.com");
+  EXPECT_EQ(zone.records[2].target, "com");
+}
+
 // --- Incremental reader ------------------------------------------------
 
 TEST(ZoneStream, BasicIncrementalUse) {
@@ -297,6 +350,109 @@ TEST(ZoneStream, ErrorLineNumberSpansChunks) {
   } catch (const ZoneParseError& e) {
     EXPECT_EQ(e.line(), 3u);  // absolute line number across feeds
   }
+}
+
+// The reader parses every line into one reused record, so each field must
+// be set afresh. ZoneChunkProperty cannot catch a leftover: it compares the
+// reader with parse_zone, which runs the same reader. Hence literal values.
+TEST(ZoneStream, ReusedRecordFieldsReset) {
+  std::vector<ResourceRecord> records;
+  ZoneStreamReader reader{[&](const ResourceRecord& r) { records.push_back(r); }};
+  reader.feed(
+      "$ORIGIN com.\n"
+      "$TTL 3600\n"
+      "m 300 IN MX 10 mx.m.com.\n"
+      "a IN A 1.2.3.4\n"
+      "b IN MX 20 mx.b.com.\n"
+      "n IN NS ns1.n.net.\n"
+      "  IN A 5.6.7.8\n"
+      "x IN MX 30 mx.x.com.\n");
+  reader.finish();
+  ASSERT_EQ(records.size(), 6u);
+
+  EXPECT_EQ(records[0].ttl, 300u);
+  EXPECT_EQ(records[0].priority, 10u);
+
+  // An A after an MX, and after an explicit-TTL line.
+  EXPECT_EQ(records[1].owner.str(), "a.com");
+  EXPECT_EQ(records[1].type, RecordType::kA);
+  EXPECT_EQ(records[1].ttl, 3600u);
+  EXPECT_EQ(records[1].target, "");
+  EXPECT_EQ(records[1].priority, 0u);
+  EXPECT_EQ(records[1].address.value, 0x01020304u);
+
+  // An NS after an MX.
+  EXPECT_EQ(records[3].owner.str(), "n.com");
+  EXPECT_EQ(records[3].type, RecordType::kNs);
+  EXPECT_EQ(records[3].target, "ns1.n.net");
+  EXPECT_EQ(records[3].priority, 0u);
+  EXPECT_EQ(records[3].address.value, 0u);
+
+  // A continuation line keeps the previous owner.
+  EXPECT_EQ(records[4].owner.str(), "n.com");
+  EXPECT_EQ(records[4].type, RecordType::kA);
+  EXPECT_EQ(records[4].target, "");
+  EXPECT_EQ(records[4].address.value, 0x05060708u);
+
+  // An MX after an A.
+  EXPECT_EQ(records[5].owner.str(), "x.com");
+  EXPECT_EQ(records[5].address.value, 0u);
+  EXPECT_EQ(records[5].priority, 30u);
+  EXPECT_EQ(records[5].ttl, 3600u);
+}
+
+// After warm-up, the per-record path makes no heap allocation at all,
+// whatever the chunking: lines land in the reused record, and a line split
+// across chunks lands in a pending buffer that has already grown.
+TEST(ZoneStream, SteadyStateAllocatesNothing) {
+  util::Rng rng{4096};
+  std::string body;
+  for (int i = 0; i < 4000; ++i) {
+    // Some owners outgrow the small-string buffer.
+    const std::string name = "host-" + std::to_string(rng.below(1'000'000)) +
+                             (i % 5 == 0 ? "-with-a-long-registered-label" : "");
+    switch (i % 4) {
+      case 0:
+        body += name + ".com. 86400 IN NS ns1.hosting-" + std::to_string(i) + ".net.\n";
+        break;
+      case 1:
+        body += name + " IN A 203.0.113." + std::to_string(i % 256) + "\r\n";
+        break;
+      case 2:
+        body += name + " 300 IN MX 10 mx." + name + " ; mail\n";
+        break;
+      default:
+        body += "    IN NS NS2.Example.NET.\n";
+        break;
+    }
+  }
+  std::vector<std::size_t> chunks;
+  for (std::size_t fed = 0; fed < body.size();) {
+    chunks.push_back(static_cast<std::size_t>(1 + rng.below(200)));
+    fed += chunks.back();
+  }
+
+  std::size_t records = 0;
+  ZoneStreamReader reader{[&](const ResourceRecord&) { ++records; }};
+  reader.feed("$ORIGIN com.\n$TTL 3600\n");
+  // Warm-up: the same lines one byte at a time, so the pending-line buffer
+  // has held the longest line and the record the longest names.
+  for (const char c : body) reader.feed(std::string_view{&c, 1});
+  const std::size_t warm = records;
+  ASSERT_EQ(warm, 4000u);
+
+  std::string_view rest = body;
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (const auto size : chunks) {
+    const auto take = std::min(size, rest.size());
+    reader.feed(rest.substr(0, take));
+    rest.remove_prefix(take);
+  }
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(records, 2 * warm);
+  reader.finish();
 }
 
 // Property: a stream cut into random chunks (1 byte up to the whole file)

@@ -10,12 +10,13 @@
 #include "internet/scenario.hpp"
 #include "measure/environment.hpp"
 #include "util/log.hpp"
+#include "temp_dir.hpp"
 
 namespace sham {
 namespace {
 
 TEST(HexFontFile, LoadFromDisk) {
-  const std::string path = ::testing::TempDir() + "/mini.hex";
+  const std::string path = test::temp_path("mini.hex");
   {
     std::ofstream out{path};
     out << "# mini font\n";

@@ -11,6 +11,7 @@
 #include "dns/zone_file.hpp"
 #include "font/synthetic_font.hpp"
 #include "idna/idna.hpp"
+#include "temp_dir.hpp"
 
 namespace sham {
 namespace {
@@ -124,7 +125,7 @@ TEST(Ranking, VisualDistanceHelper) {
 // --- Zone file streaming -------------------------------------------------
 
 TEST(ZoneFileStream, ReadsFromDisk) {
-  const std::string path = ::testing::TempDir() + "/test_zone_stream.zone";
+  const std::string path = test::temp_path("test_zone_stream.zone");
   {
     std::ofstream out{path};
     out << "$ORIGIN com.\n$TTL 3600\n";
@@ -151,7 +152,7 @@ TEST(ZoneFileStream, MissingFileThrows) {
 }
 
 TEST(ZoneFileStream, MalformedRecordThrowsWithLine) {
-  const std::string path = ::testing::TempDir() + "/test_zone_bad.zone";
+  const std::string path = test::temp_path("test_zone_bad.zone");
   {
     std::ofstream out{path};
     out << "$ORIGIN com.\nok IN A 1.2.3.4\nbad IN A banana\n";

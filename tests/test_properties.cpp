@@ -13,6 +13,7 @@
 #include "kernels/kernels.hpp"
 #include "simchar/simchar.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace sham {
 namespace {
@@ -336,8 +337,8 @@ class DbRoundTripProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DbRoundTripProperty, MappedDetectTracksSerialBaselineEverywhere) {
   const auto w = random_skeleton_workload(GetParam());
-  const auto path = ::testing::TempDir() + "sham_roundtrip_" +
-                    std::to_string(GetParam()) + ".artifact";
+  const auto path =
+      test::temp_path("sham_roundtrip_" + std::to_string(GetParam()) + ".artifact");
   {
     db::WriteRequest request;
     request.simchar = &w.sim;

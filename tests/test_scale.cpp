@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/shamfinder.hpp"
 #include "db/artifact.hpp"
 #include "detect/skeleton_index.hpp"
 #include "dns/zone_file.hpp"
@@ -22,16 +24,18 @@
 #include "measure/scale_run.hpp"
 #include "unicode/confusables.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace sham::measure {
 namespace {
 
 using unicode::CodePoint;
 
-// RAII temp zone file under the build tree's cwd.
+// RAII temp zone file in this process's scratch directory.
 class TempZone {
  public:
-  TempZone(std::string name, const std::string& text) : path_{std::move(name)} {
+  TempZone(const std::string& name, const std::string& text)
+      : path_{test::temp_path(name)} {
     std::ofstream out{path_, std::ios::trunc};
     out << text;
   }
@@ -134,6 +138,72 @@ TEST(StreamZone, BatchesDedupAndFilter) {
   EXPECT_LE(largest_batch, 1u);
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], ace);
+}
+
+// The batcher queues for extract_idns only the owners that pass its first
+// two tests (".<tld>" suffix, then an ACE prefix). That pre-filter must not
+// change what comes out: the same IdnEntry sequence as extract_idns over
+// the whole owner list, with every owner still counted.
+TEST(StreamZone, PrefilterMatchesExtractIdns) {
+  const auto guugle = idna::to_a_label({'g', 0x043E, 0x043E, 'g', 'l', 'e'});
+  const auto paypal = idna::to_a_label({'p', 0x0430, 'y', 'p', 'a', 'l'});
+  std::string upper_paypal = paypal;
+  for (auto& c : upper_paypal) c = static_cast<char>(std::toupper(c));
+  const std::string undecodable = "xn--99999999999";
+  ASSERT_FALSE(idna::to_u_label(undecodable).has_value());
+
+  const std::string text =
+      "$ORIGIN com.\n"
+      "$TTL 300\n"
+      + guugle + " IN NS ns1.x.net.\n"
+      "    IN NS ns2.x.net.\n"                   // continuation line
+      + guugle + " IN A 1.2.3.4\n"                // repeated owner
+      + guugle + ".net. IN NS ns1.x.net.\n"       // another TLD
+      "plain IN NS ns1.x.net.\n"
+      + upper_paypal + " IN NS ns1.x.net.\n"      // uppercase XN--
+      + guugle + ".example IN NS ns1.x.net.\n"    // xn-- label below the SLD
+      "www." + paypal + " IN NS ns1.x.net.\n"     // ACE label, not leftmost
+      + undecodable + " IN NS ns1.x.net.\n"
+      + undecodable + " IN A 1.2.3.5\n"
+      "$ORIGIN org.\n"
+      + paypal + " IN NS ns1.x.net.\n"            // another TLD via $ORIGIN
+      "$ORIGIN com.\n"
+      + paypal + "-2 IN NS ns1.x.net.\n"
+      "other IN A 1.2.3.6\n";
+  const TempZone zone{"test_scale_prefilter.zone", text};
+
+  // Oracle: every owner in file order, consecutive repeats dropped.
+  const auto parsed = dns::parse_zone(text);
+  std::vector<std::string> owners;
+  for (const auto& r : parsed.records) {
+    if (owners.empty() || owners.back() != r.owner.str()) owners.push_back(r.owner.str());
+  }
+  ASSERT_EQ(owners.size(), parsed.owners().size());  // repeats are consecutive
+  const auto expected = core::ShamFinder::extract_idns(owners, "com");
+  ASSERT_EQ(expected.size(), 2u);  // guugle and paypal under .com
+
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{4096}}) {
+    std::vector<detect::IdnEntry> seen;
+    std::size_t progress_idns = 0;
+    StreamOptions options;
+    options.tld = "com";
+    options.batch_size = batch;
+    options.progress_interval = 1;
+    options.on_progress = [&](const StreamProgress& p) { progress_idns = p.idns; };
+    const auto stats = stream_zone_idns(
+        zone.path(), options, [&](std::span<const detect::IdnEntry> part) {
+          seen.insert(seen.end(), part.begin(), part.end());
+        });
+    ASSERT_EQ(seen.size(), expected.size()) << "batch " << batch;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i].ace, expected[i].ace) << "batch " << batch << " entry " << i;
+      EXPECT_EQ(seen[i].unicode, expected[i].unicode);
+    }
+    EXPECT_EQ(stats.records, parsed.records.size());
+    EXPECT_EQ(stats.domains, owners.size());
+    EXPECT_EQ(stats.idns, expected.size());
+    EXPECT_EQ(progress_idns, expected.size());
+  }
 }
 
 TEST(StreamZone, MissingFileThrows) {
@@ -396,7 +466,7 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
   const auto config = gen_config();
   const auto scenario = internet::generate_scenario(env().db_union, config);
 
-  const std::string artifact = "test_scale_fleet.artifact";
+  const std::string artifact = test::temp_path("test_scale_fleet.artifact");
   {
     db::WriteRequest request;
     request.simchar = &env().simchar;

@@ -4,7 +4,8 @@
 # (streamed-vs-materialised identity, fleet fingerprints, generation-diff
 # vs rebuild), then drive the CLI the way a user would — build-db, craft
 # two relabelled registry zones, and a scale-run fleet over the shared
-# artifact whose per-TLD verdict fingerprints must agree.
+# artifact whose per-TLD verdict fingerprints must agree. Last, the whole
+# tier-1 suite runs 20 times under ctest -j8 and must pass every time.
 #
 #   $ tools/check_scale.sh                 # uses ./build (configures if absent)
 #   $ BUILD_DIR=build-asan tools/check_scale.sh
@@ -73,5 +74,15 @@ if "$BUILD_DIR"/examples/shamfinder_cli scale-run --db-file "$TMP/norefs.artifac
   exit 1
 fi
 echo "    rejected (non-zero exit)"
+
+echo "=== tier-1 suite: ctest -j8, repeated until failure (20 runs) ==="
+# The *_smoke ctests rerun whole test binaries alongside their discovered
+# copies; every process must keep to its own scratch files.
+cmake --build "$BUILD_DIR" -j >/dev/null
+if ! (cd "$BUILD_DIR" && ctest -j8 --repeat until-fail:20 --output-on-failure \
+        > "$TMP/ctest.log" 2>&1); then
+  tail -60 "$TMP/ctest.log"; exit 1
+fi
+grep 'tests passed' "$TMP/ctest.log"
 
 echo "scale pipeline end-to-end: PASS"
