@@ -66,8 +66,9 @@ int main() {
     ++benign;
   }
 
-  const detect::Engine engine{env.db_union,
-                              {.strategy = detect::Strategy::kIndexed, .cache = false}};
+  const detect::Engine engine{
+      env.db_union,
+      {.strategy = detect::Strategy::kSkeleton, .threads = 1, .cache = false}};
   const auto response = engine.detect(
       {.unicode_references = references, .idns = idns});
   const auto& stats = response.stats;

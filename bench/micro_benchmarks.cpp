@@ -141,8 +141,9 @@ void BM_ExtractIdnPredicate(benchmark::State& state) {
 BENCHMARK(BM_ExtractIdnPredicate);
 
 void BM_DetectUnicodeRefs(benchmark::State& state) {
-  const detect::Engine engine{env().db_union,
-                              {.strategy = detect::Strategy::kIndexed, .cache = false}};
+  const detect::Engine engine{
+      env().db_union,
+      {.strategy = detect::Strategy::kSkeleton, .threads = 1, .cache = false}};
   std::vector<unicode::U32String> refs;
   util::Rng rng{9};
   for (int i = 0; i < 100; ++i) {

@@ -286,8 +286,10 @@ bool verdict_identity(const detect::Engine& mapped, const detect::Engine& in_pro
   for (const std::size_t batch : {std::size_t{7}, std::size_t{512},
                                   std::size_t{100'000}}) {
     const measure::StreamOptions options{.tld = zone.tld, .batch_size = batch};
-    const auto streamed = measure::detect_streaming(
-        mapped, refs, zone.zone_path, options, detect::Strategy::kSkeleton);
+    const auto streamed = measure::detect_sharded(
+        mapped, refs, detect::Strategy::kSkeleton, {}, [&](const auto& sink) {
+          return measure::stream_zone_idns(zone.zone_path, options, sink);
+        });
     const bool same = streamed.verdicts == materialized.verdicts &&
                       streamed.fingerprint == materialized.fingerprint;
     if (print) {
@@ -409,9 +411,10 @@ int run_full() {
   const auto& com = set.zones.front();
   const std::size_t rss0 = measure::resident_kib();
   const measure::StreamOptions stream_options{.tld = com.tld, .batch_size = 4096};
-  const auto streamed = measure::detect_streaming(mapped, refs, com.zone_path,
-                                                  stream_options,
-                                                  detect::Strategy::kSkeleton);
+  const auto streamed = measure::detect_sharded(
+      mapped, refs, detect::Strategy::kSkeleton, {}, [&](const auto& sink) {
+        return measure::stream_zone_idns(com.zone_path, stream_options, sink);
+      });
   const std::size_t rss1 = measure::resident_kib();
   const std::size_t stream_delta = rss1 > rss0 ? rss1 - rss0 : 0;
   std::size_t materialize_delta = 0;

@@ -79,7 +79,7 @@ int usage() {
                "        [--db-file path]         mmap a build-db artifact instead of\n"
                "                                 building from the font (refs default\n"
                "                                 to the artifact's reference list)\n"
-               "        [--strategy serial|indexed|parallel|skeleton] [--threads N]\n"
+               "        [--strategy serial|skeleton] [--threads N]\n"
                "        [--repeat N]             run the query N times (shows the\n"
                "                                 engine's index/result cache at work)\n"
                "        [--join auto|idn|refs]   skeleton join direction\n"
@@ -101,7 +101,8 @@ int usage() {
                "        --zone <tld>:<path>      engine per TLD, all workers mapping\n"
                "        [--zone ...]             the shared build-db artifact; prints\n"
                "        [--batch N] [--passes N] the fleet throughput/RSS report as\n"
-               "        [--strategy ...]         JSON (exit 1 if any worker failed)\n"
+               "        [--strategy serial|skeleton]\n"
+               "                                 JSON (exit 1 if any worker failed)\n"
                "        [--domains N]            synthesize N-domain zones on the fly\n"
                "        [--tlds com,net]         instead of reading --zone files\n"
                "        [--seed N] [--shards N]  (seeded generator; N detection\n"
@@ -113,10 +114,23 @@ int usage() {
 /// build-db <out-path> [--refs a,b,c] [--no-panel]: serialize the full
 /// preprocessing output into one mmap-ready artifact. When references are
 /// given, a reference-side skeleton index is built and embedded so a
-/// loading engine's first skeleton query skips the index build.
+/// loading engine's first skeleton query skips the index build. `--help`
+/// or `-h` anywhere prints usage, and an output path starting with '-' is
+/// rejected (it is almost always a mistyped flag), both before anything is
+/// written.
 int cmd_build_db(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
+  for (const auto& arg : args) {
+    if (arg == "--help" || arg == "-h") return usage();
+  }
   const std::string out_path = args[0];
+  if (out_path.starts_with('-')) {
+    std::fprintf(stderr,
+                 "build-db: output path '%s' starts with '-'; expected "
+                 "build-db <out-path> [--refs a,b,c] [--no-panel]\n",
+                 out_path.c_str());
+    return 2;
+  }
   std::vector<std::string> refs;
   bool include_panel = true;
   core::ShamFinderConfig config;
@@ -217,7 +231,8 @@ int cmd_scale_run(const std::vector<std::string>& args) {
     } else if (args[i] == "--strategy" && i + 1 < args.size()) {
       const auto strategy = detect::parse_strategy(args[++i]);
       if (!strategy) {
-        std::fprintf(stderr, "scale-run: unknown strategy %s\n", args[i].c_str());
+        std::fprintf(stderr, "scale-run: unknown strategy %s (serial|skeleton)\n",
+                     args[i].c_str());
         return 2;
       }
       options.strategy = *strategy;
@@ -323,7 +338,7 @@ int cmd_check(const std::vector<std::string>& raw_args) {
       const auto strategy = detect::parse_strategy(args[i + 1]);
       if (!strategy) {
         std::fprintf(stderr,
-                     "check: unknown strategy %s (serial|indexed|parallel|skeleton)\n",
+                     "check: unknown strategy %s (serial|skeleton)\n",
                      args[i + 1].c_str());
         return 2;
       }
@@ -383,7 +398,7 @@ int cmd_check(const std::vector<std::string>& raw_args) {
                  std::string{detect::strategy_name(config.engine.strategy)}.c_str(),
                  stats.inverted_join ? "/inverted" : "", stats.threads_used,
                  stats.shards_used, stats.seconds * 1e3, served,
-                 (stats.index_build_seconds + stats.skeleton_build_seconds) * 1e3,
+                 stats.skeleton_build_seconds * 1e3,
                  static_cast<unsigned long long>(stats.db_generation));
   }
   // Same versioned schema the serve stats and benches emit.

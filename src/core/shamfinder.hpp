@@ -43,7 +43,7 @@ class ShamFinder {
 
   // The facade owns a persistent detect::Engine wired to db_ so repeated
   // find_homographs calls against a stable IDN snapshot reuse the cached
-  // skeleton/length index; moving rebinds the engine to the moved-into
+  // skeleton index; moving rebinds the engine to the moved-into
   // database (the cache starts cold in the destination).
   ShamFinder(ShamFinder&& other) noexcept;
   ShamFinder& operator=(ShamFinder&& other) noexcept;
@@ -63,9 +63,9 @@ class ShamFinder {
 
   /// Step 3: run Algorithm 1 through the detection engine, under the
   /// strategy and thread count of ShamFinderConfig::engine (default: the
-  /// parallel sharded scan; Strategy::kSkeleton swaps in the skeleton-hash
-  /// candidate index for zone-scale reference lists; output is identical
-  /// under every strategy).
+  /// skeleton-hash candidate index with exact verification, sharded over
+  /// all cores; Strategy::kSerial runs Algorithm 1 as printed; output is
+  /// identical under both).
   ///
   /// detect::Engine::detect(DetectRequest) — reached through this facade,
   /// directly, or through serve::DetectionServer — is the single supported

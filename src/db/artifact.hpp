@@ -62,6 +62,13 @@ struct WriteRequest {
 /// Serialize to `path`. Throws std::invalid_argument on a malformed
 /// request (missing mandatory parts, parallel-array size mismatch) and
 /// std::runtime_error on I/O failure.
+///
+/// Publishes by rename: the bytes go to `<path>.tmp`, which is fsynced and
+/// renamed over `path`. A process that already mapped `path` keeps the old
+/// file and never sees the swap. This is the only supported way to replace
+/// an artifact: never rewrite or truncate a published artifact in place,
+/// because DbArtifact maps it MAP_PRIVATE and a mapped file truncated under
+/// a reader kills that reader with SIGBUS.
 void write_db_file(const std::string& path, const WriteRequest& request);
 
 class DbArtifact {
@@ -72,6 +79,10 @@ class DbArtifact {
   /// section, duplicate sections, structurally inconsistent index arrays,
   /// or a SKEL section whose entry count disagrees with the REFS labels
   /// it indexes — skeleton entries are indexes into that list).
+  ///
+  /// The mapping stays valid for the artifact's lifetime only if whoever
+  /// replaces `path` does so by rename (write_db_file), never by
+  /// rewriting or truncating the file in place.
   static DbArtifact load(const std::string& path);
 
   DbArtifact(DbArtifact&&) noexcept = default;

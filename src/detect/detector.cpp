@@ -50,7 +50,6 @@ std::string DetectionStats::to_json(int indent) const {
   w.field("seconds", seconds);
   w.field("length_bucket_hits", length_bucket_hits);
   w.field("char_comparisons", char_comparisons);
-  w.field("index_build_seconds", index_build_seconds);
   w.field("match_seconds", match_seconds);
   w.field("merge_seconds", merge_seconds);
   w.field("threads_used", static_cast<std::uint64_t>(threads_used));

@@ -56,25 +56,27 @@ struct DetectionStats {
   /// backward-compatible and does not require a bump). Consumers — the CLI
   /// `check --stats-json`, the serve stats endpoint, and the BENCH_*.json
   /// artifacts — key on this to stay in sync.
-  static constexpr std::uint32_t kSchemaVersion = 1;
+  /// Version 2 removed index_build_seconds along with the length index it
+  /// timed.
+  static constexpr std::uint32_t kSchemaVersion = 2;
 
   std::uint64_t length_bucket_hits = 0;  // candidate (ref, IDN) pairs examined
   std::uint64_t char_comparisons = 0;
   double seconds = 0.0;                  // wall clock for the whole run
 
   // Per-stage breakdown, filled by detect::Engine (zero when the run had
-  // no such stage, e.g. no index build under Strategy::kSerial).
-  double index_build_seconds = 0.0;  // length-bucketed IDN index construction
-  double match_seconds = 0.0;        // reference scan (all shards, wall clock)
-  double merge_seconds = 0.0;        // deterministic shard merge
+  // no such stage, e.g. no merge on a single-shard run).
+  double match_seconds = 0.0;  // streamed-side scan (all shards, wall clock)
+  double merge_seconds = 0.0;  // deterministic shard merge
   std::size_t threads_used = 1;
   std::size_t shards_used = 1;
-  /// Candidate pairs examined by each shard, in shard (= reference range)
-  /// order; sums to length_bucket_hits. Size shards_used for engine runs.
+  /// Candidate pairs examined by each shard, in shard (= streamed-side
+  /// range) order; sums to length_bucket_hits. Size shards_used for
+  /// engine runs.
   std::vector<std::uint64_t> shard_candidates;
 
   // Skeleton-index observability (Strategy::kSkeleton only; zero/empty
-  // under other strategies). Under kSkeleton, length_bucket_hits counts
+  // under kSerial). Under kSkeleton, length_bucket_hits counts
   // bucket-probe candidates (== skeleton_candidates), so the counters
   // above keep their "candidates examined" meaning across strategies.
   double skeleton_build_seconds = 0.0;    // skeleton-index construction

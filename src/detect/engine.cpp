@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "db/artifact.hpp"
 #include "detect/skeleton_index.hpp"
@@ -17,15 +16,16 @@ namespace sham::detect {
 
 namespace {
 
-using LengthIndex = std::unordered_map<std::size_t, std::vector<std::size_t>>;
+/// Streamed-side shards per worker thread (load-balancing granularity:
+/// more shards smooth out skewed buckets at a small merge cost).
+constexpr std::size_t kShardsPerThread = 4;
 
-LengthIndex build_length_index(std::span<const IdnEntry> idns) {
-  LengthIndex by_length;
-  for (std::size_t x = 0; x < idns.size(); ++x) {
-    by_length[idns[x].unicode.size()].push_back(x);
-  }
-  return by_length;
-}
+/// SkeletonJoin::kAuto picks the inverted join only when
+///   refs * kInvertedJoinRatio <= idns
+/// and the IDN-side index is neither cached nor looking stable — the
+/// margin keeps a reusable IDN index worth building near the break-even
+/// point.
+constexpr std::size_t kInvertedJoinRatio = 4;
 
 // --- Content fingerprints -------------------------------------------------
 //
@@ -85,36 +85,12 @@ std::uint64_t fingerprint_of(std::span<const unicode::U32String> references) {
 /// touched again only after wait_idle() during the merge.
 struct ShardResult {
   std::vector<Match> matches;
-  std::uint64_t length_bucket_hits = 0;
+  std::uint64_t candidates = 0;  // bucket entries handed to the verifier
   std::uint64_t char_comparisons = 0;
-  std::uint64_t skeleton_candidates = 0;
-  std::uint64_t skeleton_rejected = 0;
+  std::uint64_t rejected = 0;  // candidates the exact check turned down
 };
 
-/// Scan references [begin, end) against the length index. The serial
-/// indexed path and every parallel shard run this same function, which is
-/// what makes the strategies bit-for-bit equivalent.
-template <typename RefString>
-void scan_references(const HomographDetector& detector,
-                     std::span<const RefString> references,
-                     std::span<const IdnEntry> idns, const LengthIndex& by_length,
-                     std::size_t begin, std::size_t end, ShardResult& out) {
-  std::vector<DiffChar> diffs;
-  for (std::size_t r = begin; r < end; ++r) {
-    const auto& ref = references[r];
-    const auto bucket = by_length.find(ref.size());
-    if (bucket == by_length.end()) continue;
-    for (const auto x : bucket->second) {
-      ++out.length_bucket_hits;
-      out.char_comparisons += ref.size();
-      if (detector.match_pair(ref, idns[x].unicode, &diffs)) {
-        out.matches.push_back({r, x, diffs});
-      }
-    }
-  }
-}
-
-/// Skeleton-strategy forward scan: one skeleton hash + one bucket probe
+/// Forward skeleton scan: one skeleton hash + one bucket probe
 /// per reference, exact per-character verification of every candidate.
 /// Buckets list IDN indices ascending and can only ever contain a
 /// superset of the true matches (see skeleton_index.hpp), so the verified
@@ -132,13 +108,12 @@ void scan_references_skeleton(const HomographDetector& detector,
     const auto bucket = index.probe(index.hashes_of(ref));
     if (bucket.empty()) continue;
     for (const auto x : bucket) {
-      ++out.length_bucket_hits;  // candidates examined, as under kIndexed
-      ++out.skeleton_candidates;
+      ++out.candidates;
       out.char_comparisons += ref.size();
       if (detector.match_pair(ref, idns[x].unicode, &diffs)) {
         out.matches.push_back({r, x, diffs});
       } else {
-        ++out.skeleton_rejected;
+        ++out.rejected;
       }
     }
   }
@@ -161,13 +136,12 @@ void scan_idns_skeleton(const HomographDetector& detector,
     const auto bucket = index.probe(index.hashes_of(idns[x].unicode));
     if (bucket.empty()) continue;
     for (const auto r : bucket) {
-      ++out.length_bucket_hits;
-      ++out.skeleton_candidates;
+      ++out.candidates;
       out.char_comparisons += references[r].size();
       if (detector.match_pair(references[r], idns[x].unicode, &diffs)) {
         out.matches.push_back({r, x, diffs});
       } else {
-        ++out.skeleton_rejected;
+        ++out.rejected;
       }
     }
   }
@@ -178,6 +152,52 @@ std::size_t resolve_threads(std::size_t threads) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   return threads;
+}
+
+/// One side's cached skeleton index, keyed by that side's label-set
+/// fingerprint, valid for `skeleton_generation` and patched forward via
+/// canonical_changes_since.
+struct IndexSlot {
+  bool valid = false;
+  std::uint64_t fingerprint = 0;
+  std::uint64_t skeleton_generation = 0;
+  std::shared_ptr<const SkeletonIndex> skeleton;
+};
+
+/// Serve the skeleton index over `labels` from `slot` (the caller holds the
+/// cache mutex): reuse it as-is, patch it forward to `generation`, or
+/// rebuild it. Records the path taken in `stats`.
+template <typename Label>
+std::shared_ptr<const SkeletonIndex> acquire_index(
+    IndexSlot& slot, std::uint64_t fingerprint, std::span<const Label> labels,
+    const homoglyph::HomoglyphDb& db, std::uint64_t generation,
+    const SkeletonIndexOptions& options, DetectionStats& stats) {
+  if (!(slot.valid && slot.fingerprint == fingerprint)) {
+    slot = {};
+    slot.valid = true;
+    slot.fingerprint = fingerprint;
+  }
+  util::Stopwatch stage;
+  if (slot.skeleton != nullptr) {
+    if (slot.skeleton_generation == generation) {
+      stats.index_cache_hits = 1;
+      return slot.skeleton;
+    }
+    if (const auto changes = db.canonical_changes_since(slot.skeleton_generation)) {
+      auto patched = std::make_shared<SkeletonIndex>(*slot.skeleton);
+      stats.index_entries_rehashed = patched->rehash_changed(labels, *changes);
+      slot.skeleton = std::move(patched);
+      slot.skeleton_generation = generation;
+      stats.index_cache_updates = 1;
+      stats.index_update_seconds = stage.seconds();
+      return slot.skeleton;
+    }
+  }
+  slot.skeleton = std::make_shared<SkeletonIndex>(db, labels, options);
+  slot.skeleton_generation = generation;
+  stats.index_cache_rebuilds = 1;
+  stats.skeleton_build_seconds = stage.seconds();
+  return slot.skeleton;
 }
 
 }  // namespace
@@ -192,49 +212,31 @@ std::size_t resolve_threads(std::size_t threads) {
 struct Engine::CacheState {
   std::mutex mutex;
 
-  /// IDN-side indexes, keyed by the IDN-set fingerprint. The length index
-  /// is database-independent; the skeleton index is valid for
-  /// `skeleton_generation` and patched forward via canonical_changes_since.
-  struct IdnSlot {
-    bool valid = false;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t skeleton_generation = 0;
-    std::shared_ptr<const SkeletonIndex> skeleton;
-    std::shared_ptr<const LengthIndex> by_length;
-  };
-
-  /// Reference-side skeleton index (inverted join), same lifecycle.
-  struct RefSlot {
-    bool valid = false;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t skeleton_generation = 0;
-    std::shared_ptr<const SkeletonIndex> skeleton;
-  };
-
   /// One whole-response memo entry. The engine keeps the last
   /// EngineOptions::result_cache_capacity distinct queries in an LRU
   /// (linear scan — capacity is single-digit) so rotating reference lists
-  /// against one zone snapshot all stay warm.
+  /// against one zone snapshot all stay warm. Only kSkeleton responses are
+  /// stored (kSerial never touches the cache), so the strategy is not
+  /// part of the key.
   struct ResultEntry {
     std::uint64_t ref_fingerprint = 0;
     std::uint64_t idn_fingerprint = 0;
     std::uint64_t generation = 0;
-    Strategy strategy = Strategy::kSerial;
     std::size_t workers = 0;
     bool inverted = false;
     std::shared_ptr<const DetectResponse> response;
     std::uint64_t tick = 0;  // last-use time; smallest tick is evicted
 
     [[nodiscard]] bool matches(std::uint64_t ref_fp, std::uint64_t idn_fp,
-                               std::uint64_t gen, Strategy s, std::size_t w,
+                               std::uint64_t gen, std::size_t w,
                                bool inv) const noexcept {
       return ref_fingerprint == ref_fp && idn_fingerprint == idn_fp &&
-             generation == gen && strategy == s && workers == w && inverted == inv;
+             generation == gen && workers == w && inverted == inv;
     }
   };
 
-  IdnSlot idn;
-  RefSlot ref;
+  IndexSlot idn;  // forward join: IDNs bucketed
+  IndexSlot ref;  // inverted join: references bucketed
   std::vector<ResultEntry> results;
   std::uint64_t result_tick = 0;
 
@@ -306,8 +308,6 @@ Engine Engine::from_db_artifact(std::shared_ptr<const db::DbArtifact> artifact,
 std::string_view strategy_name(Strategy strategy) noexcept {
   switch (strategy) {
     case Strategy::kSerial: return "serial";
-    case Strategy::kIndexed: return "indexed";
-    case Strategy::kParallel: return "parallel";
     case Strategy::kSkeleton: return "skeleton";
   }
   return "unknown";
@@ -315,8 +315,6 @@ std::string_view strategy_name(Strategy strategy) noexcept {
 
 std::optional<Strategy> parse_strategy(std::string_view name) noexcept {
   if (name == "serial") return Strategy::kSerial;
-  if (name == "indexed") return Strategy::kIndexed;
-  if (name == "parallel") return Strategy::kParallel;
   if (name == "skeleton") return Strategy::kSkeleton;
   return std::nullopt;
 }
@@ -426,37 +424,31 @@ DetectResponse Engine::run(std::span<const RefString> references,
     idn_fp = fingerprint_of(idns);
   }
 
-  // Join direction (kSkeleton only): explicit request wins; kAuto prefers
-  // the side that is already cached (warm index beats any rebuild), then
-  // a stable-looking IDN set (build the reusable index), then the size
-  // rule (index the smaller side).
-  bool inverted = false;
-  if (strategy == Strategy::kSkeleton) {
-    if (join == SkeletonJoin::kReferenceIndex) {
-      inverted = true;
-    } else if (join == SkeletonJoin::kAuto) {
-      const bool smaller_ref_side =
-          references.size() * options_.inverted_join_ratio <= idns.size();
-      if (!use_cache) {
-        inverted = smaller_ref_side;
-      } else {
-        std::lock_guard lock{cache_->mutex};
-        const bool idn_index_warm = cache_->idn.valid &&
-                                    cache_->idn.fingerprint == idn_fp &&
-                                    cache_->idn.skeleton != nullptr;
-        const bool idn_stable =
-            cache_->last_idn_seen && cache_->last_idn_fingerprint == idn_fp;
-        // A warm reference-side index (e.g. seeded from a DB artifact whose
-        // SKEL section indexes the reference list) beats the size rule, but
-        // never outranks a warm or stable IDN side — the stability promotion
-        // (see CacheState) must still win for repeated IDN snapshots.
-        const bool ref_index_warm = cache_->ref.valid &&
-                                    cache_->ref.fingerprint == ref_fp &&
-                                    cache_->ref.skeleton != nullptr &&
-                                    cache_->ref.skeleton_generation == generation;
-        inverted = !idn_index_warm && !idn_stable &&
-                   (ref_index_warm || smaller_ref_side);
-      }
+  // Join direction: explicit request wins; kAuto prefers the side that is
+  // already cached (warm index beats any rebuild), then a stable-looking
+  // IDN set (build the reusable index), then the size rule (index the
+  // smaller side).
+  bool inverted = join == SkeletonJoin::kReferenceIndex;
+  if (join == SkeletonJoin::kAuto) {
+    const bool smaller_ref_side = references.size() * kInvertedJoinRatio <= idns.size();
+    if (!use_cache) {
+      inverted = smaller_ref_side;
+    } else {
+      std::lock_guard lock{cache_->mutex};
+      const bool idn_index_warm = cache_->idn.valid &&
+                                  cache_->idn.fingerprint == idn_fp &&
+                                  cache_->idn.skeleton != nullptr;
+      const bool idn_stable =
+          cache_->last_idn_seen && cache_->last_idn_fingerprint == idn_fp;
+      // A warm reference-side index (e.g. seeded from a DB artifact whose
+      // SKEL section indexes the reference list) beats the size rule, but
+      // never outranks a warm or stable IDN side — the stability promotion
+      // (see CacheState) must still win for repeated IDN snapshots.
+      const bool ref_index_warm = cache_->ref.valid &&
+                                  cache_->ref.fingerprint == ref_fp &&
+                                  cache_->ref.skeleton != nullptr &&
+                                  cache_->ref.skeleton_generation == generation;
+      inverted = !idn_index_warm && !idn_stable && (ref_index_warm || smaller_ref_side);
     }
   }
   out.stats.inverted_join = inverted;
@@ -470,8 +462,7 @@ DetectResponse Engine::run(std::span<const RefString> references,
     std::lock_guard lock{cache_->mutex};
     const auto hit = std::find_if(
         cache_->results.begin(), cache_->results.end(), [&](const auto& entry) {
-          return entry.matches(ref_fp, idn_fp, generation, strategy, workers,
-                               inverted);
+          return entry.matches(ref_fp, idn_fp, generation, workers, inverted);
         });
     if (hit != cache_->results.end()) {
       hit->tick = ++cache_->result_tick;
@@ -482,7 +473,6 @@ DetectResponse Engine::run(std::span<const RefString> references,
       out.stats.index_cache_rebuilds = 0;
       out.stats.index_cache_updates = 0;
       out.stats.index_entries_rehashed = 0;
-      out.stats.index_build_seconds = 0.0;
       out.stats.skeleton_build_seconds = 0.0;
       out.stats.index_update_seconds = 0.0;
       out.stats.match_seconds = 0.0;
@@ -498,142 +488,46 @@ DetectResponse Engine::run(std::span<const RefString> references,
 
   // L2: index acquisition — cached (hit / incremental patch / rebuild)
   // or a local uncached build.
-  util::Stopwatch stage;
-  std::shared_ptr<const LengthIndex> by_length;
   std::shared_ptr<const SkeletonIndex> skeleton;
   const SkeletonIndexOptions index_opts{
       .max_bucket_occupancy = options_.skeleton_bucket_cap};
-
-  if (strategy == Strategy::kSkeleton) {
-    if (!use_cache) {
-      stage.reset();
-      skeleton = inverted
-                     ? std::make_shared<SkeletonIndex>(*db_, references, index_opts)
-                     : std::make_shared<SkeletonIndex>(*db_, idns, index_opts);
-      out.stats.skeleton_build_seconds = stage.seconds();
-    } else if (!inverted) {
-      std::lock_guard lock{cache_->mutex};
-      auto& slot = cache_->idn;
-      if (!(slot.valid && slot.fingerprint == idn_fp)) {
-        slot = {};
-        slot.valid = true;
-        slot.fingerprint = idn_fp;
-      }
-      bool ready = false;
-      if (slot.skeleton != nullptr) {
-        if (slot.skeleton_generation == generation) {
-          out.stats.index_cache_hits = 1;
-          ready = true;
-        } else if (const auto changes =
-                       db_->canonical_changes_since(slot.skeleton_generation)) {
-          stage.reset();
-          auto patched = std::make_shared<SkeletonIndex>(*slot.skeleton);
-          out.stats.index_entries_rehashed = patched->rehash_changed(idns, *changes);
-          slot.skeleton = std::move(patched);
-          slot.skeleton_generation = generation;
-          out.stats.index_cache_updates = 1;
-          out.stats.index_update_seconds = stage.seconds();
-          ready = true;
-        }
-      }
-      if (!ready) {
-        stage.reset();
-        slot.skeleton = std::make_shared<SkeletonIndex>(*db_, idns, index_opts);
-        slot.skeleton_generation = generation;
-        out.stats.index_cache_rebuilds = 1;
-        out.stats.skeleton_build_seconds = stage.seconds();
-      }
-      skeleton = slot.skeleton;
-      cache_->last_idn_seen = true;
-      cache_->last_idn_fingerprint = idn_fp;
-    } else {
-      std::lock_guard lock{cache_->mutex};
-      auto& slot = cache_->ref;
-      if (!(slot.valid && slot.fingerprint == ref_fp)) {
-        slot = {};
-        slot.valid = true;
-        slot.fingerprint = ref_fp;
-      }
-      bool ready = false;
-      if (slot.skeleton != nullptr) {
-        if (slot.skeleton_generation == generation) {
-          out.stats.index_cache_hits = 1;
-          ready = true;
-        } else if (const auto changes =
-                       db_->canonical_changes_since(slot.skeleton_generation)) {
-          stage.reset();
-          auto patched = std::make_shared<SkeletonIndex>(*slot.skeleton);
-          out.stats.index_entries_rehashed =
-              patched->rehash_changed(references, *changes);
-          slot.skeleton = std::move(patched);
-          slot.skeleton_generation = generation;
-          out.stats.index_cache_updates = 1;
-          out.stats.index_update_seconds = stage.seconds();
-          ready = true;
-        }
-      }
-      if (!ready) {
-        stage.reset();
-        slot.skeleton = std::make_shared<SkeletonIndex>(*db_, references, index_opts);
-        slot.skeleton_generation = generation;
-        out.stats.index_cache_rebuilds = 1;
-        out.stats.skeleton_build_seconds = stage.seconds();
-      }
-      skeleton = slot.skeleton;
-      cache_->last_idn_seen = true;
-      cache_->last_idn_fingerprint = idn_fp;
-    }
-    out.stats.skeleton_buckets = skeleton->bucket_count();
-    out.stats.skeleton_bucket_histogram = skeleton->occupancy_histogram();
+  if (!use_cache) {
+    util::Stopwatch build;
+    skeleton = inverted ? std::make_shared<SkeletonIndex>(*db_, references, index_opts)
+                        : std::make_shared<SkeletonIndex>(*db_, idns, index_opts);
+    out.stats.skeleton_build_seconds = build.seconds();
   } else {
-    // kIndexed / kParallel: the length index depends only on the IDN set
-    // (not on the database), so its slot carries no generation.
-    if (!use_cache) {
-      stage.reset();
-      by_length = std::make_shared<LengthIndex>(build_length_index(idns));
-      out.stats.index_build_seconds = stage.seconds();
-    } else {
-      std::lock_guard lock{cache_->mutex};
-      auto& slot = cache_->idn;
-      if (!(slot.valid && slot.fingerprint == idn_fp)) {
-        slot = {};
-        slot.valid = true;
-        slot.fingerprint = idn_fp;
-      }
-      if (slot.by_length != nullptr) {
-        out.stats.index_cache_hits = 1;
-      } else {
-        stage.reset();
-        slot.by_length = std::make_shared<LengthIndex>(build_length_index(idns));
-        out.stats.index_cache_rebuilds = 1;
-        out.stats.index_build_seconds = stage.seconds();
-      }
-      by_length = slot.by_length;
-      cache_->last_idn_seen = true;
-      cache_->last_idn_fingerprint = idn_fp;
-    }
+    std::lock_guard lock{cache_->mutex};
+    skeleton = inverted ? acquire_index(cache_->ref, ref_fp, references, *db_,
+                                        generation, index_opts, out.stats)
+                        : acquire_index(cache_->idn, idn_fp, idns, *db_, generation,
+                                        index_opts, out.stats);
+    cache_->last_idn_seen = true;
+    cache_->last_idn_fingerprint = idn_fp;
   }
+  out.stats.skeleton_buckets = skeleton->bucket_count();
+  out.stats.skeleton_bucket_histogram = skeleton->occupancy_histogram();
 
   // The streamed side: references (forward) or IDNs (inverted join).
   const std::size_t domain = inverted ? idns.size() : references.size();
   const auto scan = [&](std::size_t begin, std::size_t end, ShardResult& slot) {
-    if (skeleton != nullptr && inverted) {
+    if (inverted) {
       scan_idns_skeleton(detector, references, idns, *skeleton, begin, end, slot);
-    } else if (skeleton != nullptr) {
+    } else {
       scan_references_skeleton(detector, references, idns, *skeleton, begin, end,
                                slot);
-    } else {
-      scan_references(detector, references, idns, *by_length, begin, end, slot);
     }
   };
   const auto accumulate = [&](ShardResult& shard) {
     std::move(shard.matches.begin(), shard.matches.end(),
               std::back_inserter(out.matches));
-    out.stats.length_bucket_hits += shard.length_bucket_hits;
+    // length_bucket_hits keeps its "candidates examined" meaning across
+    // strategies; under kSkeleton it equals skeleton_candidates.
+    out.stats.length_bucket_hits += shard.candidates;
+    out.stats.skeleton_candidates += shard.candidates;
     out.stats.char_comparisons += shard.char_comparisons;
-    out.stats.skeleton_candidates += shard.skeleton_candidates;
-    out.stats.skeleton_rejected += shard.skeleton_rejected;
-    out.stats.shard_candidates.push_back(shard.length_bucket_hits);
+    out.stats.skeleton_rejected += shard.rejected;
+    out.stats.shard_candidates.push_back(shard.candidates);
   };
   // The inverted scan emits idn-major; restore the canonical
   // (reference_index, idn_index) order the serial scan defines. Pairs are
@@ -648,23 +542,17 @@ DetectResponse Engine::run(std::span<const RefString> references,
               });
   };
 
-  const bool parallel =
-      (strategy == Strategy::kParallel || strategy == Strategy::kSkeleton) &&
-      workers > 1 && domain > 1;
-
-  if (!parallel) {
+  util::Stopwatch stage;
+  if (workers <= 1 || domain <= 1) {
     ShardResult shard;
-    stage.reset();
     scan(0, domain, shard);
     out.stats.match_seconds = stage.seconds();
     accumulate(shard);
     restore_order();
   } else {
-    const std::size_t shards = std::min(
-        domain, std::max<std::size_t>(1, workers * options_.shards_per_thread));
+    const std::size_t shards =
+        std::min(domain, std::max<std::size_t>(1, workers * kShardsPerThread));
     std::vector<ShardResult> shard_results(shards);
-
-    stage.reset();
     {
       util::ThreadPool pool{workers};
       pool.parallel_for_chunks(
@@ -695,7 +583,7 @@ DetectResponse Engine::run(std::span<const RefString> references,
     std::lock_guard lock{cache_->mutex};
     auto& lru = cache_->results;
     auto slot = std::find_if(lru.begin(), lru.end(), [&](const auto& entry) {
-      return entry.matches(ref_fp, idn_fp, generation, strategy, workers, inverted);
+      return entry.matches(ref_fp, idn_fp, generation, workers, inverted);
     });
     if (slot == lru.end()) {
       if (lru.size() >= options_.result_cache_capacity) {
@@ -708,8 +596,8 @@ DetectResponse Engine::run(std::span<const RefString> references,
         slot = lru.emplace(lru.end());
       }
     }
-    *slot = {ref_fp,   idn_fp,  generation, strategy,
-             workers,  inverted, nullptr,   ++cache_->result_tick};
+    *slot = {ref_fp, idn_fp, generation, workers, inverted, nullptr,
+             ++cache_->result_tick};
     out.stats.result_cache_entries = lru.size();
     slot->response = std::make_shared<DetectResponse>(out);
   }

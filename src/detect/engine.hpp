@@ -2,29 +2,28 @@
 // Algorithm 1. The old detect / detect_indexed / detect_unicode triplet of
 // HomographDetector is gone — every list-vs-list caller goes through here.
 //
-// Execution strategies:
+// Execution strategies — one production path plus its oracle:
+//   kSkeleton  the production path (and the default). One side of the
+//              join is bucketed by confusable-closure skeleton hash
+//              (skeleton_index.hpp); the other side costs one skeleton
+//              computation plus one bucket probe per label, and every
+//              candidate is re-verified with the exact per-character
+//              check. Which side gets indexed is the *join direction*
+//              (SkeletonJoin): forward buckets the IDNs and streams
+//              references; inverted buckets the references and streams
+//              IDNs (the many-references case). kAuto picks so build cost
+//              scales with min(refs, idns), preferring a side that is
+//              already cached. With more than one thread the streamed side
+//              is sharded over a util::ThreadPool.
 //   kSerial    Algorithm 1 as printed — outer loop over references, inner
-//              loop over all IDNs, restricted to equal lengths;
-//   kIndexed   length-bucketed IDN index built once, serial scan;
-//   kParallel  the indexed scan sharded over the reference list on a
-//              util::ThreadPool;
-//   kSkeleton  one side of the join bucketed by confusable-closure
-//              skeleton hash (skeleton_index.hpp); the other side costs
-//              one skeleton computation plus one bucket probe per label,
-//              and every candidate is re-verified with the exact
-//              per-character check. Which side gets indexed is the *join
-//              direction* (SkeletonJoin): forward buckets the IDNs and
-//              streams references; inverted buckets the references and
-//              streams IDNs (the many-references case). kAuto picks so
-//              build cost scales with min(refs, idns), preferring a
-//              side that is already cached. Shards over the streamed
-//              side like kParallel when threads permit.
+//              loop over all IDNs, restricted to equal lengths. The
+//              obviously-correct oracle every test compares against.
 //
 // Caching: the engine owns its indexes. With EngineOptions::cache (the
-// default) it keeps the last-built skeleton/length index keyed by a
-// content fingerprint of the label set plus the HomoglyphDb generation,
-// and a whole-response memo for the exact (references, idns, generation,
-// strategy, threads, join) query. Repeated queries against a stable zone
+// default) it keeps the last-built skeleton index of each join side keyed
+// by a content fingerprint of the label set plus the HomoglyphDb
+// generation, and a whole-response memo for the exact (references, idns,
+// generation, threads, join) query. Repeated queries against a stable zone
 // snapshot therefore pay the index build once; when the database grows
 // (HomoglyphDb::apply_update / update_with_new_characters) the cached
 // skeleton index is patched incrementally — only entries whose labels
@@ -37,9 +36,9 @@
 // (copy-on-write updates), so concurrent detect() calls on one Engine
 // are safe.
 //
-// Determinism: every strategy and every cache state (cold, warm,
-// post-incremental-update, inverted join) produces the same match list
-// in the same (reference_index, idn_index) order. The parallel path
+// Determinism: both strategies and every cache state (cold, warm,
+// post-incremental-update, inverted join) produce the same match list
+// in the same (reference_index, idn_index) order. The parallel scan
 // shards the streamed side into contiguous ascending ranges, collects
 // one Match vector plus one counter set per shard (no shared mutable
 // state, no atomics on the hot path), and merges the shards in shard
@@ -70,9 +69,7 @@ class DbArtifact;
 namespace sham::detect {
 
 enum class Strategy {
-  kSerial,    // Algorithm 1 as printed (no index)
-  kIndexed,   // length-bucketed index, single thread
-  kParallel,  // length-bucketed index, references sharded over a pool
+  kSerial,    // Algorithm 1 as printed (no index): the test oracle
   kSkeleton,  // skeleton-hash candidate index + exact verification
 };
 
@@ -87,26 +84,17 @@ enum class SkeletonJoin {
 [[nodiscard]] std::optional<Strategy> parse_strategy(std::string_view name) noexcept;
 
 struct EngineOptions {
-  Strategy strategy = Strategy::kParallel;
-  /// Worker threads for kParallel; 0 means hardware_concurrency.
+  Strategy strategy = Strategy::kSkeleton;
+  /// Worker threads for the kSkeleton scan; 0 means hardware_concurrency.
   std::size_t threads = 0;
-  /// Reference-list shards per worker thread (load balancing granularity;
-  /// more shards smooth out skewed length buckets at a small merge cost).
-  std::size_t shards_per_thread = 4;
   /// Keep indexes (and a single-query response memo) on the engine across
   /// detect() calls. Disable for one-shot engines or measurement code
   /// that needs every call to pay full cost.
   bool cache = true;
   /// Join direction for Strategy::kSkeleton.
   SkeletonJoin join = SkeletonJoin::kAuto;
-  /// kAuto picks the inverted join only when
-  ///   refs * inverted_join_ratio <= idns
-  /// and the IDN-side index is neither cached nor looking stable — the
-  /// margin keeps a reusable IDN index worth building near the break-even
-  /// point.
-  std::size_t inverted_join_ratio = 4;
   /// Response-memo LRU capacity: the last K distinct
-  /// (references, idns, generation, strategy, threads, join) responses are
+  /// (references, idns, generation, threads, join) responses are
   /// kept, so rotating reference lists against one zone snapshot all hit.
   /// 0 disables the response memo (index caching is unaffected).
   std::size_t result_cache_capacity = 8;
@@ -126,7 +114,7 @@ struct EngineOptions {
 /// labels are rejected the same way: an empty label is never a domain
 /// label, and letting it through would hash an empty skeleton stream.
 /// See validate_request for the exact rules — they hold identically under
-/// all four strategies and through the serving layer.
+/// both strategies and through the serving layer.
 struct DetectRequest {
   std::span<const std::string> references{};                 // ASCII (LDH) names
   std::span<const unicode::U32String> unicode_references{};  // non-Latin refs

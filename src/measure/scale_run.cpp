@@ -361,19 +361,6 @@ DetectionOutcome detect_sharded(const detect::Engine& engine,
   return out;
 }
 
-DetectionOutcome detect_generated(const detect::Engine& engine,
-                                  std::span<const std::string> references,
-                                  const homoglyph::HomoglyphDb& db,
-                                  const GenStream& gen, const StreamOptions& options,
-                                  const ShardOptions& shard,
-                                  detect::Strategy strategy) {
-  return detect_sharded(
-      engine, references, strategy, shard,
-      [&](const std::function<void(std::span<const detect::IdnEntry>)>& sink) {
-        return stream_generated_idns(db, gen, options, sink);
-      });
-}
-
 DetectionOutcome canonicalize_matches(std::span<const detect::Match> matches,
                                       std::span<const detect::IdnEntry> idns) {
   std::vector<Verdict> verdicts;
@@ -393,23 +380,6 @@ DetectionOutcome merge_outcomes(std::vector<DetectionOutcome> parts) {
     stream.idns += part.stream.idns;
     stream.batches += part.stream.batches;
   }
-  auto out = canonicalize_verdicts(std::move(verdicts));
-  out.stream = stream;
-  return out;
-}
-
-DetectionOutcome detect_streaming(const detect::Engine& engine,
-                                  std::span<const std::string> references,
-                                  const std::string& zone_path,
-                                  const StreamOptions& options,
-                                  detect::Strategy strategy) {
-  std::vector<Verdict> verdicts;
-  const auto stream =
-      stream_zone_idns(zone_path, options, [&](std::span<const detect::IdnEntry> batch) {
-        const auto r = engine.detect(
-            {.references = references, .idns = batch, .strategy = strategy});
-        append_verdicts(verdicts, r.matches, batch);
-      });
   auto out = canonicalize_verdicts(std::move(verdicts));
   out.stream = stream;
   return out;
@@ -443,7 +413,7 @@ GenerationDiffPipeline::GenerationDiffPipeline(const font::FontSource& initial_f
       db_{simchar_, unicode::ConfusablesDb::embedded(), config_.db},
       references_{std::move(references)},
       ref_index_{db_, std::span<const std::string>{references_},
-                 {.max_bucket_occupancy = config_.skeleton_bucket_cap}},
+                 {.max_bucket_occupancy = config_.engine.skeleton_bucket_cap}},
       engine_{std::make_unique<detect::Engine>(db_, config_.engine)} {}
 
 GenerationDiffPipeline::ApplyResult GenerationDiffPipeline::apply(
@@ -496,7 +466,8 @@ DiffEquivalence verify_against_rebuild(const GenerationDiffPipeline& p) {
                            a.canonical_classes == b.canonical_classes;
 
   const detect::SkeletonIndex rebuilt_index{
-      rebuilt_db, p.references(), {.max_bucket_occupancy = cfg.skeleton_bucket_cap}};
+      rebuilt_db, p.references(),
+      {.max_bucket_occupancy = cfg.engine.skeleton_bucket_cap}};
   const auto fa = p.reference_index().to_flat();
   const auto fb = rebuilt_index.to_flat();
   eq.skeleton_identical =
@@ -508,11 +479,8 @@ DiffEquivalence verify_against_rebuild(const GenerationDiffPipeline& p) {
       fa.child_offsets == fb.child_offsets && fa.child_entries == fb.child_entries;
 
   const detect::Engine rebuilt_engine{rebuilt_db, cfg.engine};
-  constexpr detect::Strategy kStrategies[] = {
-      detect::Strategy::kSerial, detect::Strategy::kIndexed,
-      detect::Strategy::kParallel, detect::Strategy::kSkeleton};
   eq.verdicts_identical = true;
-  for (const auto strategy : kStrategies) {
+  for (const auto strategy : {detect::Strategy::kSerial, detect::Strategy::kSkeleton}) {
     const auto incremental = p.detect(strategy);
     const auto r = rebuilt_engine.detect(
         {.references = p.references(), .idns = p.idns(), .strategy = strategy});
@@ -611,25 +579,24 @@ FleetReport run_fleet(const FleetOptions& options) {
         const ShardOptions shard{.shards = std::max<std::size_t>(1, options.shards),
                                  .queue_batches = options.queue_batches};
 
+        // A zone without a path is generated on the fly from the engine's
+        // own database.
+        GenStream gen;
+        gen.scenario = zone.scenario;
+        gen.zone = {.which = zone.which, .tld = zone.tld, .chunk_bytes = zone.chunk_bytes};
+        const BatchProducer produce =
+            [&](const std::function<void(std::span<const detect::IdnEntry>)>& sink) {
+              return zone.zone_path.empty()
+                         ? stream_generated_idns(engine.db(), gen, stream, sink)
+                         : stream_zone_idns(zone.zone_path, stream, sink);
+            };
+
         // Timed from here: the worker's own work span, not fleet launch
         // or artifact-mapping skew.
         util::Stopwatch work_watch;
         for (std::size_t pass = 0; pass < passes; ++pass) {
-          DetectionOutcome outcome;
-          if (zone.zone_path.empty()) {
-            GenStream gen;
-            gen.scenario = zone.scenario;
-            gen.zone = {.which = zone.which,
-                        .tld = zone.tld,
-                        .chunk_bytes = zone.chunk_bytes};
-            outcome = detect_generated(engine, refs, engine.db(), gen, stream,
-                                       shard, options.strategy);
-          } else {
-            outcome = detect_sharded(
-                engine, refs, options.strategy, shard,
-                [&](const std::function<void(std::span<const detect::IdnEntry>)>&
-                        sink) { return stream_zone_idns(zone.zone_path, stream, sink); });
-          }
+          const auto outcome =
+              detect_sharded(engine, refs, options.strategy, shard, produce);
           out.stream.records += outcome.stream.records;
           out.stream.domains += outcome.stream.domains;
           out.stream.idns += outcome.stream.idns;

@@ -6,11 +6,12 @@
 //     together), and the "xn--" second-level labels are decoded into
 //     detect::IdnEntry batches without ever materialising the zone or the
 //     domain list;
-//   * detect_streaming / detect_materialized — Step 3 over those batches
-//     against a fixed reference list, with the verdicts canonicalised
-//     (sorted by (reference, ACE) and fingerprinted) so the streaming path
-//     is provably byte-identical to the classic materialise-then-detect
-//     path regardless of batch boundaries;
+//   * detect_sharded — Step 3 over those batches (from a zone file or a
+//     generated zone) against a fixed reference list on N detection
+//     shards, with the verdicts canonicalised (sorted by (reference, ACE)
+//     and fingerprinted) so the streaming path is provably byte-identical
+//     to detect_materialized, the materialise-then-detect oracle,
+//     regardless of batch boundaries or shard count;
 //   * GenerationDiffPipeline — the Section 4.2 maintenance loop as a
 //     long-lived object: daily batches of new Unicode characters and new
 //     registrations are folded in through simchar/HomoglyphDb incremental
@@ -114,15 +115,8 @@ struct DetectionOutcome {
 /// Merge per-batch outcomes into one canonical outcome.
 [[nodiscard]] DetectionOutcome merge_outcomes(std::vector<DetectionOutcome> parts);
 
-/// Stream the zone through `engine` batch by batch (bounded memory).
-[[nodiscard]] DetectionOutcome detect_streaming(const detect::Engine& engine,
-                                                std::span<const std::string> references,
-                                                const std::string& zone_path,
-                                                const StreamOptions& options,
-                                                detect::Strategy strategy);
-
 /// Classic path: materialise every IDN of the zone, one detect() call.
-/// The reference baseline detect_streaming must reproduce byte-for-byte.
+/// The oracle detect_sharded must reproduce byte-for-byte.
 [[nodiscard]] DetectionOutcome detect_materialized(const detect::Engine& engine,
                                                    std::span<const std::string> references,
                                                    const std::string& zone_path,
@@ -133,7 +127,8 @@ struct DetectionOutcome {
 
 /// Produce side of a sharded run: invoked with a batch sink, drives the
 /// whole stream through it, returns the stream totals. stream_zone_idns
-/// and stream_generated_idns both curry into this shape.
+/// and stream_generated_idns both curry into this shape (a lambda that
+/// binds every argument but the sink).
 using BatchProducer = std::function<ZoneStreamStats(
     const std::function<void(std::span<const detect::IdnEntry>)>&)>;
 
@@ -147,7 +142,8 @@ struct ShardOptions {
   std::size_t queue_batches = 16;
 };
 
-/// Run one stream through N detection shards over a shared const engine.
+/// Run one stream through N detection shards over a shared const engine
+/// (shards <= 1: batch by batch on the producing thread, bounded memory).
 /// Per-shard verdicts merge through the canonical sort/dedup/fingerprint,
 /// so the outcome is identical at any shard count, batch size, or
 /// interleaving — the invariance tests/test_scale.cpp proves. Worker
@@ -180,16 +176,6 @@ ZoneStreamStats stream_generated_idns(
     const StreamOptions& options,
     const std::function<void(std::span<const detect::IdnEntry>)>& on_batch);
 
-/// Full generate-and-detect pipeline: generator thread -> chunk ring ->
-/// parser -> batch queue -> shard workers -> canonical merge.
-[[nodiscard]] DetectionOutcome detect_generated(const detect::Engine& engine,
-                                                std::span<const std::string> references,
-                                                const homoglyph::HomoglyphDb& db,
-                                                const GenStream& gen,
-                                                const StreamOptions& options,
-                                                const ShardOptions& shard,
-                                                detect::Strategy strategy);
-
 // --- Generation-diff ingestion (Section 4.2 as a daily feed) --------------
 
 /// One day's feed: the font version covering the new characters (null =
@@ -204,9 +190,9 @@ struct DiffBatch {
 struct DiffPipelineConfig {
   simchar::BuildOptions build;
   homoglyph::DbConfig db;
+  /// Also sizes the reference index: engine.skeleton_bucket_cap.
   detect::EngineOptions engine;
   std::string tld = "com";
-  std::size_t skeleton_bucket_cap = 64;
 };
 
 class GenerationDiffPipeline {
@@ -274,7 +260,7 @@ struct DiffEquivalence {
   bool pairs_identical = false;      // homoglyph pair set + provenance
   bool canonical_identical = false;  // confusable-closure canonical map
   bool skeleton_identical = false;   // reference-index bucket structure
-  bool verdicts_identical = false;   // detect() across all four strategies
+  bool verdicts_identical = false;   // detect() under kSerial and kSkeleton
 
   [[nodiscard]] bool ok() const noexcept {
     return pairs_identical && canonical_identical && skeleton_identical &&

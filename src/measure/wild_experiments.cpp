@@ -34,10 +34,9 @@ WildContext make_wild_context(const Environment& env,
   ctx.scenario = internet::generate_scenario(env.db_union, config);
   ctx.idns = core::ShamFinder::extract_idns(ctx.scenario.domains, "com");
 
-  // One-shot engines per database flavour; kIndexed mirrors the original
-  // detect_indexed measurement path (single thread, length buckets).
-  const detect::EngineOptions opts{.strategy = detect::Strategy::kIndexed,
-                                   .cache = false};
+  // One-shot engines per database flavour (each is queried once, so
+  // caching would only hold memory).
+  const detect::EngineOptions opts{.cache = false};
   const detect::DetectRequest request{.references = ctx.scenario.references,
                                       .idns = ctx.idns};
   const detect::Engine eng_uc{env.db_uc, opts};

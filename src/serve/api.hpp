@@ -47,6 +47,8 @@ enum class ServeStatus : std::uint8_t {
   kExpired,   // deadline passed while queued; the engine never ran it
   kInvalid,   // the request failed detect::validate_request inside the server
   kShutdown,  // server stopped before a slot picked the request up
+  kInternalError,  // the engine threw something else (e.g. bad_alloc); the
+                   // slot survives and keeps serving
 };
 
 [[nodiscard]] std::string_view status_name(ServeStatus status) noexcept;
@@ -72,7 +74,7 @@ struct ServeResponse {
   std::uint32_t api_version = kApiVersion;
   std::uint64_t request_id = 0;  // server-assigned, unique per server
   ServeStatus status = ServeStatus::kOk;
-  std::string error;  // kInvalid: the std::invalid_argument message
+  std::string error;  // kInvalid / kInternalError: the exception's what()
 
   std::vector<detect::Match> matches;   // kOk only; DetectRequest ordering
   detect::DetectionStats stats;         // the engine run that served this

@@ -76,6 +76,7 @@ std::string ReplayReport::to_json(int indent) const {
   w.field("shed", shed);
   w.field("expired", expired);
   w.field("other", other);
+  w.field("internal_error", internal_error);
   w.field("wall_seconds", wall_seconds);
   w.field("throughput_rps", throughput_rps);
   w.field("p50_ms", p50_ms);
@@ -123,7 +124,8 @@ ReplayReport run_replay(DetectionServer& server, const homoglyph::HomoglyphDb& d
     clients.emplace_back([&, c] {
       util::Rng rng{config.seed * 1000003ULL + c};
       std::vector<double> local_ms;
-      std::uint64_t ok = 0, shed = 0, expired = 0, other = 0, mismatches = 0;
+      std::uint64_t ok = 0, shed = 0, expired = 0, other = 0, internal_error = 0;
+      std::uint64_t mismatches = 0;
       for (std::size_t i = 0; i < config.requests_per_client; ++i) {
         const auto r = rng.below(workload.reference_lists.size());
         const auto z = rng.below(workload.zones.size());
@@ -153,6 +155,9 @@ ReplayReport run_replay(DetectionServer& server, const homoglyph::HomoglyphDb& d
           case ServeStatus::kExpired:
             ++expired;
             break;
+          case ServeStatus::kInternalError:
+            ++internal_error;
+            break;
           default:
             ++other;
             break;
@@ -163,6 +168,7 @@ ReplayReport run_replay(DetectionServer& server, const homoglyph::HomoglyphDb& d
       report.shed += shed;
       report.expired += expired;
       report.other += other;
+      report.internal_error += internal_error;
       report.mismatches += mismatches;
       latencies_ms.insert(latencies_ms.end(), local_ms.begin(), local_ms.end());
     });
@@ -170,7 +176,8 @@ ReplayReport run_replay(DetectionServer& server, const homoglyph::HomoglyphDb& d
   for (auto& client : clients) client.join();
   report.wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall_start).count();
-  report.sent = report.ok + report.shed + report.expired + report.other;
+  report.sent =
+      report.ok + report.shed + report.expired + report.other + report.internal_error;
   report.verified = report.mismatches == 0;
   report.shed_rate = report.sent == 0
                          ? 0.0

@@ -58,6 +58,7 @@ struct ReplayReport {
   std::uint64_t shed = 0;
   std::uint64_t expired = 0;
   std::uint64_t other = 0;  // kInvalid/kShutdown — 0 in a healthy replay
+  std::uint64_t internal_error = 0;  // kInternalError — 0 in a healthy replay
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;  // kOk responses per wall-clock second
   double p50_ms = 0.0;          // latency of kOk requests, submit -> response

@@ -45,6 +45,8 @@ std::string_view status_name(ServeStatus status) noexcept {
       return "invalid";
     case ServeStatus::kShutdown:
       return "shutdown";
+    case ServeStatus::kInternalError:
+      return "internal_error";
   }
   return "unknown";
 }
@@ -70,6 +72,7 @@ std::string ServerStats::to_json(int indent) const {
   w.field("expired", expired);
   w.field("invalid", invalid);
   w.field("shutdown", shutdown);
+  w.field("internal_error", internal_error);
   w.field("batches", batches);
   w.field("coalesced_requests", coalesced_requests);
   w.field("coalescing_ratio", coalescing_ratio());
@@ -274,6 +277,7 @@ void DetectionServer::slot_loop(std::size_t slot_id) {
     std::uint64_t served = 0;
     std::uint64_t expired = 0;
     std::uint64_t invalid = 0;
+    std::uint64_t internal_error = 0;
     double detect_seconds = 0.0;
     double queue_wait = 0.0;
     std::vector<ServeResponse> responses;
@@ -305,6 +309,17 @@ void DetectionServer::slot_loop(std::size_t slot_id) {
           response.status = ServeStatus::kInvalid;
           response.error = error.what();
           ++invalid;
+        } catch (const std::exception& error) {
+          // Anything else the engine throws (bad_alloc, a failed thread
+          // spawn, ...) answers this request only: escaping the slot
+          // thread would terminate the process with every future pending.
+          response.status = ServeStatus::kInternalError;
+          response.error = error.what();
+          ++internal_error;
+        } catch (...) {
+          response.status = ServeStatus::kInternalError;
+          response.error = "unknown exception";
+          ++internal_error;
         }
       }
       responses.push_back(std::move(response));
@@ -317,14 +332,17 @@ void DetectionServer::slot_loop(std::size_t slot_id) {
     slot.served += served;
     slot.expired += expired;
     slot.invalid += invalid;
-    if (served + invalid > 0) ++slot.batches;
+    slot.internal_error += internal_error;
+    const bool ran = served + invalid + internal_error > 0;
+    if (ran) ++slot.batches;
     slot.busy_seconds += seconds_between(pickup, Clock::now());
     slot.detect_seconds += detect_seconds;
     slot.queue_wait_seconds += queue_wait;
     totals_.served += served;
     totals_.expired += expired;
     totals_.invalid += invalid;
-    if (served + invalid > 0) ++totals_.batches;
+    totals_.internal_error += internal_error;
+    if (ran) ++totals_.batches;
     if (live > 1) totals_.coalesced_requests += served;
     totals_.detect_seconds += detect_seconds;
     totals_.queue_wait_seconds += queue_wait;

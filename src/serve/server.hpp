@@ -20,6 +20,9 @@
 //     ServerOptions::default_timeout) are enforced at slot pickup:
 //     a request whose deadline passed while queued is answered kExpired
 //     without running the engine.
+//   - Any other exception out of the engine call (bad_alloc, a failed
+//     thread spawn, ...) answers that one request kInternalError with the
+//     exception's what(); the slot keeps serving.
 //   - stop() (also run by the destructor) stops admission, answers every
 //     still-queued request kShutdown, lets in-flight batches finish, and
 //     joins the slot threads — no request's future is ever abandoned.
@@ -139,6 +142,7 @@ struct ServerStats {
   std::uint64_t expired = 0;    // answered kExpired
   std::uint64_t invalid = 0;    // answered kInvalid
   std::uint64_t shutdown = 0;   // answered kShutdown by stop()
+  std::uint64_t internal_error = 0;  // answered kInternalError
   std::uint64_t batches = 0;    // coalesced batches processed
   /// Requests that shared their batch with at least one other request.
   std::uint64_t coalesced_requests = 0;
@@ -178,7 +182,7 @@ class DetectionServer {
   /// Admit a request. Throws std::invalid_argument on malformed input
   /// (exactly detect::validate_request's rules) — the future is only
   /// created for well-formed requests and is always eventually fulfilled
-  /// (kOk, kShed, kExpired, kInvalid, or kShutdown).
+  /// (kOk, kShed, kExpired, kInvalid, kShutdown, or kInternalError).
   [[nodiscard]] ResponseFuture submit(ServeRequest request);
 
   /// submit() + wait. Convenience for callers without their own pipeline.

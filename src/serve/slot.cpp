@@ -27,6 +27,7 @@ std::string SlotStats::to_json(int indent) const {
   w.field("served", served);
   w.field("expired", expired);
   w.field("invalid", invalid);
+  w.field("internal_error", internal_error);
   w.field("batches", batches);
   w.field("busy_seconds", busy_seconds);
   w.field("detect_seconds", detect_seconds);

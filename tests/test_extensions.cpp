@@ -49,7 +49,7 @@ TEST(NonLatinDetection, KatakanaSpoofOfIdeographLabel) {
 TEST(NonLatinDetection, DetectUnicodeOverLists) {
   const auto db = cjk_db();
   const detect::Engine engine{
-      db, {.strategy = detect::Strategy::kIndexed, .cache = false}};
+      db, {.strategy = detect::Strategy::kSerial, .cache = false}};
   const std::vector<U32String> references{
       {0x5DE5, 0x696D, 0x5927, 0x5B66},  // 工業大学
       {0x53E3, 0x5EA7},                  // 口座
@@ -86,7 +86,7 @@ TEST(Ranking, MostDeceptiveFirst) {
   config.use_uc = false;
   const homoglyph::HomoglyphDb db{sim, unicode::ConfusablesDb::embedded(), config};
   const detect::Engine engine{
-      db, {.strategy = detect::Strategy::kIndexed, .cache = false}};
+      db, {.strategy = detect::Strategy::kSerial, .cache = false}};
 
   const std::vector<std::string> refs{"oe"};
   std::vector<detect::IdnEntry> idns;

@@ -449,8 +449,10 @@ TEST(KernelEndToEnd, DetectOutputIdenticalAcrossLevels) {
   for (const Level level : reachable_levels()) {
     ScopedKernelLevel pin{level};
     ASSERT_TRUE(pin.forced());
+    // kSkeleton hashes every label through the dispatched FNV kernels, so
+    // the production path itself is compared across levels.
     const detect::Engine engine{
-        db, {.strategy = detect::Strategy::kIndexed, .threads = 1, .cache = false}};
+        db, {.strategy = detect::Strategy::kSkeleton, .threads = 1, .cache = false}};
     const auto result = engine.detect({.references = refs, .idns = idns});
     if (!baseline.has_value()) {
       baseline = result.matches;

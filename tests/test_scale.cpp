@@ -232,6 +232,14 @@ TEST(MergeOutcomes, SortsAndDeduplicates) {
   EXPECT_NE(merged.fingerprint, 0u);
 }
 
+/// The zone file at `path` as a detect_sharded producer.
+BatchProducer zone_producer(std::string path, StreamOptions options) {
+  return [path = std::move(path), options = std::move(options)](
+             const std::function<void(std::span<const detect::IdnEntry>)>& sink) {
+    return stream_zone_idns(path, options, sink);
+  };
+}
+
 TEST(StreamVsMaterialized, ByteIdenticalAtEveryBatchSize) {
   const auto fonts = make_versioned(99);
   const auto sim = simchar::SimCharDb::build(*fonts.new_font, {});
@@ -249,11 +257,10 @@ TEST(StreamVsMaterialized, ByteIdenticalAtEveryBatchSize) {
   ASSERT_FALSE(baseline.verdicts.empty());
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
-    for (const auto strategy :
-         {detect::Strategy::kSerial, detect::Strategy::kIndexed,
-          detect::Strategy::kParallel, detect::Strategy::kSkeleton}) {
-      const auto streamed = detect_streaming(
-          engine, kRefs, zone.path(), {.tld = "com", .batch_size = batch}, strategy);
+    for (const auto strategy : {detect::Strategy::kSerial, detect::Strategy::kSkeleton}) {
+      const auto streamed =
+          detect_sharded(engine, kRefs, strategy, {},
+                         zone_producer(zone.path(), {.tld = "com", .batch_size = batch}));
       EXPECT_EQ(streamed.verdicts, baseline.verdicts)
           << "batch " << batch << " strategy " << static_cast<int>(strategy);
       EXPECT_EQ(streamed.fingerprint, baseline.fingerprint);
@@ -317,13 +324,6 @@ struct ShardRig {
   homoglyph::HomoglyphDb db{sim, unicode::ConfusablesDb::embedded(), {}};
   detect::Engine engine{db};
 };
-
-BatchProducer zone_producer(std::string path, StreamOptions options) {
-  return [path = std::move(path), options = std::move(options)](
-             const std::function<void(std::span<const detect::IdnEntry>)>& sink) {
-    return stream_zone_idns(path, options, sink);
-  };
-}
 
 // The paper-scale environment at reduced font coverage: cheap enough for a
 // unit test, rich enough that generated scenarios contain real homographs.
@@ -416,18 +416,21 @@ TEST(DetectGenerated, MatchesStreamedFileAtEveryShardCount) {
   const TempZone zone{"test_scale_gen.zone", text};
 
   const StreamOptions options{.tld = "com", .batch_size = 512};
-  const auto baseline = detect_streaming(engine, scenario.references, zone.path(),
-                                         options, detect::Strategy::kSkeleton);
+  const auto baseline = detect_sharded(engine, scenario.references,
+                                       detect::Strategy::kSkeleton, {},
+                                       zone_producer(zone.path(), options));
   ASSERT_FALSE(baseline.verdicts.empty());
 
+  GenStream gen;
+  gen.scenario = config;
+  gen.zone = {.which = 2, .tld = "com", .chunk_bytes = 32 * 1024};
+  gen.ring_chunks = 4;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    GenStream gen;
-    gen.scenario = config;
-    gen.zone = {.which = 2, .tld = "com", .chunk_bytes = 32 * 1024};
-    gen.ring_chunks = 4;
-    const auto out =
-        detect_generated(engine, scenario.references, env().db_union, gen,
-                         options, {.shards = shards}, detect::Strategy::kSkeleton);
+    const auto out = detect_sharded(
+        engine, scenario.references, detect::Strategy::kSkeleton, {.shards = shards},
+        [&](const auto& sink) {
+          return stream_generated_idns(env().db_union, gen, options, sink);
+        });
     EXPECT_EQ(out.verdicts, baseline.verdicts) << "shards " << shards;
     EXPECT_EQ(out.fingerprint, baseline.fingerprint);
     EXPECT_EQ(out.stream.domains, baseline.stream.domains);
@@ -485,10 +488,9 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
   const auto text =
       internet::generate_zone_text(env().db_union, config, {.which = 2});
   const TempZone zone{"test_scale_fleet.zone", text};
-  const auto baseline =
-      detect_streaming(in_process, scenario.references, zone.path(),
-                       {.tld = "com", .batch_size = 512},
-                       detect::Strategy::kSkeleton);
+  const auto baseline = detect_sharded(
+      in_process, scenario.references, detect::Strategy::kSkeleton, {},
+      zone_producer(zone.path(), {.tld = "com", .batch_size = 512}));
   ASSERT_FALSE(baseline.verdicts.empty());
 
   std::vector<std::uint64_t> fingerprints;

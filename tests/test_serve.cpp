@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "serve/replay.hpp"
@@ -376,6 +377,49 @@ TEST(Serve, ReplaySmokeVerifiesAgainstGroundTruth) {
   const auto json = report.to_json();
   EXPECT_NE(json.find("\"p99_ms\":"), std::string::npos);
   EXPECT_NE(json.find("\"schema_version\":"), std::string::npos);
+}
+
+TEST(Serve, EngineFailureAnswersInternalErrorAndSlotSurvives) {
+  // A SIZE_MAX-thread engine makes the per-call ThreadPool throw
+  // std::length_error from vector::reserve as soon as a request has more
+  // than one label on its streamed side. Uncaught, that exception would
+  // escape the slot thread and abort the process with every future
+  // pending.
+  const auto db = test_db();
+  DetectionServer server{
+      db, {.threads = std::numeric_limits<std::size_t>::max()}, {.slots = 1}};
+
+  ServeRequest failing;
+  failing.references = {"google", "mail"};
+  failing.idns = zone_of({{'g', 0x043E, 'o', 'g', 'l', 'e'}, {'m', 0x0430, 'i', 'l'}});
+  const auto failed = server.detect_sync(std::move(failing));
+  EXPECT_EQ(failed.status, ServeStatus::kInternalError);
+  EXPECT_EQ(status_name(failed.status), "internal_error");
+  EXPECT_FALSE(failed.error.empty());
+  EXPECT_TRUE(failed.matches.empty());
+
+  // The same slot serves the next request (one label per side: no pool).
+  const auto zone = zone_of({{'g', 0x043E, 'o', 'g', 'l', 'e'}});
+  ServeRequest next;
+  next.references = {"google"};
+  next.idns = zone;
+  const auto served = server.detect_sync(std::move(next));
+  ASSERT_EQ(served.status, ServeStatus::kOk);
+  EXPECT_EQ(served.matches, direct(db, {"google"}, zone));
+  EXPECT_EQ(served.matches.size(), 1u);
+
+  server.stop();
+  const auto stats = server.stats();
+  EXPECT_FALSE(stats.running);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.internal_error, 1u);
+  EXPECT_EQ(stats.served, 1u);
+  EXPECT_EQ(stats.shutdown, 0u);
+  ASSERT_EQ(stats.slots.size(), 1u);
+  EXPECT_EQ(stats.slots[0].internal_error, 1u);
+  const auto json = stats.to_json();
+  EXPECT_NE(json.find("\"internal_error\":1,\"batches\""), std::string::npos);
+  EXPECT_NE(stats.slots[0].to_json().find("\"internal_error\":1"), std::string::npos);
 }
 
 // --- Drain-on-stop (registered as the serve_shutdown ctest) -----------------

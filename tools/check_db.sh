@@ -2,7 +2,8 @@
 # End-to-end check of the memory-mapped DB artifact: build the tree, run
 # the artifact test suite and the db_load smoke (round-trip byte-identity
 # plus corruption fuzzing), then drive the CLI the way a user would —
-# build-db, check --db-file vs the font-built path, and a corrupt-artifact
+# usage errors that must exit 2 without writing anything, build-db,
+# check --db-file vs the font-built path, and a corrupt-artifact
 # rejection probe.
 #
 #   $ tools/check_db.sh                 # uses ./build (configures if absent)
@@ -11,6 +12,11 @@ set -e
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
+case "$BUILD_DIR" in
+  /*) ;;
+  *) BUILD_DIR="$(pwd)/$BUILD_DIR" ;;
+esac
+CLI="$BUILD_DIR"/examples/shamfinder_cli
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" --target test_db db_load shamfinder_cli -j >/dev/null
@@ -21,20 +27,46 @@ echo "=== artifact test suite ==="
 echo "=== db_load smoke (round trip + corruption fuzz) ==="
 "$BUILD_DIR"/bench/db_load --smoke
 
-echo "=== CLI: build-db -> check --db-file vs font-built check ==="
 ARTIFACT=$(mktemp -u /tmp/sham_check_db.XXXXXX.artifact)
-trap 'rm -f "$ARTIFACT" "$ARTIFACT.corrupt"' EXIT
+WORK=$(mktemp -d /tmp/sham_check_db.XXXXXX)
+trap 'rm -f "$ARTIFACT" "$ARTIFACT.corrupt"; rm -rf "$WORK"' EXIT
 
-"$BUILD_DIR"/examples/shamfinder_cli build-db "$ARTIFACT" \
+echo "=== CLI: usage errors exit 2 and write nothing ==="
+# Runs "$@" inside the empty $WORK directory and requires exit status 2
+# with $WORK still empty afterwards: a mistyped flag must never become an
+# output file name.
+expect_usage_error() {
+  status=0
+  (cd "$WORK" && "$@") >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "expected exit 2, got $status: $*"
+    exit 1
+  fi
+  if [ -n "$(ls -A "$WORK")" ]; then
+    echo "wrote files on a usage error: $*"
+    ls -A "$WORK"
+    exit 1
+  fi
+  echo "    exit 2, nothing written: ${*#"$CLI" }"
+}
+expect_usage_error "$CLI" build-db --help
+expect_usage_error "$CLI" build-db -h
+expect_usage_error "$CLI" build-db out.artifact --help
+expect_usage_error "$CLI" build-db -out.artifact --refs google
+expect_usage_error "$CLI" check xn--ggle-0nda.com --refs google --strategy parallel
+expect_usage_error "$CLI" scale-run --db-file x --domains 10 --strategy indexed
+
+echo "=== CLI: build-db -> check --db-file vs font-built check ==="
+"$CLI" build-db "$ARTIFACT" \
   --refs google,amazon,facebook,wikipedia,paypal
 
 # The two paths must agree verdict-for-verdict (stdout carries the
 # warnings; stderr the build/load chatter). `check` exits 1 on a detected
 # homograph, 0 on clean — both are expected outcomes here.
 for domain in xn--ggle-55da.com xn--amazn-uce.com wikipedia.com; do
-  built=$("$BUILD_DIR"/examples/shamfinder_cli check "$domain" \
+  built=$("$CLI" check "$domain" \
     --refs google,amazon,facebook,wikipedia,paypal 2>/dev/null) || true
-  mapped=$("$BUILD_DIR"/examples/shamfinder_cli check "$domain" \
+  mapped=$("$CLI" check "$domain" \
     --db-file "$ARTIFACT" 2>/dev/null) || true
   if [ "$built" != "$mapped" ]; then
     echo "MISMATCH for $domain:"
@@ -50,7 +82,7 @@ cp "$ARTIFACT" "$ARTIFACT.corrupt"
 # Flip one byte in the middle of the file (payload region).
 size=$(wc -c < "$ARTIFACT.corrupt")
 printf '\377' | dd of="$ARTIFACT.corrupt" bs=1 seek=$((size / 2)) conv=notrunc 2>/dev/null
-if "$BUILD_DIR"/examples/shamfinder_cli check wikipedia.com \
+if "$CLI" check wikipedia.com \
     --db-file "$ARTIFACT.corrupt" 2>/dev/null; then
   echo "corrupt artifact was accepted"
   exit 1
