@@ -16,10 +16,10 @@
 //   * streaming zone generation — internet::ZoneTextStream synthesizes the
 //     master-file text chunk-by-chunk, byte-identical to the zone files
 //     written from the materialized scenario;
-//   * intra-zone sharding — detection workers pulling batches off one
-//     generated stream; verdict fingerprints must be identical at 1/2/8
-//     shards (throughput scaling is recorded, and marked hardware_skipped
-//     on single-core hosts);
+//   * slice-parallel zones — each of N slice threads generates, parses,
+//     extracts and detects its own part of one generated zone; verdict
+//     fingerprints must be identical at 1/2/8 slices (throughput scaling
+//     is recorded, and marked hardware_skipped on single-core hosts);
 //   * bounded-RSS ladder — full generate-and-detect runs at 2e6 and 1e7
 //     domains; the peak resident set at 1e7 must stay within a fixed
 //     slack (kGenRssSlackKib) of the 2e6 run, i.e. independent of the
@@ -267,11 +267,11 @@ GenRun run_generated_fleet(const std::string& artifact,
 }
 
 /// Peak-RSS slack allowed between the 2e6- and 1e7-domain generated runs:
-/// the pipeline's working set is a constant (generator head + chunk ring +
-/// batch queue + per-shard verdict vectors), so the ceiling must not move
-/// with the population. 256 MiB absorbs allocator noise and verdict
-/// accumulation without masking an O(N) regression (materializing 1e7
-/// domains would cost GiBs).
+/// the pipeline's working set is a constant (generator head + one chunk
+/// and one batch per slice + per-slice verdict vectors), so the ceiling
+/// must not move with the population. 256 MiB absorbs allocator noise and
+/// verdict accumulation without masking an O(N) regression (materializing
+/// 1e7 domains would cost GiBs).
 constexpr std::size_t kGenRssSlackKib = 256 * 1024;
 
 /// Streaming vs materialized verdict identity for one zone, across batch
@@ -286,10 +286,9 @@ bool verdict_identity(const detect::Engine& mapped, const detect::Engine& in_pro
   for (const std::size_t batch : {std::size_t{7}, std::size_t{512},
                                   std::size_t{100'000}}) {
     const measure::StreamOptions options{.tld = zone.tld, .batch_size = batch};
-    const auto streamed = measure::detect_sharded(
-        mapped, refs, detect::Strategy::kSkeleton, {}, [&](const auto& sink) {
-          return measure::stream_zone_idns(zone.zone_path, options, sink);
-        });
+    const auto streamed =
+        measure::detect_sharded(mapped, refs, detect::Strategy::kSkeleton,
+                                measure::zone_file_slices(zone.zone_path, 1, options));
     const bool same = streamed.verdicts == materialized.verdicts &&
                       streamed.fingerprint == materialized.fingerprint;
     if (print) {
@@ -327,12 +326,14 @@ int run_smoke() {
     ok = verdict_identity(mapped, in_process, refs, zone, true) && ok;
   }
 
-  // Fleet over the shared artifact: every worker's fingerprint must equal
-  // the in-process baseline for its TLD.
+  // Fleet over the shared artifact, each zone file cut into three slices:
+  // every worker's fingerprint must equal the in-process baseline for its
+  // TLD.
   measure::FleetOptions fleet_options;
   fleet_options.db_file = artifact;
   fleet_options.zones = set.zones;
   fleet_options.batch_size = 256;
+  fleet_options.shards = 3;
   const auto fleet = measure::run_fleet(fleet_options);
   bool fleet_ok = fleet.ok();
   for (const auto& z : fleet.zones) {
@@ -412,9 +413,8 @@ int run_full() {
   const std::size_t rss0 = measure::resident_kib();
   const measure::StreamOptions stream_options{.tld = com.tld, .batch_size = 4096};
   const auto streamed = measure::detect_sharded(
-      mapped, refs, detect::Strategy::kSkeleton, {}, [&](const auto& sink) {
-        return measure::stream_zone_idns(com.zone_path, stream_options, sink);
-      });
+      mapped, refs, detect::Strategy::kSkeleton,
+      measure::zone_file_slices(com.zone_path, 1, stream_options));
   const std::size_t rss1 = measure::resident_kib();
   const std::size_t stream_delta = rss1 > rss0 ? rss1 - rss0 : 0;
   std::size_t materialize_delta = 0;

@@ -14,12 +14,15 @@
 // The homoglyph database is built once per invocation from the system font
 // (or the synthetic font without FreeType) — or, with --db-file, memory-
 // mapped from a prebuilt artifact (see build-db) with zero parsing.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/browser_policy.hpp"
@@ -68,6 +71,30 @@ std::shared_ptr<const db::DbArtifact> load_artifact(const std::string& path) {
   return artifact;
 }
 
+/// Parse `value`, the argument of `flag`, as a non-negative decimal integer
+/// of type T; anything else, including a value T cannot hold, throws
+/// std::invalid_argument naming the flag, which main() reports as a usage
+/// error (exit 2).
+template <typename T>
+T parse_number(std::string_view flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument{std::string{flag} +
+                                " needs a non-negative integer, got '" + value + "'"};
+  }
+  return out;
+}
+
+/// True when `--help` or `-h` appears anywhere in `args`.
+bool wants_help(const std::vector<std::string>& args) {
+  for (const auto& arg : args) {
+    if (arg == "--help" || arg == "-h") return true;
+  }
+  return false;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: shamfinder_cli <command> ...\n"
@@ -105,9 +132,12 @@ int usage() {
                "                                 JSON (exit 1 if any worker failed)\n"
                "        [--domains N]            synthesize N-domain zones on the fly\n"
                "        [--tlds com,net]         instead of reading --zone files\n"
-               "        [--seed N] [--shards N]  (seeded generator; N detection\n"
-               "        [--chunk-bytes N]        shards per zone; generator chunk)\n"
-               "        [--progress N]           stderr progress line every N domains\n");
+               "        [--seed N]               (seeded generator)\n"
+               "        [--shards N]             slices per zone, each parsed and\n"
+               "                                 detected by its own thread\n"
+               "        [--chunk-bytes N]        generator chunk size\n"
+               "        [--progress N]           stderr progress line every N domains\n"
+               "  --help or -h on build-db, check or scale-run prints this usage\n");
   return 2;
 }
 
@@ -119,10 +149,7 @@ int usage() {
 /// rejected (it is almost always a mistyped flag), both before anything is
 /// written.
 int cmd_build_db(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  for (const auto& arg : args) {
-    if (arg == "--help" || arg == "-h") return usage();
-  }
+  if (args.empty() || wants_help(args)) return usage();
   const std::string out_path = args[0];
   if (out_path.starts_with('-')) {
     std::fprintf(stderr,
@@ -188,12 +215,14 @@ int cmd_build_db(const std::vector<std::string>& args) {
 /// [--batch N] [--passes N] [--strategy s] [--domains N] [--tlds a,b]
 /// [--seed N] [--shards N] [--chunk-bytes N] [--progress N]: the multi-TLD
 /// streaming fleet — one engine per zone, every worker mapping the same
-/// artifact, zones streamed in bounded-memory batches. `--domains N`
+/// artifact, each zone cut into `--shards` slices that are parsed and
+/// detected in parallel, in bounded-memory batches. `--domains N`
 /// replaces on-disk zones with seed-deterministic synthetic zones
 /// generated on the fly (never materialized); `--progress N` reports
 /// domains streamed and the current resident set every N owner names.
 /// Prints the FleetReport JSON.
 int cmd_scale_run(const std::vector<std::string>& args) {
+  if (wants_help(args)) return usage();
   measure::FleetOptions options;
   std::size_t domains = 0;
   std::uint64_t seed = 2019;
@@ -212,22 +241,22 @@ int cmd_scale_run(const std::vector<std::string>& args) {
       }
       options.zones.push_back({spec.substr(0, colon), spec.substr(colon + 1)});
     } else if (args[i] == "--batch" && i + 1 < args.size()) {
-      options.batch_size = std::stoul(args[++i]);
+      options.batch_size = parse_number<std::size_t>("--batch", args[++i]);
     } else if (args[i] == "--passes" && i + 1 < args.size()) {
-      options.passes = std::stoul(args[++i]);
+      options.passes = parse_number<std::size_t>("--passes", args[++i]);
     } else if (args[i] == "--domains" && i + 1 < args.size()) {
-      domains = std::stoul(args[++i]);
+      domains = parse_number<std::size_t>("--domains", args[++i]);
     } else if (args[i] == "--tlds" && i + 1 < args.size()) {
       tlds.clear();
       for (const auto part : util::split(args[++i], ',')) tlds.emplace_back(part);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::stoull(args[++i]);
+      seed = parse_number<std::uint64_t>("--seed", args[++i]);
     } else if (args[i] == "--shards" && i + 1 < args.size()) {
-      options.shards = std::stoul(args[++i]);
+      options.shards = parse_number<std::size_t>("--shards", args[++i]);
     } else if (args[i] == "--chunk-bytes" && i + 1 < args.size()) {
-      chunk_bytes = std::stoul(args[++i]);
+      chunk_bytes = parse_number<std::size_t>("--chunk-bytes", args[++i]);
     } else if (args[i] == "--progress" && i + 1 < args.size()) {
-      options.progress_interval = std::stoul(args[++i]);
+      options.progress_interval = parse_number<std::size_t>("--progress", args[++i]);
     } else if (args[i] == "--strategy" && i + 1 < args.size()) {
       const auto strategy = detect::parse_strategy(args[++i]);
       if (!strategy) {
@@ -291,7 +320,7 @@ std::optional<unicode::U32String> label_of(const std::string& domain) {
 }
 
 int cmd_check(const std::vector<std::string>& raw_args) {
-  if (raw_args.empty()) return usage();
+  if (raw_args.empty() || wants_help(raw_args)) return usage();
   bool stats_json = false;
   std::vector<std::string> args;
   for (const auto& arg : raw_args) {
@@ -310,14 +339,11 @@ int cmd_check(const std::vector<std::string>& raw_args) {
     if (args[i] == "--db-file") {
       db_file = args[i + 1];
     } else if (args[i] == "--repeat") {
-      const auto& value = args[i + 1];
-      if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos ||
-          std::stoul(value) == 0) {
-        std::fprintf(stderr, "check: --repeat needs a positive integer, got %s\n",
-                     value.c_str());
+      repeat = parse_number<std::size_t>("--repeat", args[i + 1]);
+      if (repeat == 0) {
+        std::fprintf(stderr, "check: --repeat needs a positive integer, got 0\n");
         return 2;
       }
-      repeat = std::stoul(value);
     } else if (args[i] == "--join") {
       const auto& value = args[i + 1];
       if (value == "auto") {
@@ -344,13 +370,7 @@ int cmd_check(const std::vector<std::string>& raw_args) {
       }
       config.engine.strategy = *strategy;
     } else if (args[i] == "--threads") {
-      const auto& value = args[i + 1];
-      if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "check: --threads needs a non-negative integer, got %s\n",
-                     value.c_str());
-        return 2;
-      }
-      config.engine.threads = std::stoul(value);
+      config.engine.threads = parse_number<std::size_t>("--threads", args[i + 1]);
     }
   }
   const auto label = label_of(args[0]);
@@ -418,7 +438,7 @@ int cmd_check(const std::vector<std::string>& raw_args) {
 
 int cmd_candidates(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  const std::size_t max = args.size() > 1 ? std::stoul(args[1]) : 40;
+  const std::size_t max = args.size() > 1 ? parse_number<std::size_t>("max", args[1]) : 40;
   const auto finder = make_finder();
   detect::CandidateOptions options;
   options.max_candidates = max;
@@ -496,14 +516,6 @@ int cmd_policy(const std::vector<std::string>& args) {
   return 0;
 }
 
-bool parse_count(const std::string& value, std::size_t* out) {
-  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  *out = std::stoul(value);
-  return true;
-}
-
 /// Resident service: one server over the font-built database, one request
 /// per stdin line. Lines are submitted as they arrive (the slots work
 /// concurrently); verdicts print in input order on EOF.
@@ -520,15 +532,9 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if (args[i] == "--refs" && i + 1 < args.size()) {
       for (const auto part : util::split(args[++i], ',')) refs.emplace_back(part);
     } else if (args[i] == "--slots" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], &options.slots)) {
-        std::fprintf(stderr, "serve: --slots needs a positive integer\n");
-        return 2;
-      }
+      options.slots = parse_number<std::size_t>("--slots", args[++i]);
     } else if (args[i] == "--queue" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], &options.queue_capacity)) {
-        std::fprintf(stderr, "serve: --queue needs a positive integer\n");
-        return 2;
-      }
+      options.queue_capacity = parse_number<std::size_t>("--queue", args[++i]);
     } else if (args[i] == "--policy" && i + 1 < args.size()) {
       const auto& value = args[++i];
       if (value == "reject") {
@@ -618,10 +624,11 @@ int cmd_replay(const std::vector<std::string>& args) {
   std::string db_file;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const auto need = [&](std::size_t* out, const char* what) {
-      if (i + 1 >= args.size() || !parse_count(args[++i], out)) {
-        std::fprintf(stderr, "replay: %s needs a positive integer\n", what);
+      if (i + 1 >= args.size()) {
+        std::fprintf(stderr, "replay: %s needs a non-negative integer\n", what);
         return false;
       }
+      *out = parse_number<std::size_t>(what, args[++i]);
       return true;
     };
     if (args[i] == "--no-verify") {
@@ -671,8 +678,8 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
 
   // Corrupt/missing artifacts (and other environmental failures) surface
-  // as exceptions with a diagnostic naming the failing check — print it,
-  // don't terminate().
+  // as exceptions with a diagnostic naming the failing check, as do bad
+  // numeric arguments (parse_number) — print it, don't terminate().
   try {
     if (command == "build-db") return cmd_build_db(args);
     if (command == "scale-run") return cmd_scale_run(args);

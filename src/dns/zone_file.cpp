@@ -1,7 +1,6 @@
 #include "dns/zone_file.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "dns/zone_stream.hpp"
 
@@ -39,13 +38,9 @@ Zone parse_zone(std::string_view text) {
 
 std::size_t parse_zone_file(const std::string& path,
                             const std::function<void(const ResourceRecord&)>& sink) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw std::runtime_error{"parse_zone_file: cannot open " + path};
+  const util::InputFile file{path};
   ZoneStreamReader reader{sink};
-  char buffer[64 * 1024];
-  while (in.read(buffer, sizeof buffer) || in.gcount() > 0) {
-    reader.feed(std::string_view{buffer, static_cast<std::size_t>(in.gcount())});
-  }
+  feed_file(reader, file);
   return reader.finish();
 }
 

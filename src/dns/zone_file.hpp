@@ -34,11 +34,15 @@ class ZoneParseError : public std::runtime_error {
  public:
   ZoneParseError(std::size_t line, const std::string& message)
       : std::runtime_error{"zone line " + std::to_string(line) + ": " + message},
-        line_{line} {}
+        line_{line},
+        message_{message} {}
   [[nodiscard]] std::size_t line() const noexcept { return line_; }
+  /// The diagnostic without its "zone line N: " prefix.
+  [[nodiscard]] const std::string& message() const noexcept { return message_; }
 
  private:
   std::size_t line_;
+  std::string message_;
 };
 
 /// Parse zone text; throws ZoneParseError on malformed input. The
@@ -64,8 +68,9 @@ void parse_zone_stream(std::string_view text,
 
 /// Stream a zone file from disk line-by-line without loading it into
 /// memory (registry zones run to tens of GB; Section 5.2). Throws
-/// std::runtime_error if the file cannot be opened, ZoneParseError on
-/// malformed records. Returns the number of records delivered to `sink`.
+/// std::runtime_error naming the path if the file cannot be opened, is a
+/// directory, or a read fails; ZoneParseError on malformed records.
+/// Returns the number of records delivered to `sink`.
 std::size_t parse_zone_file(const std::string& path,
                             const std::function<void(const ResourceRecord&)>& sink);
 

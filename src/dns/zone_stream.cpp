@@ -1,8 +1,10 @@
 #include "dns/zone_stream.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <limits>
+#include <stdexcept>
 
 namespace sham::dns {
 
@@ -91,6 +93,33 @@ NameParts resolve_name(std::string_view token, const std::string& origin,
 }  // namespace
 
 ZoneStreamReader::ZoneStreamReader(Sink sink) : sink_{std::move(sink)} {}
+
+ZoneStreamReader::ZoneStreamReader(Sink sink, const ZoneReaderState& start)
+    : sink_{std::move(sink)},
+      origin_{start.origin},
+      origin_seen_{start.origin_seen},
+      default_ttl_{start.default_ttl} {
+  if (!start.owner.empty() && !record_.owner.assign(start.owner)) {
+    throw std::invalid_argument{"ZoneStreamReader: bad start owner '" + start.owner + "'"};
+  }
+}
+
+ZoneLineKind ZoneStreamReader::classify(std::string_view line) noexcept {
+  // The same steps, in the same order, as process_line.
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (const auto semi = line.find(';'); semi != std::string_view::npos) {
+    line = line.substr(0, semi);
+  }
+  Tokens tokens;
+  if (split_tokens(line, tokens) == 0) return ZoneLineKind::kEmpty;
+  if (tokens[0] == "$ORIGIN" || tokens[0] == "$TTL") return ZoneLineKind::kDirective;
+  return line[0] == ' ' || line[0] == '\t' ? ZoneLineKind::kContinuation
+                                           : ZoneLineKind::kOwner;
+}
+
+ZoneReaderState ZoneStreamReader::state() const {
+  return {origin_, origin_seen_, default_ttl_, record_.owner.str()};
+}
 
 void ZoneStreamReader::process_line(std::string_view line) {
   ++line_no_;
@@ -247,6 +276,18 @@ std::size_t ZoneStreamReader::finish() {
     pending_.clear();
   }
   return records_;
+}
+
+void feed_file(ZoneStreamReader& reader, const util::InputFile& file,
+               std::size_t begin, std::size_t end) {
+  char buffer[64 * 1024];
+  while (begin < end) {
+    const std::size_t got =
+        file.read_at(buffer, std::min(sizeof buffer, end - begin), begin);
+    if (got == 0) return;  // end of file
+    reader.feed(std::string_view{buffer, got});
+    begin += got;
+  }
 }
 
 }  // namespace sham::dns

@@ -14,17 +14,43 @@
 // parsed into one member ResourceRecord whose owner and target strings
 // keep their capacity, tokens land in a fixed array, and names are
 // resolved, lowercased and validated in place (DomainName::normalize).
+//
+// A reader can also start mid-file: given the state a sequential parse has
+// at a line boundary (ZoneReaderState), it parses the rest exactly as that
+// parse would. That is how a zone is cut into slices parsed in parallel
+// (measure/scale_run.hpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 
 #include "dns/records.hpp"
 #include "dns/zone_file.hpp"
+#include "util/input_file.hpp"
 
 namespace sham::dns {
+
+/// Everything a parse carries from one line to the next, apart from the
+/// line count.
+struct ZoneReaderState {
+  /// The $ORIGIN in effect, without its trailing dot ("" = unset or root).
+  std::string origin{};
+  bool origin_seen = false;
+  std::uint32_t default_ttl = 86400;
+  /// Normalized owner of the last record ("" before the first): the owner
+  /// a continuation line inherits.
+  std::string owner{};
+
+  friend bool operator==(const ZoneReaderState&, const ZoneReaderState&) = default;
+};
+
+/// How the parser treats a line (without its '\n'): no record at all, a
+/// $ORIGIN/$TTL directive (its first token, after any indentation), a
+/// record that inherits the previous owner, or a record naming its owner.
+enum class ZoneLineKind { kEmpty, kDirective, kContinuation, kOwner };
 
 class ZoneStreamReader {
  public:
@@ -34,6 +60,14 @@ class ZoneStreamReader {
   /// it receives is the reader's own, reused for the next line: it is
   /// valid only during the call, so a sink copies whatever it keeps.
   explicit ZoneStreamReader(Sink sink);
+
+  /// A reader that starts at a line boundary in `start`, the state a
+  /// sequential parse has there. lines() and error line numbers count from
+  /// that boundary.
+  ZoneStreamReader(Sink sink, const ZoneReaderState& start);
+
+  /// Classify one line exactly as the parser does.
+  [[nodiscard]] static ZoneLineKind classify(std::string_view line) noexcept;
 
   /// Consume the next chunk of zone text. Chunks may be any size (one
   /// byte up to the whole file) and may split the text anywhere; CRLF and
@@ -61,6 +95,8 @@ class ZoneStreamReader {
   /// The $TTL currently in effect (the zone-file default until the first
   /// $TTL directive).
   [[nodiscard]] std::uint32_t default_ttl() const noexcept { return default_ttl_; }
+  /// The state after the lines processed so far.
+  [[nodiscard]] ZoneReaderState state() const;
 
  private:
   void process_line(std::string_view line);
@@ -78,5 +114,11 @@ class ZoneStreamReader {
   std::size_t records_ = 0;
   bool finished_ = false;
 };
+
+/// Feed bytes [begin, end) of `file` to `reader` through one 64 KiB buffer
+/// (end past the file size: up to end of file). Does not call finish().
+void feed_file(ZoneStreamReader& reader, const util::InputFile& file,
+               std::size_t begin = 0,
+               std::size_t end = std::numeric_limits<std::size_t>::max());
 
 }  // namespace sham::dns

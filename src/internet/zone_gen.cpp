@@ -1,6 +1,7 @@
 #include "internet/zone_gen.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "dns/zone_file.hpp"
@@ -9,35 +10,45 @@ namespace sham::internet {
 
 ZoneTextStream::ZoneTextStream(const homoglyph::HomoglyphDb& db,
                                const ScenarioConfig& config, ZoneGenOptions options)
-    : core_{build_scenario_core(db, config)}, options_{std::move(options)} {
+    : ZoneTextStream{std::make_shared<const ScenarioCore>(build_scenario_core(db, config)),
+                     std::move(options), 0, std::numeric_limits<std::size_t>::max()} {}
+
+ZoneTextStream::ZoneTextStream(std::shared_ptr<const ScenarioCore> core,
+                               ZoneGenOptions options, std::size_t first,
+                               std::size_t last)
+    : core_{std::move(core)}, options_{std::move(options)} {
   if (options_.which < 0 || options_.which > 2) {
     throw std::invalid_argument{"ZoneTextStream: which must be 0, 1, or 2"};
   }
+  end_ = std::min(last, core_->population());
+  first_ = std::min(first, end_);
+  cursor_ = first_;
   // The header is produced by the same serializer the materialized path
-  // uses, over a record-less Zone — byte identity by construction.
+  // uses, over a record-less Zone — byte identity by construction. It is
+  // validated on every stream, emitted only by the one starting the zone.
   dns::Zone head;
   head.origin = dns::DomainName::parse_or_throw(options_.tld);
   head.default_ttl = 172800;  // matches scenario_to_zone
-  header_ = dns::serialize_zone(head);
+  if (first == 0) header_ = dns::serialize_zone(head);
 }
 
 void ZoneTextStream::append_domain(std::size_t index, std::string& out) {
-  const std::size_t n_refs = core_.references.size();
-  const std::size_t n_attacks = core_.attacks.size();
+  const std::size_t n_refs = core_->references.size();
+  const std::size_t n_attacks = core_->attacks.size();
   const std::string* sld = nullptr;
   std::string benign_sld;
   bool benign = false;
   std::string filler_sld;
   if (index < n_refs) {
-    sld = &core_.references[index];
+    sld = &core_->references[index];
   } else if (index < n_refs + n_attacks) {
-    sld = &core_.attacks[index - n_refs].ace;
-  } else if (index < core_.head_count()) {
-    benign_sld = benign_idn_at(core_, index - n_refs - n_attacks).ace;
+    sld = &core_->attacks[index - n_refs].ace;
+  } else if (index < core_->head_count()) {
+    benign_sld = benign_idn_at(*core_, index - n_refs - n_attacks).ace;
     sld = &benign_sld;
     benign = true;
   } else {
-    filler_sld = filler_label_at(core_, index);
+    filler_sld = filler_label_at(*core_, index);
     sld = &filler_sld;
   }
 
@@ -46,14 +57,14 @@ void ZoneTextStream::append_domain(std::size_t index, std::string& out) {
 
   const HostState* host = nullptr;
   HostState benign_state;
-  if (core_.config.build_world) {
-    host = core_.head_world.lookup(*domain);
+  if (core_->config.build_world) {
+    host = core_->head_world.lookup(*domain);
     if (host == nullptr && benign) {
       // Keep-first: an ACE colliding with an attack (or an earlier
       // duplicate benign sample, same pure-function state) resolved to
       // the head-world entry above; fresh benign names get their
       // ACE-keyed state here.
-      benign_state = benign_host_for(core_, *sld);
+      benign_state = benign_host_for(*core_, *sld);
       host = &benign_state;
     }
   }
@@ -74,12 +85,11 @@ bool ZoneTextStream::next_chunk(std::string& out) {
     out += header_;
     header_.clear();
   }
-  const std::size_t population = core_.population();
-  while (out.size() < target && cursor_ < population) {
+  while (out.size() < target && cursor_ < end_) {
     const std::size_t index = cursor_++;
     ++stats_.domains_considered;
     if (options_.which != 2) {
-      const auto m = membership_at(core_, index);
+      const auto m = membership_at(*core_, index);
       if (!(options_.which == 0 ? m.zone : m.domainlists)) continue;
     }
     append_domain(index, out);

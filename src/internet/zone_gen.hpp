@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 
 #include "homoglyph/homoglyph_db.hpp"
@@ -48,26 +49,36 @@ class ZoneTextStream {
   ZoneTextStream(const homoglyph::HomoglyphDb& db, const ScenarioConfig& config,
                  ZoneGenOptions options = {});
 
+  /// Streams only population indexes [first, last) (last is clamped to the
+  /// population) of a core built once and shared read-only, so streams
+  /// over disjoint ranges can run on different threads. Only the stream
+  /// that starts at index 0 emits the header: the streams of a partition
+  /// of the population, concatenated in order, are the whole zone's text.
+  ZoneTextStream(std::shared_ptr<const ScenarioCore> core, ZoneGenOptions options,
+                 std::size_t first, std::size_t last);
+
   /// Fill `out` with the next chunk of master-file text (the first chunk
   /// starts with the $ORIGIN/$TTL header). Returns false when the zone is
   /// exhausted, leaving `out` empty.
   bool next_chunk(std::string& out);
 
-  [[nodiscard]] const ScenarioCore& core() const noexcept { return core_; }
+  [[nodiscard]] const ScenarioCore& core() const noexcept { return *core_; }
   [[nodiscard]] const ZoneGenStats& stats() const noexcept { return stats_; }
   /// Population indices this stream enumerates (membership then filters
   /// them down to the selected source list).
-  [[nodiscard]] std::size_t population() const noexcept { return core_.population(); }
+  [[nodiscard]] std::size_t population() const noexcept { return end_ - first_; }
 
  private:
   void append_domain(std::size_t index, std::string& out);
 
-  ScenarioCore core_;
+  std::shared_ptr<const ScenarioCore> core_;
   ZoneGenOptions options_;
   ZoneGenStats stats_;
   std::string header_;                         // pending $ORIGIN/$TTL text
   std::vector<dns::ResourceRecord> scratch_;   // per-domain record buffer
+  std::size_t first_ = 0;                      // first population index
   std::size_t cursor_ = 0;                     // next population index
+  std::size_t end_ = 0;                        // one past the last index
 };
 
 /// One-shot convenience: concatenate every chunk (materializes the text —

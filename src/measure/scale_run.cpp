@@ -1,11 +1,14 @@
 #include "measure/scale_run.hpp"
 
+#include <string.h>
+
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
+#include <cstring>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -17,6 +20,7 @@
 #include "dns/zone_stream.hpp"
 #include "idna/idna.hpp"
 #include "unicode/confusables.hpp"
+#include "util/input_file.hpp"
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
 
@@ -91,72 +95,66 @@ void append_verdicts(std::vector<Verdict>& out, std::span<const detect::Match> m
   }
 }
 
-/// Bounded MPSC/SPMC hand-off buffer: push blocks while full (the
-/// backpressure that keeps producer memory bounded), pop blocks while
-/// empty. close() drains remaining items to the consumers; abort() drops
-/// everything and unblocks both sides (failure propagation).
-template <typename T>
-class BoundedQueue {
+/// What the slices of one zone share: a copy of the stream options, and
+/// the progress reports. Each slice reports its running totals every
+/// progress_interval / slices of its own owner names; the callback runs,
+/// serialized, whenever the zone-wide sum passes the next multiple of
+/// progress_interval, so one slice reports exactly as often as before
+/// slicing.
+class SliceShared {
  public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_{std::max<std::size_t>(1, capacity)} {}
+  SliceShared(const StreamOptions& options, std::size_t slices)
+      : options_{options},
+        report_every_{options.progress_interval == 0 || !options.on_progress
+                          ? 0
+                          : std::max<std::size_t>(1, options.progress_interval / slices)},
+        next_callback_{options.progress_interval},
+        progress_(slices) {}
 
-  /// False when the queue was aborted (a consumer failed).
-  bool push(T item) {
-    std::unique_lock lock{mutex_};
-    not_full_.wait(lock, [&] { return items_.size() < capacity_ || aborted_; });
-    if (aborted_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
+  [[nodiscard]] const StreamOptions& options() const noexcept { return options_; }
+  /// Owner names of one slice between its reports (0 = never report).
+  [[nodiscard]] std::size_t report_every() const noexcept { return report_every_; }
 
-  /// False when closed-and-drained or aborted.
-  bool pop(T& out) {
-    std::unique_lock lock{mutex_};
-    not_empty_.wait(lock, [&] { return !items_.empty() || closed_ || aborted_; });
-    if (aborted_ || items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-
-  void close() {
+  /// The callback runs under the lock: calls must never overlap, and
+  /// must see the totals in increasing order.
+  void report(std::size_t slice, const ZoneStreamStats& so_far) {
     std::lock_guard lock{mutex_};
-    closed_ = true;
-    not_empty_.notify_all();
-  }
-
-  void abort() {
-    std::lock_guard lock{mutex_};
-    aborted_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
+    progress_[slice] = so_far;
+    StreamProgress total;
+    for (const auto& p : progress_) {
+      total.domains += p.domains;
+      total.idns += p.idns;
+      total.records += p.records;
+    }
+    if (total.domains < next_callback_) return;
+    const std::size_t interval = options_.progress_interval;
+    next_callback_ = (total.domains / interval + 1) * interval;
+    total.rss_kib = resident_kib();
+    options_.on_progress(total);
   }
 
  private:
-  std::size_t capacity_;
-  std::deque<T> items_;
+  StreamOptions options_;
+  std::size_t report_every_;
   std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  bool closed_ = false;
-  bool aborted_ = false;
+  std::size_t next_callback_;  // zone-wide domains that trigger the next callback
+  std::vector<ZoneStreamStats> progress_;  // each slice's latest report
 };
 
-/// Owner-name -> IdnEntry batching shared by the disk and generated
-/// streams: consecutive-owner dedup, bounded pending/batch buffers, and
-/// the periodic progress callback.
+/// Owner-name -> IdnEntry batching of one slice: consecutive-owner dedup
+/// (primed with the owner of the record before the slice), bounded
+/// pending/batch buffers, and the periodic progress report.
 class IdnBatcher {
  public:
-  IdnBatcher(const std::string& tld, const StreamOptions& options,
-             const std::function<void(std::span<const detect::IdnEntry>)>& on_batch)
-      : tld_{tld},
-        suffix_{"." + tld},
-        options_{&options},
+  IdnBatcher(SliceShared& shared, std::size_t slice, std::string_view tld,
+             const BatchSink& on_batch, std::string_view last_owner)
+      : shared_{&shared},
+        slice_{slice},
+        tld_{tld},
+        suffix_{"." + tld_},
         on_batch_{&on_batch},
-        cap_{std::max<std::size_t>(1, options.batch_size)} {}
+        cap_{std::max<std::size_t>(1, shared.options().batch_size)},
+        last_owner_{last_owner} {}
 
   void record(const dns::ResourceRecord& r) {
     ++stats_.records;
@@ -175,13 +173,14 @@ class IdnBatcher {
       pending_.emplace_back(owner);
       if (pending_.size() >= cap_) extract_pending();
     }
-    if (options_->progress_interval != 0 && options_->on_progress &&
-        stats_.domains % options_->progress_interval == 0) {
+    const std::size_t every = shared_->report_every();
+    if (every != 0 && stats_.domains % every == 0) {
       // idns covers every owner seen so far, including the
       // extracted-but-undelivered tail.
       extract_pending();
-      options_->on_progress({stats_.domains, stats_.idns + batch_.size(),
-                             stats_.records, resident_kib()});
+      auto so_far = stats_;
+      so_far.idns += batch_.size();
+      shared_->report(slice_, so_far);
     }
   }
 
@@ -211,16 +210,282 @@ class IdnBatcher {
     }
   }
 
+  SliceShared* shared_;
+  std::size_t slice_;
   std::string tld_;
   std::string suffix_;  // "." + tld_
-  const StreamOptions* options_;
-  const std::function<void(std::span<const detect::IdnEntry>)>* on_batch_;
+  const BatchSink* on_batch_;
   std::size_t cap_;
   ZoneStreamStats stats_;
   std::vector<std::string> pending_;  // IDN candidates awaiting extraction
   std::vector<detect::IdnEntry> batch_;
   std::string last_owner_;
 };
+
+/// Parse one slice from `start` (its first line's sequential state),
+/// batching its IDNs.
+ZoneStreamStats stream_slice(SliceShared& shared, std::size_t slice,
+                             std::string_view tld, const dns::ZoneReaderState& start,
+                             const BatchSink& on_batch,
+                             const std::function<void(dns::ZoneStreamReader&)>& feed) {
+  IdnBatcher batcher{shared, slice, tld, on_batch, start.owner};
+  dns::ZoneStreamReader reader{[&](const dns::ResourceRecord& r) { batcher.record(r); },
+                               start};
+  feed(reader);
+  reader.finish();
+  return batcher.finish();
+}
+
+void ignore_record(const dns::ResourceRecord&) {}
+
+// --- File slices ------------------------------------------------------------
+
+constexpr std::size_t kWindow = 64 * 1024;
+constexpr std::size_t kToEnd = std::numeric_limits<std::size_t>::max();
+
+/// Read exactly `n` bytes at `offset`; a file that ends early is an error.
+void read_exact(const util::InputFile& file, char* out, std::size_t n,
+                std::size_t offset) {
+  while (n > 0) {
+    const std::size_t got = file.read_at(out, n, offset);
+    if (got == 0) {
+      throw std::runtime_error{"zone file " + file.path() + " shrank while read"};
+    }
+    out += got;
+    offset += got;
+    n -= got;
+  }
+}
+
+/// The first line start at or after `target`: 0, or just past a '\n'
+/// (the file size when no '\n' follows).
+std::size_t line_start_at_or_after(const util::InputFile& file, std::size_t target) {
+  if (target == 0) return 0;
+  std::vector<char> window(kWindow);
+  for (std::size_t pos = target - 1;;) {
+    const std::size_t got = file.read_at(window.data(), window.size(), pos);
+    if (got == 0) return pos;
+    if (const auto* nl = static_cast<const char*>(std::memchr(window.data(), '\n', got))) {
+      return pos + static_cast<std::size_t>(nl - window.data()) + 1;
+    }
+    pos += got;
+  }
+}
+
+/// Newlines in [0, end): the line number a slice starting at `end` adds to
+/// its own (counted only when the slice raises an error).
+std::size_t lines_before(const util::InputFile& file, std::size_t end) {
+  std::vector<char> window(kWindow);
+  std::size_t lines = 0;
+  for (std::size_t pos = 0; pos < end;) {
+    const std::size_t n = std::min(window.size(), end - pos);
+    read_exact(file, window.data(), n, pos);
+    lines += static_cast<std::size_t>(std::count(window.data(), window.data() + n, '\n'));
+    pos += n;
+  }
+  return lines;
+}
+
+/// One line of a zone file, with its '\n', and its file offset.
+struct FileLine {
+  std::size_t offset = 0;
+  std::string line;
+};
+
+/// The directive lines of the line-aligned range [begin, end), which lies
+/// within the file. A directive line's first token starts with '$', so
+/// only lines holding a '$' are classified, exactly as the parser would.
+std::vector<FileLine> scan_directives(const util::InputFile& file, std::size_t begin,
+                                       std::size_t end) {
+  std::vector<FileLine> out;
+  std::vector<char> buffer(kWindow);
+  for (std::size_t pos = begin; pos < end;) {
+    const std::size_t got = std::min(buffer.size(), end - pos);
+    read_exact(file, buffer.data(), got, pos);
+    const char* data = buffer.data();
+    // Scan whole lines only; a partial last line is read again next time.
+    std::size_t usable = got;
+    if (pos + got < end) {
+      const auto* nl = static_cast<const char*>(memrchr(data, '\n', got));
+      if (nl == nullptr) {  // one line longer than the buffer
+        buffer.resize(buffer.size() * 2);
+        continue;
+      }
+      usable = static_cast<std::size_t>(nl - data) + 1;
+    }
+    for (std::size_t i = 0; i < usable;) {  // i is always a line start
+      const auto* dollar = static_cast<const char*>(std::memchr(data + i, '$', usable - i));
+      if (dollar == nullptr) break;
+      const auto at = static_cast<std::size_t>(dollar - data);
+      const auto* nl_before = static_cast<const char*>(memrchr(data + i, '\n', at - i));
+      const std::size_t line_begin =
+          nl_before == nullptr ? i : static_cast<std::size_t>(nl_before - data) + 1;
+      const auto* nl_after = static_cast<const char*>(std::memchr(dollar, '\n', usable - at));
+      const std::size_t line_end =
+          nl_after == nullptr ? usable : static_cast<std::size_t>(nl_after - data);
+      const std::string_view line{data + line_begin, line_end - line_begin};
+      if (dns::ZoneStreamReader::classify(line) == dns::ZoneLineKind::kDirective) {
+        out.push_back({pos + line_begin, std::string{line} + '\n'});
+      }
+      i = line_end + 1;
+    }
+    pos += usable;
+  }
+  return out;
+}
+
+/// The last line before the line start `cut` that names a record owner,
+/// with its offset; nullopt when there is none.
+std::optional<FileLine> last_owner_line(const util::InputFile& file, std::size_t cut) {
+  if (cut == 0) return std::nullopt;
+  std::string text;          // bytes [low, cut - 1): the unscanned head
+  std::size_t low = cut - 1;  // drops the '\n' ending the last line
+  std::vector<char> window(kWindow);
+  while (true) {
+    const auto nl = text.rfind('\n');
+    if (nl == std::string::npos && low > 0) {
+      const std::size_t n = std::min(window.size(), low);
+      low -= n;
+      read_exact(file, window.data(), n, low);
+      text.insert(0, window.data(), n);
+      continue;
+    }
+    const std::size_t line_begin = nl == std::string::npos ? 0 : nl + 1;
+    const std::string_view line = std::string_view{text}.substr(line_begin);
+    if (dns::ZoneStreamReader::classify(line) == dns::ZoneLineKind::kOwner) {
+      return FileLine{low + line_begin, std::string{line} + '\n'};
+    }
+    if (nl == std::string::npos) return std::nullopt;
+    text.resize(nl);
+  }
+}
+
+/// A zone file cut at line starts, with the directive state at each cut.
+class FileSlices {
+ public:
+  FileSlices(const std::string& path, std::size_t slices, const StreamOptions& options)
+      : file_{path},
+        shared_{options, slices},
+        directives_(slices),
+        start_(slices),
+        start_error_(slices) {
+    cuts_.push_back(0);
+    for (std::size_t k = 1; k < slices; ++k) {
+      const auto target = static_cast<std::size_t>(
+          static_cast<unsigned __int128>(file_.size()) * k / slices);
+      cuts_.push_back(std::max(cuts_.back(), line_start_at_or_after(file_, target)));
+    }
+    cuts_.push_back(kToEnd);
+    if (slices > 1) prescan();
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return start_.size(); }
+
+  ZoneStreamStats run(std::size_t k, const BatchSink& on_batch) {
+    const std::size_t begin = cuts_[k];
+    const std::size_t end = cuts_[k + 1];
+    if (begin == end) return {};
+    dns::ZoneReaderState start;
+    if (k > 0) {
+      // A failure here means a line before the cut is malformed, so an
+      // earlier slice fails on it and its error is the one reported.
+      if (start_error_[k]) std::rethrow_exception(start_error_[k]);
+      start = start_[k];
+      if (const auto owner_line = last_owner_line(file_, begin)) {
+        dns::ZoneStreamReader reader{ignore_record, state_at(owner_line->offset)};
+        reader.feed(owner_line->line);
+        start.owner = reader.state().owner;
+      }
+    }
+    try {
+      return stream_slice(shared_, k, shared_.options().tld, start, on_batch,
+                          [&](dns::ZoneStreamReader& reader) {
+                            dns::feed_file(reader, file_, begin, end);
+                          });
+    } catch (const dns::ZoneParseError& e) {
+      throw dns::ZoneParseError{e.line() + lines_before(file_, begin), e.message()};
+    }
+  }
+
+ private:
+  /// Collect every slice's directive lines in parallel (the last slice's
+  /// are never needed), then replay them in order for each cut's state.
+  void prescan() {
+    const std::size_t scanned = size() - 1;
+    std::vector<std::exception_ptr> errors(scanned);
+    const auto scan = [&](std::size_t k) {
+      try {
+        directives_[k] = scan_directives(file_, cuts_[k], cuts_[k + 1]);
+      } catch (...) {
+        errors[k] = std::current_exception();
+      }
+    };
+    {
+      std::vector<std::jthread> threads;  // joined on every exit path
+      for (std::size_t k = 1; k < scanned; ++k) threads.emplace_back(scan, k);
+      scan(0);
+    }
+    for (const auto& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
+
+    dns::ZoneStreamReader replay{ignore_record};
+    for (std::size_t k = 1; k < size(); ++k) {
+      try {
+        for (const auto& d : directives_[k - 1]) replay.feed(d.line);
+        start_[k] = replay.state();
+      } catch (...) {
+        for (std::size_t j = k; j < size(); ++j) start_error_[j] = std::current_exception();
+        return;
+      }
+    }
+  }
+
+  /// The directive state just before file offset `offset` (in a scanned
+  /// slice).
+  [[nodiscard]] dns::ZoneReaderState state_at(std::size_t offset) const {
+    const auto k = static_cast<std::size_t>(
+        std::upper_bound(cuts_.begin(), cuts_.end(), offset) - cuts_.begin() - 1);
+    if (start_error_[k]) std::rethrow_exception(start_error_[k]);
+    dns::ZoneStreamReader reader{ignore_record, start_[k]};
+    for (const auto& d : directives_[k]) {
+      if (d.offset >= offset) break;
+      reader.feed(d.line);
+    }
+    return reader.state();
+  }
+
+  util::InputFile file_;
+  SliceShared shared_;
+  std::vector<std::size_t> cuts_;  // size() + 1 offsets; slice k is [cuts_[k], cuts_[k + 1])
+  std::vector<std::vector<FileLine>> directives_;
+  std::vector<dns::ZoneReaderState> start_;        // directive state at each cut
+  std::vector<std::exception_ptr> start_error_;  // a malformed directive before the cut
+};
+
+// --- Generated slices -------------------------------------------------------
+
+/// The reader state at population index `first` of a generated zone: the
+/// header's directives, then the records of the last index before `first`
+/// that emits any.
+dns::ZoneReaderState generated_state_at(
+    const std::shared_ptr<const internet::ScenarioCore>& core,
+    const internet::ZoneGenOptions& zone, std::size_t first) {
+  dns::ZoneStreamReader reader{ignore_record};
+  std::string chunk;
+  internet::ZoneTextStream header{core, zone, 0, 0};
+  while (header.next_chunk(chunk)) reader.feed(chunk);
+  for (std::size_t index = first; index-- > 0;) {
+    internet::ZoneTextStream one{core, zone, index, index + 1};
+    bool emitted = false;
+    while (one.next_chunk(chunk)) {
+      emitted = emitted || !chunk.empty();
+      reader.feed(chunk);
+    }
+    if (emitted) break;
+  }
+  return reader.state();
+}
 
 }  // namespace
 
@@ -233,128 +498,83 @@ std::size_t resident_kib() {
   return 0;
 }
 
-ZoneStreamStats stream_zone_idns(
-    const std::string& path, const StreamOptions& options,
-    const std::function<void(std::span<const detect::IdnEntry>)>& on_batch) {
-  IdnBatcher batcher{options.tld, options, on_batch};
-  dns::parse_zone_file(path,
-                       [&](const dns::ResourceRecord& r) { batcher.record(r); });
-  return batcher.finish();
+std::vector<BatchProducer> zone_file_slices(const std::string& path, std::size_t slices,
+                                            const StreamOptions& options) {
+  const auto plan =
+      std::make_shared<FileSlices>(path, std::max<std::size_t>(1, slices), options);
+  std::vector<BatchProducer> out;
+  for (std::size_t k = 0; k < plan->size(); ++k) {
+    out.emplace_back([plan, k](const BatchSink& sink) { return plan->run(k, sink); });
+  }
+  return out;
 }
 
-ZoneStreamStats stream_generated_idns(
-    const homoglyph::HomoglyphDb& db, const GenStream& gen,
-    const StreamOptions& options,
-    const std::function<void(std::span<const detect::IdnEntry>)>& on_batch) {
-  BoundedQueue<std::string> ring{gen.ring_chunks};
-  std::exception_ptr generator_error;  // written before abort(), read after join
-
-  std::thread generator{[&] {
-    try {
-      internet::ZoneTextStream stream{db, gen.scenario, gen.zone};
-      std::string chunk;
-      while (stream.next_chunk(chunk)) {
-        if (!ring.push(std::move(chunk))) return;  // consumer aborted
-        chunk.clear();
-      }
-      ring.close();
-    } catch (...) {
-      generator_error = std::current_exception();
-      ring.abort();
-    }
-  }};
-
-  ZoneStreamStats stats;
-  std::exception_ptr consumer_error;
-  try {
-    IdnBatcher batcher{gen.zone.tld, options, on_batch};
-    dns::ZoneStreamReader reader{
-        [&](const dns::ResourceRecord& r) { batcher.record(r); }};
-    std::string chunk;
-    while (ring.pop(chunk)) reader.feed(chunk);
-    reader.finish();
-    stats = batcher.finish();
-  } catch (...) {
-    consumer_error = std::current_exception();
-    ring.abort();  // unblock the generator if it is waiting on a full ring
+std::vector<BatchProducer> generated_slices(
+    std::shared_ptr<const internet::ScenarioCore> core,
+    const internet::ZoneGenOptions& zone, std::size_t slices,
+    const StreamOptions& options) {
+  slices = std::max<std::size_t>(1, slices);
+  const auto shared = std::make_shared<SliceShared>(options, slices);
+  const std::size_t population = core->population();
+  std::vector<BatchProducer> out;
+  for (std::size_t k = 0; k < slices; ++k) {
+    const std::size_t first = population * k / slices;
+    const std::size_t last = population * (k + 1) / slices;
+    out.emplace_back([core, zone, shared, k, first, last](const BatchSink& sink) {
+      const auto start =
+          k == 0 ? dns::ZoneReaderState{} : generated_state_at(core, zone, first);
+      internet::ZoneTextStream stream{core, zone, first, last};
+      return stream_slice(*shared, k, zone.tld, start, sink,
+                          [&](dns::ZoneStreamReader& reader) {
+                            std::string chunk;
+                            while (stream.next_chunk(chunk)) reader.feed(chunk);
+                          });
+    });
   }
-  generator.join();
-  // Generator failures win: an aborted ring starves the consumer, whose
-  // secondary error (truncated parse) would mask the root cause.
-  if (generator_error) std::rethrow_exception(generator_error);
-  if (consumer_error) std::rethrow_exception(consumer_error);
-  return stats;
+  return out;
+}
+
+ZoneStreamStats stream_zone_idns(const std::string& path, const StreamOptions& options,
+                                 const BatchSink& on_batch) {
+  return zone_file_slices(path, 1, options).front()(on_batch);
 }
 
 DetectionOutcome detect_sharded(const detect::Engine& engine,
                                 std::span<const std::string> references,
                                 detect::Strategy strategy,
-                                const ShardOptions& shard,
-                                const BatchProducer& produce) {
-  if (shard.shards <= 1) {
-    // Inline: detect on the producing thread, no queue.
-    std::vector<Verdict> verdicts;
-    const auto stream = produce([&](std::span<const detect::IdnEntry> batch) {
-      const auto r = engine.detect(
-          {.references = references, .idns = batch, .strategy = strategy});
-      append_verdicts(verdicts, r.matches, batch);
-    });
-    auto out = canonicalize_verdicts(std::move(verdicts));
-    out.stream = stream;
-    return out;
+                                std::span<const BatchProducer> slices) {
+  std::vector<std::vector<Verdict>> per_slice(slices.size());
+  std::vector<ZoneStreamStats> stats(slices.size());
+  std::vector<std::exception_ptr> errors(slices.size());
+  const auto run = [&](std::size_t k) {
+    try {
+      stats[k] = slices[k]([&](std::span<const detect::IdnEntry> batch) {
+        const auto r = engine.detect(
+            {.references = references, .idns = batch, .strategy = strategy});
+        append_verdicts(per_slice[k], r.matches, batch);
+      });
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> workers;  // joined on every exit path
+    for (std::size_t k = 1; k < slices.size(); ++k) workers.emplace_back(run, k);
+    if (!slices.empty()) run(0);
+  }
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 
-  BoundedQueue<std::vector<detect::IdnEntry>> queue{shard.queue_batches};
-  std::vector<std::vector<Verdict>> per_shard(shard.shards);
-  std::mutex error_mutex;
-  std::exception_ptr worker_error;
-
-  std::vector<std::thread> workers;
-  workers.reserve(shard.shards);
-  for (std::size_t k = 0; k < shard.shards; ++k) {
-    workers.emplace_back([&, k] {
-      std::vector<detect::IdnEntry> batch;
-      try {
-        while (queue.pop(batch)) {
-          const auto r = engine.detect(
-              {.references = references, .idns = batch, .strategy = strategy});
-          append_verdicts(per_shard[k], r.matches, batch);
-        }
-      } catch (...) {
-        {
-          std::lock_guard lock{error_mutex};
-          if (!worker_error) worker_error = std::current_exception();
-        }
-        queue.abort();  // unblocks the producer and the sibling shards
-      }
-    });
-  }
-
-  ZoneStreamStats stream;
-  std::exception_ptr produce_error;
-  try {
-    stream = produce([&](std::span<const detect::IdnEntry> batch) {
-      if (!queue.push(std::vector<detect::IdnEntry>{batch.begin(), batch.end()})) {
-        throw std::runtime_error{"detect_sharded: shard worker failed"};
-      }
-    });
-  } catch (...) {
-    produce_error = std::current_exception();
-    queue.abort();
-  }
-  queue.close();
-  for (auto& t : workers) t.join();
-  // A worker failure caused any push-side runtime_error; report the root.
-  if (worker_error) std::rethrow_exception(worker_error);
-  if (produce_error) std::rethrow_exception(produce_error);
-
-  std::size_t total = 0;
-  for (const auto& part : per_shard) total += part.size();
   std::vector<Verdict> verdicts;
-  verdicts.reserve(total);
-  for (auto& part : per_shard) {
-    verdicts.insert(verdicts.end(), std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
+  ZoneStreamStats stream;
+  for (std::size_t k = 0; k < slices.size(); ++k) {
+    verdicts.insert(verdicts.end(), std::make_move_iterator(per_slice[k].begin()),
+                    std::make_move_iterator(per_slice[k].end()));
+    stream.records += stats[k].records;
+    stream.domains += stats[k].domains;
+    stream.idns += stats[k].idns;
+    stream.batches += stats[k].batches;
   }
   auto out = canonicalize_verdicts(std::move(verdicts));
   out.stream = stream;
@@ -569,6 +789,7 @@ FleetReport run_fleet(const FleetOptions& options) {
         StreamOptions stream{.tld = zone.tld, .batch_size = options.batch_size};
         // Progress doubles as the peak-RSS sampler; keep a sampling
         // cadence even when the caller asked for no progress output.
+        // Callbacks are serialized across the zone's slices.
         stream.progress_interval = options.progress_interval != 0
                                        ? options.progress_interval
                                        : std::size_t{262'144};
@@ -576,27 +797,25 @@ FleetReport run_fleet(const FleetOptions& options) {
           out.rss_peak_kib = std::max(out.rss_peak_kib, p.rss_kib);
           if (options.on_progress) options.on_progress(out.tld, p);
         };
-        const ShardOptions shard{.shards = std::max<std::size_t>(1, options.shards),
-                                 .queue_batches = options.queue_batches};
-
-        // A zone without a path is generated on the fly from the engine's
-        // own database.
-        GenStream gen;
-        gen.scenario = zone.scenario;
-        gen.zone = {.which = zone.which, .tld = zone.tld, .chunk_bytes = zone.chunk_bytes};
-        const BatchProducer produce =
-            [&](const std::function<void(std::span<const detect::IdnEntry>)>& sink) {
-              return zone.zone_path.empty()
-                         ? stream_generated_idns(engine.db(), gen, stream, sink)
-                         : stream_zone_idns(zone.zone_path, stream, sink);
-            };
+        const std::size_t slices = std::max<std::size_t>(1, options.shards);
+        const internet::ZoneGenOptions gen{
+            .which = zone.which, .tld = zone.tld, .chunk_bytes = zone.chunk_bytes};
 
         // Timed from here: the worker's own work span, not fleet launch
         // or artifact-mapping skew.
         util::Stopwatch work_watch;
+        // A zone without a path is generated on the fly from the engine's
+        // own database; its core is built once and shared by every slice
+        // and pass.
+        std::shared_ptr<const internet::ScenarioCore> core;
+        if (zone.zone_path.empty()) {
+          core = std::make_shared<const internet::ScenarioCore>(
+              internet::build_scenario_core(engine.db(), zone.scenario));
+        }
         for (std::size_t pass = 0; pass < passes; ++pass) {
-          const auto outcome =
-              detect_sharded(engine, refs, options.strategy, shard, produce);
+          const auto producers = core ? generated_slices(core, gen, slices, stream)
+                                      : zone_file_slices(zone.zone_path, slices, stream);
+          const auto outcome = detect_sharded(engine, refs, options.strategy, producers);
           out.stream.records += outcome.stream.records;
           out.stream.domains += outcome.stream.domains;
           out.stream.idns += outcome.stream.idns;

@@ -6,12 +6,16 @@
 //     together), and the "xn--" second-level labels are decoded into
 //     detect::IdnEntry batches without ever materialising the zone or the
 //     domain list;
-//   * detect_sharded — Step 3 over those batches (from a zone file or a
-//     generated zone) against a fixed reference list on N detection
-//     shards, with the verdicts canonicalised (sorted by (reference, ACE)
-//     and fingerprinted) so the streaming path is provably byte-identical
-//     to detect_materialized, the materialise-then-detect oracle,
-//     regardless of batch boundaries or shard count;
+//   * zone_file_slices / generated_slices — the same pass cut into N
+//     slices of one zone (line-aligned byte ranges of a file, or
+//     population-index ranges of a generated zone), each starting in the
+//     exact parser state a sequential pass has at its first line;
+//   * detect_sharded — Step 3: each slice parses, extracts and detects on
+//     its own worker against a fixed reference list, with the verdicts
+//     canonicalised (sorted by (reference, ACE) and fingerprinted) so the
+//     sliced path is provably byte-identical to detect_materialized, the
+//     materialise-then-detect oracle, regardless of batch boundaries or
+//     slice count;
 //   * GenerationDiffPipeline — the Section 4.2 maintenance loop as a
 //     long-lived object: daily batches of new Unicode characters and new
 //     registrations are folded in through simchar/HomoglyphDb incremental
@@ -40,6 +44,7 @@
 #include "font/font_source.hpp"
 #include "homoglyph/homoglyph_db.hpp"
 #include "internet/scenario.hpp"
+#include "internet/scenario_core.hpp"
 #include "internet/zone_gen.hpp"
 #include "simchar/simchar.hpp"
 
@@ -64,9 +69,12 @@ struct StreamOptions {
   std::string tld = "com";
   /// IDN entries per on_batch delivery (the bounded working set).
   std::size_t batch_size = 4096;
-  /// Owner names between on_progress callbacks (0 = no callbacks).
+  /// Owner names between on_progress callbacks (0 = no callbacks); with
+  /// several slices, about that many of the whole zone. Callbacks never
+  /// overlap, and each reports the zone's totals so far, which never
+  /// decrease.
   std::size_t progress_interval = 0;
-  std::function<void(const StreamProgress&)> on_progress;
+  std::function<void(const StreamProgress&)> on_progress{};
 };
 
 struct ZoneStreamStats {
@@ -76,14 +84,47 @@ struct ZoneStreamStats {
   std::size_t batches = 0;  // on_batch invocations
 };
 
+/// Receives one batch of decoded IDN entries; the span is only valid
+/// during the call.
+using BatchSink = std::function<void(std::span<const detect::IdnEntry>)>;
+
 /// Stream the zone file at `path`: parse records incrementally, dedup
 /// consecutive owner names, decode the IDN owners of `options.tld`, and
-/// deliver them in batches of at most `options.batch_size` entries. The
-/// batch span is only valid during the callback. Memory is bounded by the
-/// batch size, not the zone size. Throws like dns::parse_zone_file.
-ZoneStreamStats stream_zone_idns(
-    const std::string& path, const StreamOptions& options,
-    const std::function<void(std::span<const detect::IdnEntry>)>& on_batch);
+/// deliver them in batches of at most `options.batch_size` entries.
+/// Memory is bounded by the batch size, not the zone size. Throws like
+/// dns::parse_zone_file.
+ZoneStreamStats stream_zone_idns(const std::string& path, const StreamOptions& options,
+                                 const BatchSink& on_batch);
+
+// --- Zone slices ------------------------------------------------------------
+
+/// One slice of a zone: streams the slice's IDN batches through the sink
+/// and returns the slice's totals.
+using BatchProducer = std::function<ZoneStreamStats(const BatchSink&)>;
+
+/// Cut the zone file at `path` into `slices` line-aligned byte ranges. A
+/// parallel pre-scan collects the $ORIGIN/$TTL lines, so each slice
+/// starts in the state a sequential parse has at its first byte: the
+/// directives in effect and the normalized owner of the last record
+/// before it (for continuation lines and the consecutive-owner dedup).
+/// Slice k's totals, IDNs and verdicts are then exactly its share of a
+/// sequential stream_zone_idns. Each slice reads its range with pread
+/// into its own 64 KiB buffer; the file is never mapped or loaded. A
+/// ZoneParseError carries the absolute line number. One slice is
+/// stream_zone_idns, with no pre-scan. The producers share the file and a
+/// copy of `options`, and may run concurrently.
+[[nodiscard]] std::vector<BatchProducer> zone_file_slices(const std::string& path,
+                                                          std::size_t slices,
+                                                          const StreamOptions& options);
+
+/// Cut a generated zone into `slices` population-index ranges over one
+/// core, built once and shared read-only. Slice k generates indexes
+/// [k·P/N, (k+1)·P/N) straight into its own reader; only slice 0 emits the
+/// header. IDN extraction uses zone.tld (options.tld is ignored).
+[[nodiscard]] std::vector<BatchProducer> generated_slices(
+    std::shared_ptr<const internet::ScenarioCore> core,
+    const internet::ZoneGenOptions& zone, std::size_t slices,
+    const StreamOptions& options);
 
 // --- Canonical verdicts ---------------------------------------------------
 
@@ -123,58 +164,21 @@ struct DetectionOutcome {
                                                    const StreamOptions& options,
                                                    detect::Strategy strategy);
 
-// --- Intra-zone sharding --------------------------------------------------
+// --- Slice-parallel detection ---------------------------------------------
 
-/// Produce side of a sharded run: invoked with a batch sink, drives the
-/// whole stream through it, returns the stream totals. stream_zone_idns
-/// and stream_generated_idns both curry into this shape (a lambda that
-/// binds every argument but the sink).
-using BatchProducer = std::function<ZoneStreamStats(
-    const std::function<void(std::span<const detect::IdnEntry>)>&)>;
-
-struct ShardOptions {
-  /// Detection workers pulling batches off the stream. <= 1 runs inline
-  /// on the producing thread (no queue, no threads).
-  std::size_t shards = 1;
-  /// Bounded producer->worker batch queue: the producer blocks once this
-  /// many batches are in flight (backpressure keeps memory bounded by
-  /// queue_batches x batch_size entries).
-  std::size_t queue_batches = 16;
-};
-
-/// Run one stream through N detection shards over a shared const engine
-/// (shards <= 1: batch by batch on the producing thread, bounded memory).
-/// Per-shard verdicts merge through the canonical sort/dedup/fingerprint,
-/// so the outcome is identical at any shard count, batch size, or
-/// interleaving — the invariance tests/test_scale.cpp proves. Worker
-/// exceptions abort the queue (unblocking the producer) and rethrow.
+/// Run every slice on its own worker (the first on the calling thread)
+/// over a shared const engine: each slice parses, extracts and detects its
+/// own batches, calling detect() with the engine's default thread count.
+/// Per-slice verdicts merge through the canonical sort/dedup/fingerprint,
+/// so the outcome is identical at any slice count or batch size — the
+/// invariance tests/test_scale.cpp proves. Slices share no queue, so a
+/// failing slice never blocks another; once all have finished, the error
+/// of the earliest failed slice is rethrown, which is the error a
+/// sequential pass would have hit first.
 [[nodiscard]] DetectionOutcome detect_sharded(const detect::Engine& engine,
                                               std::span<const std::string> references,
                                               detect::Strategy strategy,
-                                              const ShardOptions& shard,
-                                              const BatchProducer& produce);
-
-// --- Streaming zone generation (produce side) -----------------------------
-
-/// A synthetic zone generated on the fly: scenario config + zone options
-/// (which/tld/chunk size) + the bounded generator->parser chunk ring.
-struct GenStream {
-  internet::ScenarioConfig scenario;
-  internet::ZoneGenOptions zone;
-  /// Text chunks buffered between the generator thread and the parsing
-  /// thread; the generator blocks when the ring is full (backpressure).
-  std::size_t ring_chunks = 8;
-};
-
-/// Generate-and-extract without touching disk: a generator thread streams
-/// internet::ZoneTextStream chunks through a bounded ring into
-/// dns::ZoneStreamReader on the calling thread, which batches IdnEntry
-/// like stream_zone_idns. IDN extraction uses gen.zone.tld (options.tld
-/// is ignored). Memory is bounded by the generator head + ring + batch.
-ZoneStreamStats stream_generated_idns(
-    const homoglyph::HomoglyphDb& db, const GenStream& gen,
-    const StreamOptions& options,
-    const std::function<void(std::span<const detect::IdnEntry>)>& on_batch);
+                                              std::span<const BatchProducer> slices);
 
 // --- Generation-diff ingestion (Section 4.2 as a daily feed) --------------
 
@@ -291,8 +295,10 @@ struct FleetOptions {
   detect::Strategy strategy = detect::Strategy::kSkeleton;
   /// Steady-load repetitions of each zone per worker.
   std::size_t passes = 1;
-  /// Intra-zone detection shards per worker (detect_sharded).
+  /// Slices per zone: each is parsed, extracted and detected by its own
+  /// thread (zone_file_slices / generated_slices + detect_sharded).
   std::size_t shards = 1;
+  /// Ignored: slices share no batch queue.
   std::size_t queue_batches = 16;
   /// Owner names between progress callbacks (0 = a default cadence used
   /// only for internal peak-RSS sampling).
@@ -328,8 +334,10 @@ struct FleetReport {
   [[nodiscard]] std::string to_json(int indent = 0) const;
 };
 
-/// Run the fleet: one worker thread per zone, each with its own engine
-/// over the shared artifact, streaming its zone `passes` times.
+/// Run the fleet: one worker per zone, each with its own engine over the
+/// shared artifact, streaming its zone `passes` times on `shards` slice
+/// threads. Memory is bounded per zone by the generator head (generated
+/// zones) plus shards x (read buffer or chunk + batch), not the zone size.
 [[nodiscard]] FleetReport run_fleet(const FleetOptions& options);
 
 }  // namespace sham::measure

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "dns/zone_file.hpp"
 #include "dns/zone_stream.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 // A counting replacement for the global allocator: it counts only while
 // armed, on the arming thread, so ZoneStream.SteadyStateAllocatesNothing
@@ -206,6 +208,22 @@ TEST(ZoneFile, StreamingParser) {
   EXPECT_EQ(count, 2u);
 }
 
+TEST(ZoneFile, DirectoryAndFailedReadThrow) {
+  // A directory opens like a file, and a read can fail partway; neither
+  // may pass for an empty or truncated zone. Both errors name the path.
+  const auto expect_named_error = [](const std::string& path) {
+    try {
+      (void)parse_zone_file(path, [](const ResourceRecord&) {});
+      ADD_FAILURE() << path << " parsed as a zone";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(path), std::string::npos) << e.what();
+    }
+  };
+  expect_named_error(test::process_temp_dir());
+  // Reading this process's own memory at offset 0 fails (EIO).
+  expect_named_error("/proc/self/mem");
+}
+
 // --- Range validation (truncation regressions) ------------------------
 
 TEST(ZoneFile, TtlOverflowRejected) {
@@ -350,6 +368,93 @@ TEST(ZoneStream, ErrorLineNumberSpansChunks) {
   } catch (const ZoneParseError& e) {
     EXPECT_EQ(e.line(), 3u);  // absolute line number across feeds
   }
+}
+
+TEST(ZoneStream, ClassifyMatchesTheParser) {
+  using Kind = ZoneLineKind;
+  const auto kind = ZoneStreamReader::classify;
+  EXPECT_EQ(kind("$ORIGIN com."), Kind::kDirective);
+  EXPECT_EQ(kind("  $TTL 300\r"), Kind::kDirective);  // indented still counts
+  EXPECT_EQ(kind("\t$ORIGIN net. ; moved"), Kind::kDirective);
+  EXPECT_EQ(kind("; $ORIGIN com."), Kind::kEmpty);
+  EXPECT_EQ(kind("   "), Kind::kEmpty);
+  EXPECT_EQ(kind("\r"), Kind::kEmpty);
+  EXPECT_EQ(kind(""), Kind::kEmpty);
+  EXPECT_EQ(kind("$ORIGINS com."), Kind::kOwner);  // not a directive token
+  EXPECT_EQ(kind("foo IN A 1.2.3.4 ; $TTL 5"), Kind::kOwner);
+  EXPECT_EQ(kind("  IN A 1.2.3.4"), Kind::kContinuation);
+  EXPECT_EQ(kind("\tIN NS ns1.x.net."), Kind::kContinuation);
+  // Only a space or a tab makes a continuation line; other whitespace
+  // before the owner is skipped.
+  EXPECT_EQ(kind("\vfoo IN A 1.2.3.4"), Kind::kOwner);
+
+  // The parser agrees: the directive changes the origin, the continuation
+  // inherits the previous owner, the '\v' line names its own.
+  const auto zone = parse_zone(
+      "$ORIGIN com.\n"
+      "a IN A 1.2.3.4\n"
+      "  $ORIGIN net.\n"
+      "\tIN A 1.2.3.5\n"
+      "\vb IN A 1.2.3.6\n");
+  ASSERT_EQ(zone.records.size(), 3u);
+  EXPECT_EQ(zone.records[1].owner.str(), "a.com");
+  EXPECT_EQ(zone.records[2].owner.str(), "b.net");
+}
+
+// A reader started from the state() a sequential parse has at a line
+// boundary parses the rest exactly as that parse does: the same records,
+// the same final state, and lines counted from the boundary.
+TEST(ZoneStream, StartStateResumesAtEveryLine) {
+  const std::string text =
+      "; header\r\n"
+      "$ORIGIN com.\n"
+      "$TTL 7200\r\n"
+      "google IN NS ns1.google.com.\r\n"
+      "       IN NS ns2.google.com.\n"
+      "GOOGLE.COM. IN A 142.250.1.1\n"
+      "  $ORIGIN net.\n"
+      "\tIN A 1.2.3.4 ; still google.com\n"
+      "\n"
+      "b IN A 1.2.3.5\n"
+      "\t$TTL 60\n"
+      "  IN AAAA ::1\n"
+      "tail IN A 9.9.9.9";
+  std::vector<ResourceRecord> expected;
+  ZoneStreamReader whole{[&](const ResourceRecord& r) { expected.push_back(r); }};
+  whole.feed(text);
+  whole.finish();
+  ASSERT_EQ(expected.size(), 7u);
+  const auto final_state = whole.state();
+  EXPECT_EQ(final_state.owner, "tail.net");
+  EXPECT_EQ(final_state.default_ttl, 60u);
+
+  for (std::size_t at = 0; at < text.size(); at = text.find('\n', at) + 1) {
+    std::vector<ResourceRecord> records;
+    ZoneStreamReader head{[&](const ResourceRecord& r) { records.push_back(r); }};
+    head.feed(std::string_view{text}.substr(0, at));
+    ZoneStreamReader rest{[&](const ResourceRecord& r) { records.push_back(r); },
+                          head.state()};
+    rest.feed(std::string_view{text}.substr(at));
+    rest.finish();
+    EXPECT_EQ(records, expected) << "cut at byte " << at;
+    EXPECT_EQ(rest.state(), final_state) << "cut at byte " << at;
+    EXPECT_EQ(head.lines() + rest.lines(), whole.lines()) << "cut at byte " << at;
+    if (text.find('\n', at) == std::string::npos) break;
+  }
+}
+
+TEST(ZoneStream, StartStateLinesCountFromTheBoundary) {
+  ZoneStreamReader reader{[](const ResourceRecord&) {},
+                          {.origin = "com", .origin_seen = true, .owner = "a.com"}};
+  try {
+    reader.feed("  IN A 1.2.3.4\nbad IN A nope\n");
+    FAIL() << "expected ZoneParseError";
+  } catch (const ZoneParseError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_EQ(e.message(), "bad IPv4 address");
+  }
+  EXPECT_THROW((ZoneStreamReader{[](const ResourceRecord&) {}, {.owner = "a..b"}}),
+               std::invalid_argument);
 }
 
 // The reader parses every line into one reused record, so each field must

@@ -1,14 +1,17 @@
 // Paper-scale streaming pipeline tests (measure/scale_run.hpp): bounded
-// zone streaming, streamed-vs-materialised verdict identity, and the
+// zone streaming, streamed-vs-materialised verdict identity, slices of a
+// zone equal to one sequential pass at every slice count, and the
 // generation-diff ingestion loop proven state-identical to a rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/shamfinder.hpp"
@@ -19,6 +22,7 @@
 #include "homoglyph/homoglyph_db.hpp"
 #include "idna/idna.hpp"
 #include "internet/scenario.hpp"
+#include "internet/scenario_core.hpp"
 #include "internet/zone_gen.hpp"
 #include "measure/environment.hpp"
 #include "measure/scale_run.hpp"
@@ -212,6 +216,19 @@ TEST(StreamZone, MissingFileThrows) {
                std::runtime_error);
 }
 
+TEST(StreamZone, DirectoryThrows) {
+  // A directory opens like a file; reading it must fail and name the
+  // path, not parse as an empty zone.
+  const std::string dir = test::process_temp_dir();
+  try {
+    (void)stream_zone_idns(dir, {}, [](std::span<const detect::IdnEntry>) {});
+    FAIL() << "a directory streamed as a zone";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(dir), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)zone_file_slices(dir, 4, {}), std::runtime_error);
+}
+
 TEST(MergeOutcomes, SortsAndDeduplicates) {
   DetectionOutcome a;
   a.verdicts = {{1, "xn--b", {}}, {0, "xn--a", {}}};
@@ -232,14 +249,6 @@ TEST(MergeOutcomes, SortsAndDeduplicates) {
   EXPECT_NE(merged.fingerprint, 0u);
 }
 
-/// The zone file at `path` as a detect_sharded producer.
-BatchProducer zone_producer(std::string path, StreamOptions options) {
-  return [path = std::move(path), options = std::move(options)](
-             const std::function<void(std::span<const detect::IdnEntry>)>& sink) {
-    return stream_zone_idns(path, options, sink);
-  };
-}
-
 TEST(StreamVsMaterialized, ByteIdenticalAtEveryBatchSize) {
   const auto fonts = make_versioned(99);
   const auto sim = simchar::SimCharDb::build(*fonts.new_font, {});
@@ -258,9 +267,9 @@ TEST(StreamVsMaterialized, ByteIdenticalAtEveryBatchSize) {
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
     for (const auto strategy : {detect::Strategy::kSerial, detect::Strategy::kSkeleton}) {
-      const auto streamed =
-          detect_sharded(engine, kRefs, strategy, {},
-                         zone_producer(zone.path(), {.tld = "com", .batch_size = batch}));
+      const auto streamed = detect_sharded(
+          engine, kRefs, strategy,
+          zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = batch}));
       EXPECT_EQ(streamed.verdicts, baseline.verdicts)
           << "batch " << batch << " strategy " << static_cast<int>(strategy);
       EXPECT_EQ(streamed.fingerprint, baseline.fingerprint);
@@ -362,8 +371,7 @@ TEST(DetectSharded, InvariantAcrossShardCountsAndBatchSizes) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
       const auto out = detect_sharded(
           rig.engine, kRefs, detect::Strategy::kSkeleton,
-          {.shards = shards, .queue_batches = 2},
-          zone_producer(zone.path(), {.tld = "com", .batch_size = batch}));
+          zone_file_slices(zone.path(), shards, {.tld = "com", .batch_size = batch}));
       EXPECT_EQ(out.verdicts, baseline.verdicts)
           << "shards " << shards << " batch " << batch;
       EXPECT_EQ(out.fingerprint, baseline.fingerprint);
@@ -373,23 +381,25 @@ TEST(DetectSharded, InvariantAcrossShardCountsAndBatchSizes) {
 }
 
 TEST(DetectSharded, ProducerExceptionPropagates) {
+  // One of four slices fails mid-stream; the others finish, and the
+  // failure is what detect_sharded reports.
   const ShardRig rig;
+  std::vector<BatchProducer> slices(4, [](const BatchSink&) { return ZoneStreamStats{}; });
+  slices[2] = [](const BatchSink&) -> ZoneStreamStats {
+    throw std::runtime_error{"producer failed mid-stream"};
+  };
   EXPECT_THROW(
-      (void)detect_sharded(
-          rig.engine, kRefs, detect::Strategy::kSkeleton, {.shards = 4},
-          [](const std::function<void(std::span<const detect::IdnEntry>)>&)
-              -> ZoneStreamStats {
-            throw std::runtime_error{"producer failed mid-stream"};
-          }),
+      (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton, slices),
       std::runtime_error);
 }
 
 TEST(DetectSharded, WorkerExceptionUnblocksProducer) {
-  // An empty reference label makes every shard worker's detect() throw
-  // std::invalid_argument on its first batch. With a one-batch queue and
-  // single-entry batches the producer must be unblocked by the abort (a
-  // deadlock here fails via the test timeout) and the worker's exception
-  // must win over the producer's push failure.
+  // An empty reference label makes every slice's detect() throw
+  // std::invalid_argument on its first batch. Every slice must still
+  // finish (a hang here fails via the test timeout), and the detect
+  // error, not some secondary failure, must come out. A slice that waits
+  // for all the others and then fails last proves no slice blocks on
+  // another.
   const ShardRig rig;
   util::Rng rng{7};
   const auto regs = make_registrations(rig.db, 40, rng, "com");
@@ -399,15 +409,28 @@ TEST(DetectSharded, WorkerExceptionUnblocksProducer) {
   EXPECT_THROW(
       (void)detect_sharded(
           rig.engine, bad_refs, detect::Strategy::kSkeleton,
-          {.shards = 4, .queue_batches = 1},
-          zone_producer(zone.path(), {.tld = "com", .batch_size = 1})),
+          zone_file_slices(zone.path(), 4, {.tld = "com", .batch_size = 1})),
       std::invalid_argument);
+
+  std::atomic<int> finished{0};
+  std::vector<BatchProducer> slices(4, [&](const BatchSink&) {
+    ++finished;
+    return ZoneStreamStats{};
+  });
+  slices[0] = [&](const BatchSink&) -> ZoneStreamStats {
+    while (finished.load() < 3) std::this_thread::yield();
+    throw std::invalid_argument{"last slice to finish"};
+  };
+  EXPECT_THROW(
+      (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton, slices),
+      std::invalid_argument);
+  EXPECT_EQ(finished.load(), 3);
 }
 
 TEST(DetectGenerated, MatchesStreamedFileAtEveryShardCount) {
-  // The generated pipeline (generator thread -> chunk ring -> parser ->
-  // shard workers) must produce the exact outcome of streaming the same
-  // text from disk, at every shard count.
+  // The generated pipeline (each slice generates its population range
+  // straight into its own parser and detects it) must produce the exact
+  // outcome of streaming the same text from disk, at every slice count.
   const auto config = gen_config();
   const auto scenario = internet::generate_scenario(env().db_union, config);
   const detect::Engine engine{env().db_union};
@@ -416,21 +439,18 @@ TEST(DetectGenerated, MatchesStreamedFileAtEveryShardCount) {
   const TempZone zone{"test_scale_gen.zone", text};
 
   const StreamOptions options{.tld = "com", .batch_size = 512};
-  const auto baseline = detect_sharded(engine, scenario.references,
-                                       detect::Strategy::kSkeleton, {},
-                                       zone_producer(zone.path(), options));
+  const auto baseline =
+      detect_sharded(engine, scenario.references, detect::Strategy::kSkeleton,
+                     zone_file_slices(zone.path(), 1, options));
   ASSERT_FALSE(baseline.verdicts.empty());
 
-  GenStream gen;
-  gen.scenario = config;
-  gen.zone = {.which = 2, .tld = "com", .chunk_bytes = 32 * 1024};
-  gen.ring_chunks = 4;
+  const auto core = std::make_shared<const internet::ScenarioCore>(
+      internet::build_scenario_core(env().db_union, config));
+  const internet::ZoneGenOptions gen{.which = 2, .tld = "com", .chunk_bytes = 32 * 1024};
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const auto out = detect_sharded(
-        engine, scenario.references, detect::Strategy::kSkeleton, {.shards = shards},
-        [&](const auto& sink) {
-          return stream_generated_idns(env().db_union, gen, options, sink);
-        });
+    const auto out =
+        detect_sharded(engine, scenario.references, detect::Strategy::kSkeleton,
+                       generated_slices(core, gen, shards, options));
     EXPECT_EQ(out.verdicts, baseline.verdicts) << "shards " << shards;
     EXPECT_EQ(out.fingerprint, baseline.fingerprint);
     EXPECT_EQ(out.stream.domains, baseline.stream.domains);
@@ -447,17 +467,30 @@ TEST(StreamGenerated, ProgressCallbackIsMonotone) {
     domains_seen.push_back(p.domains);
     EXPECT_GT(p.rss_kib, 0u);
   };
-  GenStream gen;
-  gen.scenario = config;
-  gen.zone = {.which = 2, .tld = "com"};
-  const auto stats = stream_generated_idns(
-      env().db_union, gen, options, [](std::span<const detect::IdnEntry>) {});
+  const auto core = std::make_shared<const internet::ScenarioCore>(
+      internet::build_scenario_core(env().db_union, config));
+  const auto stats = generated_slices(core, {.which = 2, .tld = "com"}, 1, options)
+                         .front()([](std::span<const detect::IdnEntry>) {});
   // stream domains counts distinct record owners — population members whose
   // host emits no records (no NS/A/MX) never reach the parser.
   EXPECT_LE(stats.domains, config.total_domains);
   EXPECT_GE(stats.domains, config.total_domains * 9 / 10);
   ASSERT_GE(domains_seen.size(), 2u);
   EXPECT_TRUE(std::is_sorted(domains_seen.begin(), domains_seen.end()));
+}
+
+/// A build-db artifact over env()'s databases with `references` embedded.
+void write_env_artifact(const std::string& path, std::span<const std::string> references) {
+  db::WriteRequest request;
+  request.simchar = &env().simchar;
+  request.homoglyph = &env().db_union;
+  const detect::SkeletonIndex index{env().db_union, references,
+                                    {.max_bucket_occupancy = 64}};
+  const auto flat = index.to_flat();
+  request.references = references;
+  request.reference_fingerprint = detect::label_set_fingerprint(references);
+  request.skeleton = &flat;
+  db::write_db_file(path, request);
 }
 
 TEST(Fleet, SyntheticZoneShardInvariant) {
@@ -470,27 +503,15 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
   const auto scenario = internet::generate_scenario(env().db_union, config);
 
   const std::string artifact = test::temp_path("test_scale_fleet.artifact");
-  {
-    db::WriteRequest request;
-    request.simchar = &env().simchar;
-    request.homoglyph = &env().db_union;
-    const detect::SkeletonIndex index{env().db_union, scenario.references,
-                                      {.max_bucket_occupancy = 64}};
-    const auto flat = index.to_flat();
-    request.references = scenario.references;
-    request.reference_fingerprint =
-        detect::label_set_fingerprint(scenario.references);
-    request.skeleton = &flat;
-    db::write_db_file(artifact, request);
-  }
+  write_env_artifact(artifact, scenario.references);
 
   const detect::Engine in_process{env().db_union};
   const auto text =
       internet::generate_zone_text(env().db_union, config, {.which = 2});
   const TempZone zone{"test_scale_fleet.zone", text};
   const auto baseline = detect_sharded(
-      in_process, scenario.references, detect::Strategy::kSkeleton, {},
-      zone_producer(zone.path(), {.tld = "com", .batch_size = 512}));
+      in_process, scenario.references, detect::Strategy::kSkeleton,
+      zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = 512}));
   ASSERT_FALSE(baseline.verdicts.empty());
 
   std::vector<std::uint64_t> fingerprints;
@@ -540,6 +561,251 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
   EXPECT_EQ(fingerprints[0], baseline.fingerprint);
   EXPECT_EQ(fingerprints[1], fingerprints[0]);
   EXPECT_EQ(fingerprints[2], fingerprints[0]);
+}
+
+TEST(Fleet, DirectoryZoneFails) {
+  // A zone path naming a directory is a failed worker with a diagnostic,
+  // not a zone with zero domains, at any slice count.
+  const std::vector<std::string> refs = {"google", "paypal"};
+  const std::string artifact = test::temp_path("test_scale_dirzone.artifact");
+  write_env_artifact(artifact, refs);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    FleetZone zone;
+    zone.tld = "com";
+    zone.zone_path = test::process_temp_dir();
+    FleetOptions options;
+    options.db_file = artifact;
+    options.zones = {zone};
+    options.shards = shards;
+    const auto report = run_fleet(options);
+    EXPECT_FALSE(report.ok()) << "shards " << shards;
+    ASSERT_EQ(report.zones.size(), 1u);
+    EXPECT_NE(report.zones[0].error.find("directory"), std::string::npos)
+        << report.zones[0].error;
+    EXPECT_EQ(report.total_domains, 0u);
+  }
+  std::remove(artifact.c_str());
+}
+
+// --- Slice equivalence --------------------------------------------------
+
+/// A seeded random zone holding every hazard a slice boundary can land on:
+/// mid-file and indented $ORIGIN/$TTL lines, a '$' in a comment,
+/// continuation lines, comments, blank lines, CRLF endings, and owners
+/// whose records alternate between forms that normalize alike ("foo.com."
+/// then "foo" then "FOO.COM."). `labels` supplies the IDN owners.
+std::string random_zone(util::Rng& rng, std::span<const std::string> labels,
+                        std::size_t owners) {
+  std::string text = "; random zone\n$ORIGIN com.\n$TTL 3600\n";
+  std::string origin = "com";
+  const auto eol = [&] { return rng.below(4) == 0 ? "\r\n" : "\n"; };
+  const auto upper = [](std::string name) {
+    for (auto& c : name) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    return name;
+  };
+  for (std::size_t i = 0; i < owners; ++i) {
+    switch (rng.below(10)) {
+      case 0:
+        origin = rng.below(3) == 0 ? "net" : "com";
+        text += (rng.below(2) == 0 ? "$ORIGIN " : "  $ORIGIN ") + origin + "." + eol();
+        break;
+      case 1:
+        text += (rng.below(2) == 0 ? "$TTL " : "\t$TTL ") +
+                std::to_string(60 + rng.below(7200)) + eol();
+        break;
+      case 2:
+        text += std::string{"; $ORIGIN example. is only a comment"} + eol();
+        break;
+      case 3:
+        text += std::string(rng.below(3), ' ') + eol();
+        break;
+      default:
+        break;
+    }
+    const std::string label = !labels.empty() && rng.below(3) == 0
+                                  ? labels[rng.below(labels.size())]
+                                  : "host" + std::to_string(i);
+    const std::size_t lines = 1 + rng.below(5);
+    for (std::size_t l = 0; l < lines; ++l) {
+      std::string line;
+      switch (l == 0 ? rng.below(3) : rng.below(6)) {
+        case 0:
+          line = label;
+          break;
+        case 1:
+          line = label + "." + origin + ".";
+          break;
+        case 2:
+          line = upper(label + "." + origin + ".");
+          break;
+        default:  // continuation
+          line = std::string(1 + rng.below(3), rng.below(2) == 0 ? ' ' : '\t');
+          break;
+      }
+      line += rng.below(2) == 0
+                  ? " IN A 192.0.2." + std::to_string(rng.below(256))
+                  : " 300 IN NS ns" + std::to_string(rng.below(4)) + ".hoster.net.";
+      if (rng.below(6) == 0) line += " ; note";
+      text += line + eol();
+    }
+  }
+  if (rng.below(3) == 0) text.pop_back();  // no final newline
+  return text;
+}
+
+/// IDN labels (ACE, no TLD) of homographs of kRefs under `db`.
+std::vector<std::string> idn_labels(const homoglyph::HomoglyphDb& db, util::Rng& rng) {
+  auto names = make_registrations(db, 12, rng, "com");
+  for (auto& name : names) name.resize(name.size() - 4);  // drop ".com"
+  return names;
+}
+
+class SliceProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+// At every slice count from 1 to 8, a sliced pass yields the records,
+// domains, IDNs and verdicts of a sequential one. The counts come from
+// an independent one-shot parse; the verdicts from detect_materialized.
+TEST_P(SliceProperty, SlicesMatchSequentialAtEveryCount) {
+  const ShardRig rig;
+  util::Rng rng{GetParam()};
+  const auto labels = idn_labels(rig.db, rng);
+  ASSERT_FALSE(labels.empty());
+  // A large zone, then four with fewer owners than slices.
+  for (const std::size_t owners :
+       {std::size_t{300}, 1 + rng.below(3), 1 + rng.below(3), 1 + rng.below(3),
+        1 + rng.below(3)}) {
+    const auto text = random_zone(rng, labels, owners);
+    const TempZone zone{"test_scale_slices.zone", text};
+
+    const auto parsed = dns::parse_zone(text);
+    std::vector<std::string> domains;
+    for (const auto& r : parsed.records) {
+      if (domains.empty() || domains.back() != r.owner.str()) {
+        domains.push_back(r.owner.str());
+      }
+    }
+    const auto idns = core::ShamFinder::extract_idns(domains, "com");
+    const auto baseline = detect_materialized(rig.engine, kRefs, zone.path(),
+                                              {.tld = "com"}, detect::Strategy::kSerial);
+    if (owners > 100) {
+      ASSERT_FALSE(baseline.verdicts.empty());
+    }
+
+    for (std::size_t slices = 1; slices <= 8; ++slices) {
+      const StreamOptions options{.tld = "com", .batch_size = 1 + rng.below(8)};
+      const auto out = detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
+                                      zone_file_slices(zone.path(), slices, options));
+      EXPECT_EQ(out.stream.records, parsed.records.size())
+          << "owners " << owners << " slices " << slices;
+      EXPECT_EQ(out.stream.domains, domains.size())
+          << "owners " << owners << " slices " << slices;
+      EXPECT_EQ(out.stream.idns, idns.size()) << "owners " << owners << " slices " << slices;
+      EXPECT_EQ(out.verdicts, baseline.verdicts)
+          << "owners " << owners << " slices " << slices;
+      EXPECT_EQ(out.fingerprint, baseline.fingerprint);
+    }
+  }
+}
+
+// A malformed line anywhere raises, at every slice count, the error a
+// sequential parse raises: the same absolute line and the same message.
+// A second malformed line after it must never win.
+TEST_P(SliceProperty, MalformedLineSameErrorAtEveryCount) {
+  const ShardRig rig;
+  util::Rng rng{GetParam() ^ 0xBADULL};
+  const auto labels = idn_labels(rig.db, rng);
+  const std::vector<std::string> malformed = {
+      "bad IN A not-an-ip", "$TTL forever",  "  $ORIGIN",
+      "bad..name IN A 192.0.2.1", "odd IN BOGUS x", "$ORIGIN a..b."};
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::string> lines;
+    {
+      const auto text = random_zone(rng, labels, 150);
+      std::size_t begin = 0;
+      while (begin <= text.size()) {
+        const auto nl = text.find('\n', begin);
+        if (nl == std::string::npos) {
+          if (begin < text.size()) lines.push_back(text.substr(begin));
+          break;
+        }
+        lines.push_back(text.substr(begin, nl - begin));
+        begin = nl + 1;
+      }
+    }
+    const std::size_t first = rng.below(lines.size() + 1);
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(first),
+                 malformed[rng.below(malformed.size())]);
+    const std::size_t second = first + 1 + rng.below(lines.size() - first);
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(second),
+                 malformed[rng.below(malformed.size())]);
+    std::string text;
+    for (const auto& line : lines) text += line + "\n";
+    const TempZone zone{"test_scale_malformed.zone", text};
+
+    std::size_t expected_line = 0;
+    std::string expected_what;
+    try {
+      (void)dns::parse_zone(text);
+      FAIL() << "the malformed zone parsed";
+    } catch (const dns::ZoneParseError& e) {
+      expected_line = e.line();
+      expected_what = e.what();
+    }
+    EXPECT_EQ(expected_line, first + 1);
+
+    for (std::size_t slices = 1; slices <= 8; ++slices) {
+      try {
+        (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
+                             zone_file_slices(zone.path(), slices, {.tld = "com"}));
+        ADD_FAILURE() << "no error at " << slices << " slices";
+      } catch (const dns::ZoneParseError& e) {
+        EXPECT_EQ(e.line(), expected_line) << "round " << round << " slices " << slices;
+        EXPECT_EQ(std::string{e.what()}, expected_what)
+            << "round " << round << " slices " << slices;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SliceProperty, ::testing::Values(1u, 42u, 2019u, 77777u));
+
+TEST(Slices, ProgressIsSerializedAndMonotone) {
+  // Slices report concurrently; the callback must never run twice at once
+  // and must see zone-wide totals that never decrease and never exceed the
+  // zone, for file and generated slices alike.
+  const auto config = gen_config();
+  const auto text = internet::generate_zone_text(env().db_union, config, {.which = 2});
+  const TempZone zone{"test_scale_progress.zone", text};
+  const auto sequential = stream_zone_idns(zone.path(), {.tld = "com"},
+                                           [](std::span<const detect::IdnEntry>) {});
+  const auto core = std::make_shared<const internet::ScenarioCore>(
+      internet::build_scenario_core(env().db_union, config));
+
+  for (const bool generated : {false, true}) {
+    std::atomic<bool> inside{false};
+    std::vector<StreamProgress> seen;
+    StreamOptions options{.tld = "com", .batch_size = 64, .progress_interval = 97};
+    options.on_progress = [&](const StreamProgress& p) {
+      EXPECT_FALSE(inside.exchange(true));
+      seen.push_back(p);
+      std::this_thread::yield();
+      inside = false;
+    };
+    const auto slices = generated ? generated_slices(core, {.which = 2}, 4, options)
+                                  : zone_file_slices(zone.path(), 4, options);
+    const detect::Engine engine{env().db_union};
+    const auto out = detect_sharded(engine, std::vector<std::string>{"google"},
+                                    detect::Strategy::kSkeleton, slices);
+    EXPECT_EQ(out.stream.domains, sequential.domains) << "generated " << generated;
+    ASSERT_GE(seen.size(), 4u) << "generated " << generated;
+    for (std::size_t i = 1; i < seen.size(); ++i) {
+      EXPECT_GE(seen[i].domains, seen[i - 1].domains);
+      EXPECT_GE(seen[i].idns, seen[i - 1].idns);
+      EXPECT_GE(seen[i].records, seen[i - 1].records);
+    }
+    EXPECT_LE(seen.back().domains, sequential.domains);
+    EXPECT_LE(seen.back().idns, sequential.idns);
+  }
 }
 
 TEST(GenerationDiff, NoOpBatchKeepsStateIdentical) {

@@ -5,6 +5,7 @@
 // that dns::ZoneStreamReader can be fed directly.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <unordered_set>
 
 #include "dns/zone_file.hpp"
@@ -132,6 +133,35 @@ TEST(ZoneGen, RandomChunkBoundaryProperty) {
     }
     reader.finish();
     EXPECT_EQ(records, oneshot.records) << "round " << round;
+  }
+}
+
+TEST(ZoneGen, RangeStreamsConcatenateToTheWholeZone) {
+  // Streams over consecutive population ranges [k·P/N, (k+1)·P/N) of one
+  // shared core, concatenated in order, are the whole zone's text; only
+  // the first carries the header.
+  const auto config = small_config();
+  const auto core =
+      std::make_shared<const ScenarioCore>(build_scenario_core(env().db_union, config));
+  const std::size_t population = core->population();
+  for (const int which : {0, 1, 2}) {
+    const ZoneGenOptions options{.which = which, .tld = "org", .chunk_bytes = 4096};
+    const auto whole = generate_zone_text(env().db_union, config, options);
+    for (std::size_t n = 1; n <= 8; ++n) {
+      std::string text;
+      std::string chunk;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t first = population * k / n;
+        const std::size_t last = population * (k + 1) / n;
+        ZoneTextStream stream{core, options, first, last};
+        EXPECT_EQ(stream.population(), last - first);
+        std::string part;
+        while (stream.next_chunk(chunk)) part += chunk;
+        EXPECT_EQ(part.starts_with("$ORIGIN"), k == 0) << "which " << which << " n " << n;
+        text += part;
+      }
+      EXPECT_EQ(text, whole) << "which " << which << " n " << n;
+    }
   }
 }
 

@@ -2,7 +2,8 @@
 # End-to-end check of the memory-mapped DB artifact: build the tree, run
 # the artifact test suite and the db_load smoke (round-trip byte-identity
 # plus corruption fuzzing), then drive the CLI the way a user would —
-# usage errors that must exit 2 without writing anything, build-db,
+# usage errors that must exit 2 without writing anything (bad numbers and
+# --help among them, caught before any database is built), build-db,
 # check --db-file vs the font-built path, and a corrupt-artifact
 # rejection probe.
 #
@@ -29,7 +30,8 @@ echo "=== db_load smoke (round trip + corruption fuzz) ==="
 
 ARTIFACT=$(mktemp -u /tmp/sham_check_db.XXXXXX.artifact)
 WORK=$(mktemp -d /tmp/sham_check_db.XXXXXX)
-trap 'rm -f "$ARTIFACT" "$ARTIFACT.corrupt"; rm -rf "$WORK"' EXIT
+STDERR=$(mktemp /tmp/sham_check_db.XXXXXX.stderr)
+trap 'rm -f "$ARTIFACT" "$ARTIFACT.corrupt" "$STDERR"; rm -rf "$WORK"' EXIT
 
 echo "=== CLI: usage errors exit 2 and write nothing ==="
 # Runs "$@" inside the empty $WORK directory and requires exit status 2
@@ -55,6 +57,40 @@ expect_usage_error "$CLI" build-db out.artifact --help
 expect_usage_error "$CLI" build-db -out.artifact --refs google
 expect_usage_error "$CLI" check xn--ggle-0nda.com --refs google --strategy parallel
 expect_usage_error "$CLI" scale-run --db-file x --domains 10 --strategy indexed
+
+echo "=== CLI: bad numbers and --help fail before any work, naming the flag ==="
+# Like expect_usage_error, and stderr must contain $1 and must not show a
+# database build: the arguments are checked before anything is built.
+expect_usage_naming() {
+  expected="$1"
+  shift
+  status=0
+  (cd "$WORK" && "$@") >/dev/null 2>"$STDERR" || status=$?
+  if [ "$status" -ne 2 ] || [ -n "$(ls -A "$WORK")" ]; then
+    echo "expected exit 2 and no output files, got $status: $*"
+    exit 1
+  fi
+  if ! grep -q -- "$expected" "$STDERR" || grep -q '^\[db\]' "$STDERR"; then
+    echo "stderr does not name '$expected' before any work: $*"
+    cat "$STDERR"
+    exit 1
+  fi
+  echo "    exit 2, names '$expected': ${*#"$CLI" }"
+}
+expect_usage_naming "--domains" "$CLI" scale-run --db-file x --domains abc
+expect_usage_naming "--shards" "$CLI" scale-run --db-file x --domains 10 --shards -1
+expect_usage_naming "--batch" "$CLI" scale-run --db-file x --domains 10 --batch 99999999999999999999999
+expect_usage_naming "--seed" "$CLI" scale-run --db-file x --domains 10 --seed 12x
+expect_usage_naming "--threads" "$CLI" check xn--ggle-0nda.com --refs google \
+  --threads 99999999999999999999999
+expect_usage_naming "--repeat" "$CLI" check xn--ggle-0nda.com --refs google --repeat 2x
+expect_usage_naming "--slots" "$CLI" serve --refs google --slots many
+expect_usage_naming "max" "$CLI" candidates google lots
+expect_usage_naming "usage:" "$CLI" check --help
+expect_usage_naming "usage:" "$CLI" check xn--ggle-0nda.com --refs google -h
+expect_usage_naming "usage:" "$CLI" scale-run --help
+expect_usage_naming "usage:" "$CLI" scale-run --db-file x --domains 10 -h
+expect_usage_naming "slices per zone" "$CLI" scale-run --help
 
 echo "=== CLI: build-db -> check --db-file vs font-built check ==="
 "$CLI" build-db "$ARTIFACT" \

@@ -4,8 +4,11 @@
 # (streamed-vs-materialised identity, fleet fingerprints, generation-diff
 # vs rebuild), then drive the CLI the way a user would — build-db, craft
 # two relabelled registry zones, and a scale-run fleet over the shared
-# artifact whose per-TLD verdict fingerprints must agree. Last, the whole
-# tier-1 suite runs 20 times under ctest -j8 and must pass every time.
+# artifact whose per-TLD verdict fingerprints must agree, a zone with
+# mid-file directives and continuation lines scanned as 1 and as 4 slices
+# with identical counts and fingerprint, and a directory given as a zone
+# rejected. Last, the whole tier-1 suite runs 20 times under ctest -j8 and
+# must pass every time.
 #
 #   $ tools/check_scale.sh                 # uses ./build (configures if absent)
 #   $ BUILD_DIR=build-asan tools/check_scale.sh
@@ -65,6 +68,54 @@ if [ "$fingerprints" -ne 1 ]; then
   echo "per-TLD verdict fingerprints diverged:"; cat "$TMP/report.json"; exit 1
 fi
 echo "    2 workers, $matches matches, fingerprints identical"
+
+echo "=== CLI: 1 vs 4 slices over a zone with mid-file \$ORIGIN and continuations ==="
+# Slices start mid-file: each must inherit the $ORIGIN/$TTL in effect and
+# the owner a leading continuation line belongs to, so every count and
+# the fingerprint must match the single-slice run.
+{
+  printf '$ORIGIN com.\n$TTL 300\n'
+  i=0
+  while read -r sld; do
+    i=$((i + 1))
+    printf '%s IN NS ns1.hoster.net.\n' "$sld"
+    printf '    IN A 203.0.113.7\n'
+    printf '\tIN NS ns2.hoster.net. ; continuation\n'
+    if [ $((i % 7)) -eq 0 ]; then printf '  $ORIGIN net.\nmirror%d IN A 203.0.113.9\n$ORIGIN com.\n' "$i"; fi
+  done < "$TMP/slds"
+  awk 'BEGIN { for (i = 0; i < 3000; i++) {
+    printf "host%d IN NS ns1.hoster.net.\n  IN A 192.0.2.%d\n", i, i % 256
+    if (i % 500 == 0) printf "$TTL %d\n$ORIGIN net.\nnet%d IN A 192.0.2.1\n$ORIGIN com.\n", 60 + i, i
+  } }'
+} > "$TMP/sliced.zone"
+for shards in 1 4; do
+  "$BUILD_DIR"/examples/shamfinder_cli scale-run --db-file "$TMP/db.artifact" \
+    --zone "com:$TMP/sliced.zone" --shards "$shards" > "$TMP/sliced_$shards.json"
+  grep -q '"ok": true' "$TMP/sliced_$shards.json" || {
+    echo "sliced run not ok at $shards shard(s):"; cat "$TMP/sliced_$shards.json"; exit 1
+  }
+done
+for key in records domains idns verdict_fingerprint; do
+  one=$(grep -o "\"$key\": [0-9]*" "$TMP/sliced_1.json")
+  four=$(grep -o "\"$key\": [0-9]*" "$TMP/sliced_4.json")
+  if [ -z "$one" ] || [ "$one" != "$four" ]; then
+    echo "1 vs 4 slices differ on $key: '$one' vs '$four'"; exit 1
+  fi
+done
+idns=$(grep -o '"idns": [0-9]*' "$TMP/sliced_1.json" | grep -o '[0-9]*')
+[ "$idns" -gt 0 ] || { echo "sliced zone decoded no IDNs"; exit 1; }
+echo "    records, domains, $idns IDNs and fingerprint identical at 1 and 4 slices"
+
+echo "=== scale-run fails on a zone path that is a directory ==="
+mkdir "$TMP/zonedir"
+for shards in 1 4; do
+  if "$BUILD_DIR"/examples/shamfinder_cli scale-run --db-file "$TMP/db.artifact" \
+      --zone "com:$TMP/zonedir" --shards "$shards" >/dev/null 2>"$TMP/dir.err"; then
+    echo "a directory was scanned as a zone at $shards shard(s)"; exit 1
+  fi
+  grep -q 'directory' "$TMP/dir.err" || { echo "no diagnostic:"; cat "$TMP/dir.err"; exit 1; }
+done
+echo "    rejected with a diagnostic at 1 and 4 slices"
 
 echo "=== scale-run rejects an artifact without references ==="
 "$BUILD_DIR"/examples/shamfinder_cli build-db "$TMP/norefs.artifact" >/dev/null 2>&1
