@@ -81,7 +81,8 @@ void BM_SimCharBuild(benchmark::State& state) {
   config.scale = static_cast<double>(state.range(0)) / 100.0;
   const auto paper = font::make_paper_font(config);
   simchar::BuildOptions options;
-  options.use_bucket_pruning = state.range(1) != 0;
+  options.pair_strategy = state.range(1) != 0 ? simchar::PairStrategy::kBlockIndex
+                                              : simchar::PairStrategy::kAllPairs;
   std::size_t glyphs = 0;
   for (auto _ : state) {
     simchar::BuildStats stats;

@@ -4,18 +4,14 @@
 // extensions, mail filters, registry pipelines).
 //
 //   $ ./examples/build_simchar_db out.simchar [font.ttf|font.hex]
-//                                  [--strategy all-pairs|popcount-band|block-index]
 //
 // Without a font argument, the system font is used (or the synthetic
 // paper-scale font if FreeType is unavailable). A ".hex" argument loads a
-// GNU Unifont hex file — the font the paper itself used. --strategy picks
-// the Step II pair-mining strategy (default: auto); every strategy builds
-// the identical database.
+// GNU Unifont hex file — the font the paper itself used.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "font/freetype_font.hpp"
 #include "font/hex_font.hpp"
@@ -25,40 +21,15 @@
 
 int main(int argc, char** argv) {
   using namespace sham;
-  simchar::BuildOptions options;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--strategy") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--strategy needs a value\n");
-        return 1;
-      }
-      const auto parsed = simchar::parse_pair_strategy(argv[++i]);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "unknown strategy %s (want auto, all-pairs, popcount-band "
-                     "or block-index)\n",
-                     argv[i]);
-        return 1;
-      }
-      options.pair_strategy = *parsed;
-      continue;
-    }
-    positional.push_back(arg);
-  }
-  if (positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s <output.simchar> [font.ttf|font.hex] "
-                 "[--strategy <name>]\n",
-                 argv[0]);
+  if (argc < 2 || argc > 3) {
+    std::fprintf(stderr, "usage: %s <output.simchar> [font.ttf|font.hex]\n", argv[0]);
     return 1;
   }
-  const std::string out_path = positional[0];
+  const std::string out_path = argv[1];
 
   font::FontSourcePtr font;
-  if (positional.size() > 1) {
-    const std::string font_path = positional[1];
+  if (argc > 2) {
+    const std::string font_path = argv[2];
     try {
       if (util::ends_with(font_path, ".hex")) {
         font = std::make_shared<font::HexFont>(font::HexFont::load(font_path));
@@ -76,7 +47,7 @@ int main(int argc, char** argv) {
   std::printf("font: %s (%zu glyphs)\n", font->name().c_str(), font->coverage().size());
 
   simchar::BuildStats stats;
-  const auto db = simchar::SimCharDb::build(*font, options, &stats);
+  const auto db = simchar::SimCharDb::build(*font, {}, &stats);
   std::printf("built SimChar (%s): %zu glyphs rendered, %llu comparisons, "
               "%zu pairs over %zu characters\n",
               std::string{simchar::pair_strategy_name(stats.mining.strategy)}.c_str(),

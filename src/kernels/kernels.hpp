@@ -101,13 +101,15 @@ void delta_batch_u1024(const std::uint64_t* query, const GlyphPanel& panel,
 
 /// out[g] = splitmix64 chain over words [first_word, last_word) of panel
 /// glyph g, seeded with kBlockHashSeed — one key per column, g < size().
-/// Bit-identical to block_hash_u1024 on every level (tables built by the
-/// batch are probed with single keys).
+/// Bit-identical to block_hash_u1024 on every level. PairMiner computes
+/// every block key with this kernel, over a panel whose rows it permutes
+/// so each strided block is one contiguous word span.
 void block_hash_batch(const GlyphPanel& panel, unsigned first_word,
                       unsigned last_word, std::uint64_t* out) noexcept;
 
-/// Scalar reference for one block key (probe side of the pigeonhole
-/// tables). Deliberately not dispatched: it pins the hash definition.
+/// Scalar reference for one block key, which the differential tests pin
+/// block_hash_batch against. Deliberately not dispatched: it defines the
+/// hash.
 [[nodiscard]] std::uint64_t block_hash_u1024(const std::uint64_t* words,
                                              unsigned first_word,
                                              unsigned last_word) noexcept;

@@ -1,6 +1,8 @@
 #include "simchar/pair_miner.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "kernels/kernels.hpp"
@@ -8,11 +10,20 @@
 
 namespace sham::simchar {
 
-namespace {
+/// Per-chunk Step II output slot: owned by one chunk during the scan,
+/// merged in chunk order afterwards so the emitted sequence (and every
+/// counter) is independent of thread scheduling.
+struct PairMiner::ChunkResult {
+  std::vector<HomoglyphPair> found;
+  std::uint64_t delta_evaluations = 0;
+  // kBlockIndex candidate funnel.
+  std::uint64_t emitted = 0;
+  std::uint64_t deduped = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t rejected = 0;
+};
 
-constexpr std::uint64_t pack_pair(std::uint32_t i, std::uint32_t j) noexcept {
-  return (static_cast<std::uint64_t>(i) << 32) | j;
-}
+namespace {
 
 /// Chunk count for deterministic parallel_for_chunks fan-out: enough
 /// chunks to load-balance irregular work without drowning in merge cost.
@@ -21,130 +32,168 @@ std::size_t chunk_count(const util::ThreadPool& pool, std::size_t domain) {
   return std::min(domain, std::max<std::size_t>(1, pool.thread_count() * 4));
 }
 
-/// Per-chunk Step II output slot: owned by one chunk during the scan,
-/// merged in chunk order afterwards so the emitted sequence (and every
-/// counter) is independent of thread scheduling.
-struct ChunkResult {
-  std::vector<HomoglyphPair> found;
-  std::uint64_t delta_evaluations = 0;
-};
-
-void finish(std::vector<ChunkResult>& chunks, std::vector<HomoglyphPair>& pairs,
-            MinerStats* stats) {
+/// Merge the per-chunk slots, in chunk order, into `pairs` and `stats`.
+/// A template only because PairMiner::ChunkResult is private.
+template <typename Chunks>
+void finish(const Chunks& chunks, std::vector<HomoglyphPair>& pairs, MinerStats* stats) {
   std::size_t total = 0;
   for (const auto& c : chunks) total += c.found.size();
   pairs.reserve(total);
-  for (auto& c : chunks) {
+  for (const auto& c : chunks) {
     pairs.insert(pairs.end(), c.found.begin(), c.found.end());
-    if (stats != nullptr) stats->delta_evaluations += c.delta_evaluations;
+    if (stats != nullptr) {
+      stats->delta_evaluations += c.delta_evaluations;
+      stats->candidates_emitted += c.emitted;
+      stats->candidates_deduped += c.deduped;
+      stats->candidates_pruned += c.pruned;
+      stats->candidates_rejected += c.rejected;
+    }
   }
-  // Canonical output order: every strategy (and thread count) emits the
+  if (stats != nullptr) {
+    stats->candidates_verified = stats->candidates_deduped -
+                                 stats->candidates_pruned -
+                                 stats->candidates_rejected;
+  }
+  // Canonical output order: both strategies (at any thread count) emit the
   // byte-identical sequence.
   std::sort(pairs.begin(), pairs.end());
+}
+
+/// A block-table entry packs (key << 32) | glyph, so ascending entries are
+/// ordered by key and, within a run of equal keys, by glyph.
+constexpr std::uint64_t entry(std::uint32_t key, std::uint32_t glyph) noexcept {
+  return (static_cast<std::uint64_t>(key) << 32) | glyph;
+}
+constexpr std::uint32_t key_of(std::uint64_t e) noexcept {
+  return static_cast<std::uint32_t>(e >> 32);
+}
+constexpr std::uint32_t glyph_of(std::uint64_t e) noexcept {
+  return static_cast<std::uint32_t>(e);
+}
+
+/// Stable LSD radix sort of entries by key, one key byte per pass. The
+/// entries arrive in ascending glyph order, so the result is sorted by
+/// (key, glyph) — several times faster than std::sort at these sizes.
+void sort_by_key(std::vector<std::uint64_t>& entries) {
+  std::vector<std::uint64_t> buffer(entries.size());
+  for (int shift = 32; shift < 64; shift += 8) {
+    std::array<std::size_t, 257> start{};
+    for (const auto e : entries) ++start[((e >> shift) & 0xFF) + 1];
+    for (int d = 0; d < 256; ++d) start[d + 1] += start[d];
+    for (const auto e : entries) buffer[start[(e >> shift) & 0xFF]++] = e;
+    entries.swap(buffer);
+  }
+}
+
+/// End of the run of equal keys that starts at `lo`.
+std::size_t run_end(const std::vector<std::uint64_t>& table, std::size_t lo) {
+  std::size_t hi = lo + 1;
+  while (hi < table.size() && key_of(table[hi]) == key_of(table[lo])) ++hi;
+  return hi;
 }
 
 }  // namespace
 
 std::string_view pair_strategy_name(PairStrategy strategy) noexcept {
   switch (strategy) {
-    case PairStrategy::kAuto: return "auto";
-    case PairStrategy::kAllPairs: return "all-pairs";
-    case PairStrategy::kPopcountBand: return "popcount-band";
     case PairStrategy::kBlockIndex: return "block-index";
+    case PairStrategy::kAllPairs: return "all-pairs";
   }
   return "unknown";
-}
-
-std::optional<PairStrategy> parse_pair_strategy(std::string_view name) noexcept {
-  if (name == "auto") return PairStrategy::kAuto;
-  if (name == "all-pairs" || name == "all") return PairStrategy::kAllPairs;
-  if (name == "popcount-band" || name == "band") return PairStrategy::kPopcountBand;
-  if (name == "block-index" || name == "block") return PairStrategy::kBlockIndex;
-  return std::nullopt;
 }
 
 PairMiner::PairMiner(std::span<const MinerGlyph> glyphs, int threshold,
                      PairStrategy strategy, util::ThreadPool& pool)
     : glyphs_{glyphs}, threshold_{threshold}, strategy_{strategy}, pool_{&pool} {
   if (threshold < 0) throw std::invalid_argument{"PairMiner: threshold < 0"};
-  if (strategy == PairStrategy::kAuto) {
-    throw std::invalid_argument{"PairMiner: resolve kAuto before construction"};
-  }
   // Pigeonhole needs θ + 1 blocks; at word granularity the 16-word bitmap
-  // caps that at θ ≤ 15. Beyond it, fall back to the band prune (still
-  // exact, just weaker).
-  if (strategy_ == PairStrategy::kBlockIndex &&
-      threshold_ + 1 > font::GlyphBitmap::kWords) {
-    strategy_ = PairStrategy::kPopcountBand;
+  // caps that at θ ≤ 15. Beyond it, fall back to the exhaustive sweep.
+  if (threshold_ + 1 > font::GlyphBitmap::kWords) strategy_ = PairStrategy::kAllPairs;
+  if (strategy_ == PairStrategy::kBlockIndex) {
+    build_block_tables();
+    return;
   }
-  if (strategy_ == PairStrategy::kPopcountBand) build_popcount_order();
-  build_panel();
-  if (strategy_ == PairStrategy::kBlockIndex) build_block_tables();
-}
-
-void PairMiner::build_popcount_order() {
-  order_.resize(glyphs_.size());
-  for (std::uint32_t i = 0; i < glyphs_.size(); ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(), [&](std::uint32_t x, std::uint32_t y) {
-    return glyphs_[x].popcount != glyphs_[y].popcount
-               ? glyphs_[x].popcount < glyphs_[y].popcount
-               : glyphs_[x].cp < glyphs_[y].cp;
-  });
-}
-
-void PairMiner::build_panel() {
-  const std::size_t n = glyphs_.size();
-  panel_.reset(n);
-  if (strategy_ == PairStrategy::kPopcountBand) {
-    sorted_popcounts_.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      panel_.set_glyph(k, glyphs_[order_[k]].glyph.words().data());
-      sorted_popcounts_[k] = glyphs_[order_[k]].popcount;
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      panel_.set_glyph(i, glyphs_[i].glyph.words().data());
-    }
+  panel_.reset(glyphs_.size());
+  for (std::size_t i = 0; i < glyphs_.size(); ++i) {
+    panel_.set_glyph(i, glyphs_[i].glyph.words().data());
   }
-}
-
-std::uint64_t PairMiner::block_key(std::size_t glyph, std::size_t block) const {
-  const auto [first, last] = block_spans_[block];
-  // Scalar reference on the probe side — pinned bit-identical to the
-  // batched table build at every dispatch level by the differential suite.
-  return kernels::block_hash_u1024(glyphs_[glyph].glyph.words().data(),
-                                   static_cast<unsigned>(first),
-                                   static_cast<unsigned>(last));
 }
 
 void PairMiner::build_block_tables() {
-  const int blocks = threshold_ + 1;
-  block_spans_.resize(blocks);
-  for (int b = 0; b < blocks; ++b) {
-    // Even partition of the 16 words: block b covers
-    // [b·16/B, (b+1)·16/B) — non-empty for every b when B ≤ 16.
-    block_spans_[b] = {b * font::GlyphBitmap::kWords / blocks,
-                       (b + 1) * font::GlyphBitmap::kWords / blocks};
+  constexpr std::size_t kWords = font::GlyphBitmap::kWords;
+  const std::size_t n = glyphs_.size();
+  const std::size_t blocks = static_cast<std::size_t>(threshold_) + 1;
+  // Strided layout: word w goes to block w mod (θ + 1). Real glyphs are
+  // blank in their top and bottom rows, so contiguous blocks would give
+  // almost every pair one shared all-blank block. The permuted panel lays
+  // each block out as one contiguous span of rows for block_hash_batch;
+  // ∆ ignores word order, so verification reads the unpermuted glyphs.
+  std::array<std::size_t, kWords> order{};
+  std::vector<std::pair<unsigned, unsigned>> spans(blocks);
+  std::size_t k = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    spans[b].first = static_cast<unsigned>(k);
+    for (std::size_t w = b; w < kWords; w += blocks) order[k++] = w;
+    spans[b].second = static_cast<unsigned>(k);
   }
+  kernels::GlyphPanel panel{n};
+  std::array<std::uint64_t, kWords> permuted{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& words = glyphs_[i].glyph.words();
+    for (std::size_t x = 0; x < kWords; ++x) permuted[x] = words[order[x]];
+    panel.set_glyph(i, permuted.data());
+  }
+
+  // A key is the high half of the kernel's 64-bit block hash: 32 bits
+  // keep hash collisions rare, and collisions only add candidates.
+  keys_.resize(blocks * n);
   tables_.resize(blocks);
-  // One task per table: each table is filled by exactly one chunk, in
-  // ascending glyph order, so bucket contents are deterministic. Keys come
-  // from the batched kernel (panel_ is in natural glyph order here).
   pool_->parallel_for(
-      0, static_cast<std::size_t>(blocks),
+      0, blocks,
       [&](std::size_t begin, std::size_t end) {
-        std::vector<std::uint64_t> keys(glyphs_.size());
+        std::vector<std::uint64_t> hashes(n);
         for (std::size_t b = begin; b < end; ++b) {
-          const auto [first, last] = block_spans_[b];
-          kernels::block_hash_batch(panel_, static_cast<unsigned>(first),
-                                    static_cast<unsigned>(last), keys.data());
+          kernels::block_hash_batch(panel, spans[b].first, spans[b].second,
+                                    hashes.data());
           auto& table = tables_[b];
-          table.buckets.reserve(glyphs_.size());
-          for (std::uint32_t i = 0; i < glyphs_.size(); ++i) {
-            table.buckets[keys[i]].push_back(i);
+          table.resize(n);
+          for (std::uint32_t i = 0; i < n; ++i) {
+            const auto key = static_cast<std::uint32_t>(hashes[i] >> 32);
+            keys_[b * n + i] = key;
+            table[i] = entry(key, i);
           }
+          sort_by_key(table);
         }
-      });
+      },
+      blocks);
+}
+
+bool PairMiner::collide_earlier(std::uint32_t i, std::uint32_t j, std::size_t t) const {
+  const std::size_t n = glyphs_.size();
+  for (std::size_t s = 0; s < t; ++s) {
+    if (keys_[s * n + i] == keys_[s * n + j]) return true;
+  }
+  return false;
+}
+
+void PairMiner::verify(std::uint32_t i, std::uint32_t j, ChunkResult& out) const {
+  ++out.deduped;
+  const auto& gi = glyphs_[i];
+  const auto& gj = glyphs_[j];
+  // The popcount prune composes with the block index: ∆ ≥ |Δink|, so an
+  // over-threshold ink gap kills the candidate without a full ∆.
+  if (std::abs(gi.popcount - gj.popcount) > threshold_) {
+    ++out.pruned;
+    return;
+  }
+  ++out.delta_evaluations;
+  const int d = kernels::delta_u1024(gi.glyph.words().data(), gj.glyph.words().data());
+  if (d <= threshold_) {
+    auto [a, b] = std::minmax(gi.cp, gj.cp);
+    out.found.push_back({a, b, d});
+  } else {
+    ++out.rejected;
+  }
 }
 
 void PairMiner::fill_block_stats(MinerStats* stats) const {
@@ -153,77 +202,11 @@ void PairMiner::fill_block_stats(MinerStats* stats) const {
   constexpr std::size_t kSlots = 8;
   stats->bucket_histogram.assign(kSlots, 0);
   for (const auto& table : tables_) {
-    for (const auto& [key, bucket] : table.buckets) {
-      ++stats->bucket_histogram[std::min(bucket.size() - 1, kSlots - 1)];
+    for (std::size_t lo = 0, hi = 0; lo < table.size(); lo = hi) {
+      hi = run_end(table, lo);
+      ++stats->bucket_histogram[std::min(hi - lo - 1, kSlots - 1)];
     }
   }
-}
-
-std::vector<HomoglyphPair> PairMiner::verify_candidates(
-    std::vector<std::uint64_t>& packed, MinerStats* stats) const {
-  if (stats != nullptr) stats->candidates_emitted = packed.size();
-  // Dedupe (i, j) across tables: a pair matching in several blocks is
-  // emitted once per block. Sorting also fixes the verification order, so
-  // the merge below is deterministic for any thread count.
-  std::sort(packed.begin(), packed.end());
-  packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
-  if (stats != nullptr) stats->candidates_deduped = packed.size();
-
-  struct VerifyChunk {
-    std::vector<HomoglyphPair> found;
-    std::uint64_t pruned = 0;
-    std::uint64_t evaluated = 0;
-    std::uint64_t rejected = 0;
-  };
-  const auto chunks = chunk_count(*pool_, packed.size());
-  std::vector<VerifyChunk> slots(chunks);
-  pool_->parallel_for_chunks(
-      0, packed.size(), chunks,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        auto& slot = slots[chunk];
-        for (std::size_t k = begin; k < end; ++k) {
-          const auto i = static_cast<std::uint32_t>(packed[k] >> 32);
-          const auto j = static_cast<std::uint32_t>(packed[k]);
-          const auto& gi = glyphs_[i];
-          const auto& gj = glyphs_[j];
-          // The popcount prune composes with the block index: ∆ ≥ |Δink|,
-          // so an over-threshold ink gap kills the candidate without a
-          // full ∆ evaluation.
-          if (std::abs(gi.popcount - gj.popcount) > threshold_) {
-            ++slot.pruned;
-            continue;
-          }
-          ++slot.evaluated;
-          const int d = kernels::delta_u1024(gi.glyph.words().data(),
-                                             gj.glyph.words().data());
-          if (d <= threshold_) {
-            auto [a, b] = std::minmax(gi.cp, gj.cp);
-            slot.found.push_back({a, b, d});
-          } else {
-            ++slot.rejected;
-          }
-        }
-      });
-
-  std::vector<HomoglyphPair> pairs;
-  std::size_t total = 0;
-  for (const auto& s : slots) total += s.found.size();
-  pairs.reserve(total);
-  for (const auto& s : slots) {
-    pairs.insert(pairs.end(), s.found.begin(), s.found.end());
-    if (stats != nullptr) {
-      stats->candidates_pruned += s.pruned;
-      stats->delta_evaluations += s.evaluated;
-      stats->candidates_rejected += s.rejected;
-    }
-  }
-  if (stats != nullptr) {
-    stats->candidates_verified = stats->candidates_deduped -
-                                 stats->candidates_pruned -
-                                 stats->candidates_rejected;
-  }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
 }
 
 std::vector<HomoglyphPair> PairMiner::mine_all(MinerStats* stats) const {
@@ -235,98 +218,54 @@ std::vector<HomoglyphPair> PairMiner::mine_all(MinerStats* stats) const {
   }
   std::vector<HomoglyphPair> pairs;
   const std::size_t n = glyphs_.size();
-  if (n >= 2) {
-    switch (strategy_) {
-      case PairStrategy::kAllPairs: {
-        const auto chunks = chunk_count(*pool_, n);
-        std::vector<ChunkResult> slots(chunks);
-        pool_->parallel_for_chunks(
-            0, n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              auto& slot = slots[chunk];
-              std::vector<std::int32_t> deltas(n);
-              for (std::size_t i = begin; i < end; ++i) {
-                const auto& gi = glyphs_[i];
-                if (i + 1 >= n) continue;
-                // One batched ∆ row: glyph i against every later column.
-                kernels::delta_batch_u1024(gi.glyph.words().data(), panel_,
-                                           i + 1, n, deltas.data());
-                slot.delta_evaluations += n - i - 1;
-                for (std::size_t j = i + 1; j < n; ++j) {
-                  const int d = deltas[j - i - 1];
-                  if (d <= threshold_) {
-                    auto [a, b] = std::minmax(gi.cp, glyphs_[j].cp);
-                    slot.found.push_back({a, b, d});
-                  }
-                }
+  if (n >= 2 && strategy_ == PairStrategy::kAllPairs) {
+    const auto chunks = chunk_count(*pool_, n);
+    std::vector<ChunkResult> slots(chunks);
+    pool_->parallel_for_chunks(
+        0, n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          auto& slot = slots[chunk];
+          std::vector<std::int32_t> deltas(n);
+          for (std::size_t i = begin; i < end; ++i) {
+            const auto& gi = glyphs_[i];
+            if (i + 1 >= n) continue;
+            // One batched ∆ row: glyph i against every later column.
+            kernels::delta_batch_u1024(gi.glyph.words().data(), panel_, i + 1, n,
+                                       deltas.data());
+            slot.delta_evaluations += n - i - 1;
+            for (std::size_t j = i + 1; j < n; ++j) {
+              const int d = deltas[j - i - 1];
+              if (d <= threshold_) {
+                auto [a, b] = std::minmax(gi.cp, glyphs_[j].cp);
+                slot.found.push_back({a, b, d});
               }
-            });
-        finish(slots, pairs, stats);
-        break;
-      }
-      case PairStrategy::kPopcountBand: {
-        const auto chunks = chunk_count(*pool_, n);
-        std::vector<ChunkResult> slots(chunks);
-        pool_->parallel_for_chunks(
-            0, n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              auto& slot = slots[chunk];
-              std::vector<std::int32_t> deltas(n);
-              for (std::size_t p = begin; p < end; ++p) {
-                const auto& gi = glyphs_[order_[p]];
-                // The ink window ends at the first later position whose
-                // popcount exceeds pc + θ; panel columns follow order_, so
-                // the window is one contiguous batched row.
-                const std::size_t run_end = static_cast<std::size_t>(
-                    std::upper_bound(sorted_popcounts_.begin() + p + 1,
-                                     sorted_popcounts_.end(),
-                                     gi.popcount + threshold_) -
-                    sorted_popcounts_.begin());
-                if (run_end <= p + 1) continue;
-                kernels::delta_batch_u1024(gi.glyph.words().data(), panel_,
-                                           p + 1, run_end, deltas.data());
-                slot.delta_evaluations += run_end - p - 1;
-                for (std::size_t q = p + 1; q < run_end; ++q) {
-                  const int d = deltas[q - p - 1];
-                  if (d <= threshold_) {
-                    auto [a, b] = std::minmax(gi.cp, glyphs_[order_[q]].cp);
-                    slot.found.push_back({a, b, d});
-                  }
-                }
+            }
+          }
+        });
+    finish(slots, pairs, stats);
+  } else if (n >= 2) {
+    // One task per table walks its runs of equal keys; every pair inside a
+    // run is a candidate, verified here unless an earlier table has it.
+    std::vector<ChunkResult> slots(tables_.size());
+    pool_->parallel_for_chunks(
+        0, tables_.size(), tables_.size(),
+        [&](std::size_t t, std::size_t, std::size_t) {
+          const auto& table = tables_[t];
+          auto& slot = slots[t];
+          for (std::size_t lo = 0, hi = 0; lo < table.size(); lo = hi) {
+            hi = run_end(table, lo);
+            const std::uint64_t run = hi - lo;
+            slot.emitted += run * (run - 1) / 2;
+            for (std::size_t x = lo; x < hi; ++x) {
+              const auto i = glyph_of(table[x]);
+              for (std::size_t y = x + 1; y < hi; ++y) {
+                const auto j = glyph_of(table[y]);
+                if (!collide_earlier(i, j, t)) verify(i, j, slot);
               }
-            });
-        finish(slots, pairs, stats);
-        break;
-      }
-      case PairStrategy::kBlockIndex: {
-        // Candidate generation: every bucket collision, per table, in
-        // table order (cross-table duplicates removed in verification).
-        std::vector<std::vector<std::uint64_t>> per_table(tables_.size());
-        pool_->parallel_for(
-            0, tables_.size(), [&](std::size_t begin, std::size_t end) {
-              for (std::size_t t = begin; t < end; ++t) {
-                auto& out = per_table[t];
-                for (const auto& [key, bucket] : tables_[t].buckets) {
-                  if (bucket.size() < 2) continue;
-                  for (std::size_t x = 0; x < bucket.size(); ++x) {
-                    for (std::size_t y = x + 1; y < bucket.size(); ++y) {
-                      out.push_back(pack_pair(bucket[x], bucket[y]));
-                    }
-                  }
-                }
-              }
-            });
-        std::size_t total = 0;
-        for (const auto& v : per_table) total += v.size();
-        std::vector<std::uint64_t> packed;
-        packed.reserve(total);
-        for (const auto& v : per_table) {
-          packed.insert(packed.end(), v.begin(), v.end());
-        }
-        pairs = verify_candidates(packed, stats);
-        fill_block_stats(stats);
-        break;
-      }
-      case PairStrategy::kAuto: break;  // unreachable (constructor rejects)
-    }
+            }
+          }
+        });
+    finish(slots, pairs, stats);
+    fill_block_stats(stats);
   }
   if (stats != nullptr) {
     stats->comparisons_avoided = stats->all_pairs_domain - stats->delta_evaluations;
@@ -360,112 +299,55 @@ std::vector<HomoglyphPair> PairMiner::mine_involving(
 
   std::vector<HomoglyphPair> pairs;
   if (!probe_indices.empty() && n >= 2) {
-    switch (strategy_) {
-      case PairStrategy::kAllPairs: {
-        const auto chunks = chunk_count(*pool_, probe_indices.size());
-        std::vector<ChunkResult> slots(chunks);
-        pool_->parallel_for_chunks(
-            0, probe_indices.size(), chunks,
-            [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              auto& slot = slots[chunk];
-              std::vector<std::int32_t> deltas(n);
-              for (std::size_t k = begin; k < end; ++k) {
-                const auto pi = probe_indices[k];
-                const auto& gp = glyphs_[pi];
-                // Batch the whole row; skipped columns are computed but
-                // neither emitted nor counted (the counters stay the
-                // logical evaluation count the stats tests pin down).
-                kernels::delta_batch_u1024(gp.glyph.words().data(), panel_, 0,
-                                           n, deltas.data());
-                for (std::uint32_t j = 0; j < n; ++j) {
+    const auto chunks = chunk_count(*pool_, probe_indices.size());
+    std::vector<ChunkResult> slots(chunks);
+    pool_->parallel_for_chunks(
+        0, probe_indices.size(), chunks,
+        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          auto& slot = slots[chunk];
+          std::vector<std::int32_t> deltas;
+          if (strategy_ == PairStrategy::kAllPairs) deltas.resize(n);
+          for (std::size_t k = begin; k < end; ++k) {
+            const auto pi = probe_indices[k];
+            const auto& gp = glyphs_[pi];
+            if (strategy_ == PairStrategy::kBlockIndex) {
+              // Look the probe's own keys up in the prebuilt tables: cost
+              // scales with |probes| · run length, not with n².
+              for (std::size_t t = 0; t < tables_.size(); ++t) {
+                const auto& table = tables_[t];
+                const auto key = keys_[t * n + pi];
+                const auto [lo, hi] =
+                    std::equal_range(table.begin(), table.end(), entry(key, 0),
+                                     [](std::uint64_t x, std::uint64_t y) {
+                                       return key_of(x) < key_of(y);
+                                     });
+                for (auto it = lo; it != hi; ++it) {
+                  const auto j = glyph_of(*it);
                   if (skip(pi, j)) continue;
-                  ++slot.delta_evaluations;
-                  const int d = deltas[j];
-                  if (d <= threshold_) {
-                    auto [a, b] = std::minmax(gp.cp, glyphs_[j].cp);
-                    slot.found.push_back({a, b, d});
-                  }
+                  ++slot.emitted;
+                  if (!collide_earlier(pi, j, t)) verify(pi, j, slot);
                 }
               }
-            });
-        finish(slots, pairs, stats);
-        break;
-      }
-      case PairStrategy::kPopcountBand: {
-        const auto chunks = chunk_count(*pool_, probe_indices.size());
-        std::vector<ChunkResult> slots(chunks);
-        pool_->parallel_for_chunks(
-            0, probe_indices.size(), chunks,
-            [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              auto& slot = slots[chunk];
-              std::vector<std::int32_t> deltas(n);
-              for (std::size_t k = begin; k < end; ++k) {
-                const auto pi = probe_indices[k];
-                const auto& gp = glyphs_[pi];
-                // The ink-count window [pc − θ, pc + θ] is a contiguous
-                // run of the sorted panel: one batched row per probe.
-                const std::size_t lo = static_cast<std::size_t>(
-                    std::lower_bound(sorted_popcounts_.begin(),
-                                     sorted_popcounts_.end(),
-                                     gp.popcount - threshold_) -
-                    sorted_popcounts_.begin());
-                const std::size_t run_end = static_cast<std::size_t>(
-                    std::upper_bound(sorted_popcounts_.begin() + lo,
-                                     sorted_popcounts_.end(),
-                                     gp.popcount + threshold_) -
-                    sorted_popcounts_.begin());
-                if (lo >= run_end) continue;
-                kernels::delta_batch_u1024(gp.glyph.words().data(), panel_, lo,
-                                           run_end, deltas.data());
-                for (std::size_t q = lo; q < run_end; ++q) {
-                  const auto j = order_[q];
-                  if (skip(pi, j)) continue;
-                  ++slot.delta_evaluations;
-                  const int d = deltas[q - lo];
-                  if (d <= threshold_) {
-                    auto [a, b] = std::minmax(gp.cp, glyphs_[j].cp);
-                    slot.found.push_back({a, b, d});
-                  }
-                }
+              continue;
+            }
+            // Batch the whole row; skipped columns are computed but neither
+            // emitted nor counted (the counters stay the logical evaluation
+            // count the stats tests pin down).
+            kernels::delta_batch_u1024(gp.glyph.words().data(), panel_, 0, n,
+                                       deltas.data());
+            for (std::uint32_t j = 0; j < n; ++j) {
+              if (skip(pi, j)) continue;
+              ++slot.delta_evaluations;
+              const int d = deltas[j];
+              if (d <= threshold_) {
+                auto [a, b] = std::minmax(gp.cp, glyphs_[j].cp);
+                slot.found.push_back({a, b, d});
               }
-            });
-        finish(slots, pairs, stats);
-        break;
-      }
-      case PairStrategy::kBlockIndex: {
-        // Probe the prebuilt tables with only the added glyphs' blocks:
-        // cost scales with |probes| · bucket occupancy, not with n².
-        const auto chunks = chunk_count(*pool_, probe_indices.size());
-        std::vector<std::vector<std::uint64_t>> per_chunk(chunks);
-        pool_->parallel_for_chunks(
-            0, probe_indices.size(), chunks,
-            [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              auto& out = per_chunk[chunk];
-              for (std::size_t k = begin; k < end; ++k) {
-                const auto pi = probe_indices[k];
-                for (std::size_t t = 0; t < tables_.size(); ++t) {
-                  const auto it = tables_[t].buckets.find(block_key(pi, t));
-                  if (it == tables_[t].buckets.end()) continue;
-                  for (const auto j : it->second) {
-                    if (skip(pi, j)) continue;
-                    out.push_back(pack_pair(std::min(pi, j), std::max(pi, j)));
-                  }
-                }
-              }
-            });
-        std::size_t total = 0;
-        for (const auto& v : per_chunk) total += v.size();
-        std::vector<std::uint64_t> packed;
-        packed.reserve(total);
-        for (const auto& v : per_chunk) {
-          packed.insert(packed.end(), v.begin(), v.end());
-        }
-        pairs = verify_candidates(packed, stats);
-        fill_block_stats(stats);
-        break;
-      }
-      case PairStrategy::kAuto: break;  // unreachable (constructor rejects)
-    }
+            }
+          }
+        });
+    finish(slots, pairs, stats);
+    if (strategy_ == PairStrategy::kBlockIndex) fill_block_stats(stats);
   }
   if (stats != nullptr) {
     stats->comparisons_avoided = stats->all_pairs_domain - stats->delta_evaluations;

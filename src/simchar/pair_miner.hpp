@@ -4,39 +4,34 @@
 // so both are tested (and optimized) once.
 //
 // Strategies:
+//   kBlockIndex    the production path: pigeonhole multi-index hashing.
+//                  The 1024-bit bitmap (16 u64 words) is dealt into θ + 1
+//                  word blocks, word w to block w mod (θ + 1); a pair with
+//                  ∆ ≤ θ has fewer than θ + 1 differing bits, so at least
+//                  one block matches *exactly*. One sorted table of
+//                  (block key, glyph) entries per block turns Step II into
+//                  a walk over runs of equal keys, and each colliding pair
+//                  is verified only in the first table where its keys are
+//                  equal — zero recall loss, no candidate list. Strided
+//                  rather than contiguous blocks keep the blank top and
+//                  bottom rows of real glyphs from landing in one block
+//                  that nearly every pair shares;
 //   kAllPairs      the exhaustive O(n²/2) sweep, exactly as Section 3.3
-//                  describes it — the ground truth the others are checked
-//                  against;
-//   kPopcountBand  glyphs sorted by ink count; ∆(a, b) ≥ |pc(a) − pc(b)|,
-//                  so each glyph is compared only against the run within
-//                  ±θ ink pixels (the original bucket prune);
-//   kBlockIndex    pigeonhole multi-index hashing. The 1024-bit bitmap
-//                  (16 u64 words) is partitioned into θ + 1 contiguous
-//                  word blocks; a pair with ∆ ≤ θ has fewer than θ + 1
-//                  differing bits, so at least one block matches
-//                  *exactly*. One hash table per block keyed by the
-//                  block's words turns Step II into bucket-collision
-//                  candidate generation followed by exact re-verification
-//                  — zero recall loss, and on repertoires where ink
-//                  counts cluster (the popcount band's worst case) the
-//                  candidate set stays near the true pair count instead
-//                  of degenerating to O(n²).
+//                  describes it — the oracle kBlockIndex is checked
+//                  against, and the fallback for θ > 15 (more blocks than
+//                  bitmap words).
 //
-// Every strategy returns the identical, canonically sorted pair list for
+// Both strategies return the identical, canonically sorted pair list for
 // the same input, deterministic regardless of thread count: work is
 // chunked through util::ThreadPool with per-chunk result slots merged in
-// chunk order (no mutex-ordered insertion), and kBlockIndex sorts its
-// deduplicated candidates before verification.
+// chunk order (no mutex-ordered insertion), and the merged list is sorted.
 #pragma once
 
 #include <compare>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "font/glyph.hpp"
@@ -58,15 +53,11 @@ struct HomoglyphPair {
 };
 
 enum class PairStrategy {
-  kAuto,          // resolved from BuildOptions (legacy use_bucket_pruning knob)
-  kAllPairs,      // exhaustive pairwise sweep
-  kPopcountBand,  // ink-count window prune (exact)
-  kBlockIndex,    // pigeonhole block hash tables (exact)
+  kBlockIndex,  // pigeonhole block tables (exact; the default)
+  kAllPairs,    // exhaustive pairwise sweep (the oracle)
 };
 
 [[nodiscard]] std::string_view pair_strategy_name(PairStrategy strategy) noexcept;
-[[nodiscard]] std::optional<PairStrategy> parse_pair_strategy(
-    std::string_view name) noexcept;
 
 /// One rendered repertoire member, as the miner consumes it.
 struct MinerGlyph {
@@ -87,9 +78,9 @@ struct MinerStats {
   std::uint64_t comparisons_avoided = 0;  // all_pairs_domain - delta_evaluations
 
   // kBlockIndex only:
-  std::size_t block_tables = 0;            // hash tables built (θ + 1)
-  std::uint64_t candidates_emitted = 0;    // bucket collisions, incl. cross-table dupes
-  std::uint64_t candidates_deduped = 0;    // unique (i, j) candidates verified
+  std::size_t block_tables = 0;            // block tables built (θ + 1)
+  std::uint64_t candidates_emitted = 0;    // key collisions, incl. cross-table dupes
+  std::uint64_t candidates_deduped = 0;    // first-table collisions: unique (i, j)
   std::uint64_t candidates_pruned = 0;     // killed by the popcount prune pre-∆
   std::uint64_t candidates_verified = 0;   // ∆ ≤ θ (kept)
   std::uint64_t candidates_rejected = 0;   // ∆ > θ (bucket over-approximation)
@@ -100,20 +91,18 @@ struct MinerStats {
 };
 
 /// Candidate generator over a fixed glyph set. Construction builds the
-/// strategy's index (popcount order, or the θ + 1 block tables); the
+/// strategy's index (the θ + 1 block tables, or the all-pairs panel); the
 /// incremental update path then probes those same tables with only the
-/// added glyphs' blocks instead of re-deriving its own window.
+/// added glyphs' keys.
 ///
 /// The glyph span must stay alive and unchanged for the miner's lifetime.
 /// Code points are assumed unique across the span (one glyph per cp, as
 /// FontSource::coverage guarantees).
 class PairMiner {
  public:
-  /// `strategy` must be concrete (not kAuto — the caller resolves the
-  /// legacy BuildOptions knob). kBlockIndex needs θ + 1 ≤ 16 word blocks;
-  /// for θ > 15 it silently falls back to kPopcountBand (strategy()
-  /// reports the fallback). Throws std::invalid_argument on a negative
-  /// threshold or kAuto.
+  /// kBlockIndex needs θ + 1 ≤ 16 word blocks; for θ > 15 it falls back
+  /// to kAllPairs (strategy() reports the fallback). Throws
+  /// std::invalid_argument on a negative threshold.
   PairMiner(std::span<const MinerGlyph> glyphs, int threshold,
             PairStrategy strategy, util::ThreadPool& pool);
 
@@ -127,26 +116,21 @@ class PairMiner {
   /// Every pair with ∆ ≤ θ and at least one endpoint in `probes`
   /// (code points the font does not cover are ignored), sorted by (a, b).
   /// This is the incremental-update path: under kBlockIndex only the
-  /// probes' blocks are hashed against the prebuilt tables.
+  /// probes' keys are looked up in the prebuilt tables.
   [[nodiscard]] std::vector<HomoglyphPair> mine_involving(
       const std::unordered_set<unicode::CodePoint>& probes,
       MinerStats* stats = nullptr) const;
 
  private:
-  /// One pigeonhole table: block words (hashed) -> glyph indices whose
-  /// block bits are (hash-)equal, ascending. Hash collisions between
-  /// distinct block contents only add candidates; verification absorbs
-  /// them, so correctness never depends on the hash.
-  struct BlockTable {
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-  };
+  struct ChunkResult;
 
-  void build_popcount_order();
-  void build_panel();
   void build_block_tables();
-  [[nodiscard]] std::uint64_t block_key(std::size_t glyph, std::size_t block) const;
-  [[nodiscard]] std::vector<HomoglyphPair> verify_candidates(
-      std::vector<std::uint64_t>& packed, MinerStats* stats) const;
+  /// True when glyphs i and j have equal keys in a table before `t`: each
+  /// pair is verified only in the first table where its keys collide.
+  [[nodiscard]] bool collide_earlier(std::uint32_t i, std::uint32_t j,
+                                     std::size_t t) const;
+  /// Popcount-prune, then ∆-verify, one deduplicated candidate.
+  void verify(std::uint32_t i, std::uint32_t j, ChunkResult& out) const;
   void fill_block_stats(MinerStats* stats) const;
 
   std::span<const MinerGlyph> glyphs_;
@@ -154,18 +138,16 @@ class PairMiner {
   PairStrategy strategy_ = PairStrategy::kAllPairs;
   util::ThreadPool* pool_;
 
-  /// kPopcountBand: glyph indices sorted by (popcount, cp).
-  std::vector<std::uint32_t> order_;
-  /// SoA copy of the glyph bitmaps for the batched kernels. Column k holds
-  /// glyph k — except under kPopcountBand, where columns follow order_ so
-  /// the ink window is a contiguous panel range.
+  /// kAllPairs: SoA copy of the glyph bitmaps for the batched ∆ kernel,
+  /// column k = glyph k.
   kernels::GlyphPanel panel_;
-  /// kPopcountBand: popcounts in panel/order_ position (ascending), for
-  /// binary-searching the window ends.
-  std::vector<int> sorted_popcounts_;
-  /// kBlockIndex: word span [first, last) per block, one table per block.
-  std::vector<std::pair<int, int>> block_spans_;
-  std::vector<BlockTable> tables_;
+  /// kBlockIndex: keys_[t · n + g] is glyph g's block key in table t, and
+  /// tables_[t] holds every glyph's packed (key, glyph) entry, sorted, so
+  /// glyphs whose block words hash alike form one run. Hash collisions
+  /// between distinct block contents only add candidates; verification
+  /// absorbs them, so correctness never depends on the hash.
+  std::vector<std::uint32_t> keys_;
+  std::vector<std::vector<std::uint64_t>> tables_;
 };
 
 }  // namespace sham::simchar

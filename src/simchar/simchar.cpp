@@ -14,14 +14,6 @@ namespace sham::simchar {
 
 namespace {
 
-/// Resolve the legacy use_bucket_pruning knob: an explicit pair_strategy
-/// wins; kAuto preserves the historical behaviour of the bool.
-PairStrategy resolve_strategy(const BuildOptions& options) {
-  if (options.pair_strategy != PairStrategy::kAuto) return options.pair_strategy;
-  return options.use_bucket_pruning ? PairStrategy::kPopcountBand
-                                    : PairStrategy::kAllPairs;
-}
-
 /// Step I: render every IDNA-permitted (when requested) code point the
 /// font covers. Shared verbatim by the full build and the incremental
 /// update — the font is the repertoire authority for both.
@@ -71,7 +63,7 @@ SimCharDb SimCharDb::build(const font::FontSource& font, const BuildOptions& opt
 
   // --- Step II: pairwise ∆ ≤ θ, via the shared pair miner.
   watch.reset();
-  const PairMiner miner{glyphs, options.threshold, resolve_strategy(options), pool};
+  const PairMiner miner{glyphs, options.threshold, options.pair_strategy, pool};
   auto pairs = miner.mine_all(&local_stats.mining);
   local_stats.pairs_compared = local_stats.mining.delta_evaluations;
   local_stats.pairs_found = pairs.size();
@@ -290,10 +282,10 @@ SimCharDb update_with_new_characters(const SimCharDb& existing,
   for (const auto cp : added) added_set.insert(cp);
 
   // Compare only the added glyphs against the whole repertoire, through
-  // the same miner as the full build: under kBlockIndex this probes the
-  // block tables with just the added glyphs' blocks.
+  // the same miner as the full build: under kBlockIndex this looks up just
+  // the added glyphs' keys in the block tables.
   watch.reset();
-  const PairMiner miner{glyphs, options.threshold, resolve_strategy(options), pool};
+  const PairMiner miner{glyphs, options.threshold, options.pair_strategy, pool};
   auto new_pairs = miner.mine_involving(added_set, &local_stats.mining);
   local_stats.pairs_compared = local_stats.mining.delta_evaluations;
   local_stats.pairs_found = new_pairs.size();
@@ -359,21 +351,37 @@ DbDiff diff(const SimCharDb& before, const SimCharDb& after) {
 }
 
 SimCharDb SimCharDb::parse(std::string_view text) {
+  // ∆ counts differing pixels of two 32x32 bitmaps.
+  constexpr std::uint64_t kMaxDelta = font::GlyphBitmap::kSize * font::GlyphBitmap::kSize;
   std::vector<HomoglyphPair> pairs;
   std::size_t line_no = 0;
   for (const auto line : util::split(text, '\n')) {
     ++line_no;
     const auto body = util::trim(line);
     if (body.empty() || body.front() == '#') continue;
+    const auto error = [&](const std::string& why) {
+      return std::invalid_argument{"SimCharDb::parse: line " + std::to_string(line_no) +
+                                   ": " + why};
+    };
     const auto fields = util::split_ws(body);
-    if (fields.size() != 3) {
-      throw std::invalid_argument{"SimCharDb::parse: line " + std::to_string(line_no) +
-                                  ": expected 3 fields"};
-    }
+    if (fields.size() != 3) throw error("expected 3 fields");
     HomoglyphPair p;
-    p.a = util::parse_hex_codepoint(fields[0]);
-    p.b = util::parse_hex_codepoint(fields[1]);
-    p.delta = static_cast<int>(util::parse_u64(fields[2]));
+    std::uint64_t delta = 0;
+    try {
+      p.a = util::parse_hex_codepoint(fields[0]);
+      p.b = util::parse_hex_codepoint(fields[1]);
+      delta = util::parse_u64(fields[2]);
+    } catch (const std::invalid_argument& e) {
+      throw error(e.what());
+    }
+    if (p.a > unicode::kMaxCodePoint || p.b > unicode::kMaxCodePoint) {
+      throw error("code point above U+10FFFF");
+    }
+    if (p.a == p.b) throw error("reflexive pair");
+    if (delta > kMaxDelta) {
+      throw error("delta " + std::to_string(delta) + " outside [0, 1024]");
+    }
+    p.delta = static_cast<int>(delta);
     pairs.push_back(p);
   }
   return SimCharDb{std::move(pairs)};

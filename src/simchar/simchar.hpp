@@ -7,12 +7,10 @@
 //             combination and keep pairs with ∆ ≤ θ (paper: θ = 4);
 //   Step III  eliminate sparse characters (< 10 black pixels).
 //
-// The quadratic Step II is exact but is accelerated by a pluggable pair-
-// mining strategy (simchar/pair_miner.hpp): the original pixel-count band
-// prune — ∆(a, b) ≥ |popcount(a) − popcount(b)| — or a pigeonhole block
-// index that hashes θ + 1 word blocks of each bitmap and verifies only
-// bucket collisions. Both are exact; tests cross-check every strategy
-// against the naive all-pairs build.
+// The quadratic Step II is exact but runs through a pigeonhole block index
+// (simchar/pair_miner.hpp) that hashes θ + 1 word blocks of each bitmap
+// and verifies only key collisions. Tests cross-check it against the
+// naive all-pairs build, which stays selectable as the oracle.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +31,9 @@ struct BuildOptions {
   int threshold = 4;           // keep pairs with ∆ ≤ threshold (Step II)
   int min_black_pixels = 10;   // sparse-character cutoff (Step III)
   std::size_t threads = 0;     // 0 = hardware concurrency
-  /// Legacy knob, honored only when pair_strategy == kAuto:
-  /// true → kPopcountBand, false → kAllPairs.
-  bool use_bucket_pruning = true;
   bool idna_only = true;       // intersect repertoire with IDNA-PVALID
-  /// Step II candidate generation strategy (see pair_miner.hpp).
-  PairStrategy pair_strategy = PairStrategy::kAuto;
+  /// Step II strategy (see pair_miner.hpp); kAllPairs is the oracle.
+  PairStrategy pair_strategy = PairStrategy::kBlockIndex;
 };
 
 struct BuildStats {

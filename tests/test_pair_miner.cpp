@@ -1,13 +1,20 @@
-// Randomized property suite for simchar::PairMiner: every strategy must
-// emit the byte-identical, canonically sorted pair list — across seeds,
-// thresholds 0–8, thread counts, and adversarial glyph sets where the
-// popcount-band prune degenerates to all-pairs.
+// Property suite for simchar::PairMiner: the block index must emit the
+// byte-identical, canonically sorted pair list of the all-pairs oracle —
+// across seeds, thresholds 0–8, thread counts, adversarial glyph sets
+// where every ink count collides, and the real DejaVu fonts plus the
+// paper font.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
 #include <vector>
 
+#include "font/freetype_font.hpp"
+#include "font/paper_font.hpp"
 #include "simchar/pair_miner.hpp"
+#include "simchar/simchar.hpp"
+#include "unicode/idna_properties.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -95,8 +102,8 @@ std::vector<MinerGlyph> random_repertoire(std::uint64_t seed) {
   return glyphs;
 }
 
-/// Worst case for the popcount band: every glyph has the same ink count,
-/// so the band prune admits all C(n, 2) pairs.
+/// Every glyph has the same ink count, so an ink-count prune would admit
+/// all C(n, 2) pairs.
 std::vector<MinerGlyph> equal_popcount_repertoire(std::uint64_t seed) {
   util::Rng rng{seed};
   std::vector<MinerGlyph> glyphs;
@@ -112,7 +119,6 @@ std::vector<MinerGlyph> equal_popcount_repertoire(std::uint64_t seed) {
 }
 
 constexpr PairStrategy kConcrete[] = {PairStrategy::kAllPairs,
-                                      PairStrategy::kPopcountBand,
                                       PairStrategy::kBlockIndex};
 
 constexpr std::uint64_t kSeeds[] = {11, 22, 33, 44, 55};
@@ -159,11 +165,6 @@ TEST(PairMinerProperty, StrategiesAgreeWhenAllPopcountsCollide) {
         EXPECT_EQ(miner.mine_all(&stats), expected)
             << pair_strategy_name(strategy) << " seed " << seed << " threshold "
             << threshold;
-        if (strategy == PairStrategy::kPopcountBand) {
-          // Degenerate: one shared ink count means the band admits
-          // everything — this is the case the block index exists for.
-          EXPECT_EQ(stats.delta_evaluations, domain);
-        }
         if (strategy == PairStrategy::kBlockIndex) {
           EXPECT_LT(stats.delta_evaluations, domain / 4);
         }
@@ -239,13 +240,13 @@ TEST(PairMiner, BlockIndexStatsFunnelIsConsistent) {
   EXPECT_GT(buckets, 0u);
 }
 
-TEST(PairMiner, OversizedThresholdFallsBackToPopcountBand) {
+TEST(PairMiner, OversizedThresholdFallsBackToAllPairs) {
   util::ThreadPool pool{2};
   const auto glyphs = random_repertoire(kSeeds[2]);
   // θ + 1 > 16 word blocks: pigeonhole at word granularity is impossible,
   // the miner must fall back (and report it) rather than lose recall.
   const PairMiner miner{glyphs, 16, PairStrategy::kBlockIndex, pool};
-  EXPECT_EQ(miner.strategy(), PairStrategy::kPopcountBand);
+  EXPECT_EQ(miner.strategy(), PairStrategy::kAllPairs);
   const PairMiner truth{glyphs, 16, PairStrategy::kAllPairs, pool};
   EXPECT_EQ(miner.mine_all(), truth.mine_all());
   // θ = 15 is the largest block-indexable threshold.
@@ -255,10 +256,10 @@ TEST(PairMiner, OversizedThresholdFallsBackToPopcountBand) {
   EXPECT_EQ(edge.mine_all(), truth15.mine_all());
 }
 
-TEST(PairMiner, RejectsAutoAndNegativeThreshold) {
+TEST(PairMiner, RejectsNegativeThreshold) {
   util::ThreadPool pool{1};
   const std::vector<MinerGlyph> glyphs;
-  EXPECT_THROW((PairMiner{glyphs, 4, PairStrategy::kAuto, pool}),
+  EXPECT_THROW((PairMiner{glyphs, -1, PairStrategy::kBlockIndex, pool}),
                std::invalid_argument);
   EXPECT_THROW((PairMiner{glyphs, -1, PairStrategy::kAllPairs, pool}),
                std::invalid_argument);
@@ -282,15 +283,116 @@ TEST(PairMiner, EmptyAndSingletonInputs) {
   }
 }
 
-TEST(PairMiner, ParseAndNameRoundTrip) {
-  for (const auto strategy :
-       {PairStrategy::kAuto, PairStrategy::kAllPairs, PairStrategy::kPopcountBand,
-        PairStrategy::kBlockIndex}) {
-    EXPECT_EQ(parse_pair_strategy(pair_strategy_name(strategy)), strategy);
+TEST(PairMiner, StrategyNames) {
+  EXPECT_EQ(pair_strategy_name(PairStrategy::kBlockIndex), "block-index");
+  EXPECT_EQ(pair_strategy_name(PairStrategy::kAllPairs), "all-pairs");
+  EXPECT_EQ(BuildOptions{}.pair_strategy, PairStrategy::kBlockIndex);
+}
+
+// --- Real-font gate: the block index against the all-pairs oracle --------
+
+/// The pairs of `oracle` with ∆ ≤ θ: an all-pairs build at a larger θ,
+/// filtered, is the all-pairs build at θ.
+std::vector<HomoglyphPair> within(std::span<const HomoglyphPair> oracle, int theta) {
+  std::vector<HomoglyphPair> out;
+  for (const auto& p : oracle) {
+    if (p.delta <= theta) out.push_back(p);
   }
-  EXPECT_EQ(parse_pair_strategy("block"), PairStrategy::kBlockIndex);
-  EXPECT_EQ(parse_pair_strategy("band"), PairStrategy::kPopcountBand);
-  EXPECT_FALSE(parse_pair_strategy("simd").has_value());
+  return out;
+}
+
+/// Step I as SimCharDb::build runs it: the IDNA-permitted glyphs the font
+/// covers.
+std::vector<MinerGlyph> render(const font::FontSource& font) {
+  std::vector<MinerGlyph> glyphs;
+  for (const auto cp : font.coverage()) {
+    if (!unicode::is_idna_permitted(cp)) continue;
+    if (const auto g = font.glyph(cp)) push(glyphs, cp, *g);
+  }
+  return glyphs;
+}
+
+/// For θ = 0..8: the default build equals the filtered all-pairs build,
+/// and mine_involving over a 50-glyph probe slice equals the filtered
+/// all-pairs miner. Returns the build stats at θ = 4.
+BuildStats expect_block_index_matches_all_pairs(const font::FontSource& font) {
+  constexpr int kMaxTheta = 8;
+  BuildOptions oracle_options;
+  oracle_options.threshold = kMaxTheta;
+  oracle_options.pair_strategy = PairStrategy::kAllPairs;
+  const auto oracle = SimCharDb::build(font, oracle_options);
+
+  const auto glyphs = render(font);
+  util::ThreadPool pool;
+  const PairMiner all_pairs{glyphs, kMaxTheta, PairStrategy::kAllPairs, pool};
+  const auto all_pairs_mined = all_pairs.mine_all();
+  // The probe slice starts at the first glyph that has a partner, so the
+  // incremental check is never vacuous.
+  std::unordered_set<CodePoint> paired;
+  for (const auto& p : all_pairs_mined) {
+    paired.insert(p.a);
+    paired.insert(p.b);
+  }
+  std::size_t first = 0;
+  while (first < glyphs.size() && !paired.contains(glyphs[first].cp)) ++first;
+  std::unordered_set<CodePoint> probes;
+  for (std::size_t i = first; i < glyphs.size() && probes.size() < 50; ++i) {
+    probes.insert(glyphs[i].cp);
+  }
+  auto involving = all_pairs_mined;
+  std::erase_if(involving, [&](const HomoglyphPair& p) {
+    return !probes.contains(p.a) && !probes.contains(p.b);
+  });
+  EXPECT_FALSE(involving.empty()) << font.name();
+
+  BuildStats theta4;
+  for (int theta = 0; theta <= kMaxTheta; ++theta) {
+    BuildOptions options;
+    options.threshold = theta;
+    BuildStats stats;
+    const auto db = SimCharDb::build(font, options, &stats);
+    EXPECT_EQ(stats.mining.strategy, PairStrategy::kBlockIndex);
+    EXPECT_TRUE(std::ranges::equal(db.pairs(), within(oracle.pairs(), theta)))
+        << font.name() << " θ=" << theta;
+    const PairMiner miner{glyphs, theta, PairStrategy::kBlockIndex, pool};
+    EXPECT_EQ(miner.mine_involving(probes), within(involving, theta))
+        << font.name() << " θ=" << theta;
+    if (theta == 4) theta4 = stats;
+  }
+  return theta4;
+}
+
+/// Opens a DejaVu face, or skips when FreeType or the file is missing.
+font::FontSourcePtr dejavu(const std::string& file) {
+  const std::string path = "/usr/share/fonts/truetype/dejavu/" + file;
+  if (!font::freetype_available() || !std::filesystem::exists(path)) return nullptr;
+  return std::make_shared<font::FreeTypeFont>(path);
+}
+
+TEST(RealFontGate, DejaVuSans) {
+  const auto font = dejavu("DejaVuSans.ttf");
+  if (font == nullptr) GTEST_SKIP() << "FreeType or DejaVuSans.ttf missing";
+  const auto stats = expect_block_index_matches_all_pairs(*font);
+  // Layout guard: strided blocks deduplicate 29,977 candidates here, the
+  // contiguous layout 1,466,533.
+  EXPECT_LE(stats.mining.candidates_deduped, 100'000u);
+}
+
+TEST(RealFontGate, DejaVuSansMono) {
+  const auto font = dejavu("DejaVuSansMono.ttf");
+  if (font == nullptr) GTEST_SKIP() << "FreeType or DejaVuSansMono.ttf missing";
+  expect_block_index_matches_all_pairs(*font);
+}
+
+TEST(RealFontGate, DejaVuSerif) {
+  const auto font = dejavu("DejaVuSerif.ttf");
+  if (font == nullptr) GTEST_SKIP() << "FreeType or DejaVuSerif.ttf missing";
+  expect_block_index_matches_all_pairs(*font);
+}
+
+TEST(RealFontGate, PaperFont) {
+  const auto paper = font::make_paper_font({});
+  expect_block_index_matches_all_pairs(*paper.font);
 }
 
 }  // namespace

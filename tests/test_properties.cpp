@@ -44,7 +44,7 @@ TEST_P(ThresholdSweep, PrunedEqualsNaiveAtEveryTheta) {
   simchar::BuildOptions pruned;
   pruned.threshold = theta;
   simchar::BuildOptions naive = pruned;
-  naive.use_bucket_pruning = false;
+  naive.pair_strategy = simchar::PairStrategy::kAllPairs;
   const auto a = simchar::SimCharDb::build(*property_font(), pruned);
   const auto b = simchar::SimCharDb::build(*property_font(), naive);
   EXPECT_TRUE(std::ranges::equal(a.pairs(), b.pairs()));
@@ -455,8 +455,8 @@ TEST_P(KernelEquivalence, BlockHashAgreesWithScalarOnRandomPanels) {
     kernels::block_hash_batch(panel, first, last, expected.data());
   }
   for (std::size_t i = 0; i < n; ++i) {
-    // The undispatched probe-side reference must agree with the scalar
-    // batch — they key the same pigeonhole tables.
+    // The undispatched scalar reference defines the hash the batch kernel
+    // computes for the pigeonhole tables.
     ASSERT_EQ(kernels::block_hash_u1024(glyphs[i].data(), first, last),
               expected[i]);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "font/synthetic_font.hpp"
 #include "simchar/simchar.hpp"
@@ -119,10 +120,9 @@ TEST(SimCharBuild, SparseKeptWhenStepDisabled) {
 
 TEST(SimCharBuild, PrunedEqualsNaive) {
   const auto font = small_planted_font();
-  BuildOptions pruned;
-  pruned.use_bucket_pruning = true;
+  const BuildOptions pruned;  // the default block index
   BuildOptions naive;
-  naive.use_bucket_pruning = false;
+  naive.pair_strategy = PairStrategy::kAllPairs;
 
   BuildStats stats_pruned;
   BuildStats stats_naive;
@@ -136,7 +136,7 @@ TEST(SimCharBuild, PrunedEqualsNaive) {
 TEST(SimCharBuild, NaiveComparesAllPairs) {
   const auto font = small_planted_font();
   BuildOptions naive;
-  naive.use_bucket_pruning = false;
+  naive.pair_strategy = PairStrategy::kAllPairs;
   BuildStats stats;
   SimCharDb::build(*font, naive, &stats);
   const auto n = stats.glyphs_rendered;
@@ -226,6 +226,36 @@ TEST(SimCharDbTest, ParseFormat) {
   EXPECT_EQ(db.pair_count(), 2u);
   EXPECT_TRUE(db.are_homoglyphs('a', 0x0430));
   EXPECT_THROW(SimCharDb::parse("U+0061 U+0430\n"), std::invalid_argument);
+}
+
+/// `text` must fail to parse with a diagnostic that starts with `prefix`.
+void expect_parse_error(std::string_view text, const std::string& prefix) {
+  try {
+    (void)SimCharDb::parse(text);
+    ADD_FAILURE() << "parsed: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()}.rfind(prefix, 0), 0u) << e.what();
+  }
+}
+
+TEST(SimCharDbTest, ParseRejectsImpossiblePairsNamingTheLine) {
+  // ∆ ≤ 1024 on a 32x32 bitmap; 2^32 + 1 must not wrap to ∆ = 1.
+  expect_parse_error("U+0061 U+0430 4294967297\n", "SimCharDb::parse: line 1: delta");
+  expect_parse_error("U+0061 U+0430 2000\n", "SimCharDb::parse: line 1: delta");
+  expect_parse_error("U+0061 U+0430 1025\n", "SimCharDb::parse: line 1: delta");
+  EXPECT_EQ(SimCharDb::parse("U+0061 U+0430 1024\n").delta_of('a', 0x0430), 1024);
+  // Code points above U+10FFFF.
+  expect_parse_error("U+110000 U+FFFFFFFF 3\n", "SimCharDb::parse: line 1: code point");
+  expect_parse_error("U+0061 U+110000 3\n", "SimCharDb::parse: line 1: code point");
+  // Reflexive pairs, bad numbers and bad hex name their line too
+  // (comments and blank lines count).
+  expect_parse_error("# pairs\nU+0061 U+0430 1\nU+0061 U+0061 0\n",
+                     "SimCharDb::parse: line 3: reflexive pair");
+  expect_parse_error("U+0061 U+0430 1\n\nU+006F U+043E x\n",
+                     "SimCharDb::parse: line 3: parse_u64: not a number: 'x'");
+  expect_parse_error("U+0061 U+0430 -1\n", "SimCharDb::parse: line 1: parse_u64");
+  expect_parse_error("U+00G1 U+0430 1\n",
+                     "SimCharDb::parse: line 1: parse_hex_codepoint");
 }
 
 TEST(SimCharDbTest, EmptyDb) {

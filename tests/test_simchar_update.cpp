@@ -116,7 +116,7 @@ TEST(Update, CheaperThanFullRebuild) {
   const auto existing = SimCharDb::build(*v.old_font);
 
   BuildOptions naive;
-  naive.use_bucket_pruning = false;
+  naive.pair_strategy = PairStrategy::kAllPairs;
   BuildStats full_stats;
   SimCharDb::build(*v.new_font, naive, &full_stats);
   BuildStats update_stats;
@@ -136,10 +136,9 @@ TEST(Update, EmptyAdditionChangesNothing) {
 TEST(Update, PrunedMatchesUnpruned) {
   const auto v = make_versioned(409);
   const auto existing = SimCharDb::build(*v.old_font);
-  BuildOptions pruned;
-  pruned.use_bucket_pruning = true;
+  const BuildOptions pruned;  // the default block index
   BuildOptions naive;
-  naive.use_bucket_pruning = false;
+  naive.pair_strategy = PairStrategy::kAllPairs;
   const auto a = update_with_new_characters(existing, *v.new_font, v.added, pruned);
   const auto b = update_with_new_characters(existing, *v.new_font, v.added, naive);
   EXPECT_TRUE(std::ranges::equal(a.pairs(), b.pairs()));
