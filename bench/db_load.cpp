@@ -92,9 +92,7 @@ void write_artifact(const std::string& path, const core::ShamFinder& finder,
   request.homoglyph = &finder.db();
   db::SkeletonFlat skeleton;
   if (!refs.empty()) {
-    const detect::SkeletonIndex index{
-        finder.db(), refs,
-        {.max_bucket_occupancy = finder.engine_options().skeleton_bucket_cap}};
+    const detect::SkeletonIndex index{finder.db(), refs};
     skeleton = index.to_flat();
     request.references = refs;
     request.reference_fingerprint = detect::label_set_fingerprint(refs);

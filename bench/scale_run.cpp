@@ -63,7 +63,7 @@ void write_artifact(const std::string& path, const simchar::SimCharDb& sim,
   db::WriteRequest request;
   request.simchar = &sim;
   request.homoglyph = &db;
-  const detect::SkeletonIndex index{db, refs, {.max_bucket_occupancy = 64}};
+  const detect::SkeletonIndex index{db, refs};
   const auto skeleton = index.to_flat();
   request.references = refs;
   request.reference_fingerprint = detect::label_set_fingerprint(refs);

@@ -14,10 +14,12 @@
 // The homoglyph database is built once per invocation from the system font
 // (or the synthetic font without FreeType) — or, with --db-file, memory-
 // mapped from a prebuilt artifact (see build-db) with zero parsing.
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -137,19 +139,18 @@ int usage() {
                "                                 detected by its own thread\n"
                "        [--chunk-bytes N]        generator chunk size\n"
                "        [--progress N]           stderr progress line every N domains\n"
-               "  --help or -h on build-db, check or scale-run prints this usage\n");
+               "  --help or -h on any command prints this usage\n");
   return 2;
 }
 
 /// build-db <out-path> [--refs a,b,c] [--no-panel]: serialize the full
 /// preprocessing output into one mmap-ready artifact. When references are
 /// given, a reference-side skeleton index is built and embedded so a
-/// loading engine's first skeleton query skips the index build. `--help`
-/// or `-h` anywhere prints usage, and an output path starting with '-' is
-/// rejected (it is almost always a mistyped flag), both before anything is
-/// written.
+/// loading engine's first skeleton query skips the index build. An output
+/// path starting with '-' is rejected (it is almost always a mistyped
+/// flag) before anything is written.
 int cmd_build_db(const std::vector<std::string>& args) {
-  if (args.empty() || wants_help(args)) return usage();
+  if (args.empty()) return usage();
   const std::string out_path = args[0];
   if (out_path.starts_with('-')) {
     std::fprintf(stderr,
@@ -181,9 +182,7 @@ int cmd_build_db(const std::vector<std::string>& args) {
 
   db::SkeletonFlat skeleton;
   if (!refs.empty()) {
-    const detect::SkeletonIndex index{
-        finder.db(), std::span<const std::string>{refs},
-        {.max_bucket_occupancy = config.engine.skeleton_bucket_cap}};
+    const detect::SkeletonIndex index{finder.db(), std::span<const std::string>{refs}};
     skeleton = index.to_flat();
     request.references = refs;
     request.reference_fingerprint =
@@ -222,7 +221,6 @@ int cmd_build_db(const std::vector<std::string>& args) {
 /// domains streamed and the current resident set every N owner names.
 /// Prints the FleetReport JSON.
 int cmd_scale_run(const std::vector<std::string>& args) {
-  if (wants_help(args)) return usage();
   measure::FleetOptions options;
   std::size_t domains = 0;
   std::uint64_t seed = 2019;
@@ -319,33 +317,49 @@ std::optional<unicode::U32String> label_of(const std::string& domain) {
   return unicode::decode_utf8(label);
 }
 
-int cmd_check(const std::vector<std::string>& raw_args) {
-  if (raw_args.empty() || wants_help(raw_args)) return usage();
-  bool stats_json = false;
-  std::vector<std::string> args;
-  for (const auto& arg : raw_args) {
-    if (arg == "--stats-json") {
-      stats_json = true;
-    } else {
-      args.push_back(arg);
-    }
-  }
+/// check <domain> [flags]: every flag but --stats-json takes a value. An
+/// unknown flag, a flag without its value, or a domain starting with '-'
+/// (a flag typed before the domain) is a usage error naming it.
+int cmd_check(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
+  if (args[0].starts_with('-')) {
+    std::fprintf(stderr,
+                 "check: domain '%s' starts with '-'; expected "
+                 "check <domain> --refs a,b,c\n",
+                 args[0].c_str());
+    return 2;
+  }
+  constexpr std::string_view kValueFlags[] = {"--db-file", "--repeat",   "--join",
+                                              "--refs",    "--strategy", "--threads"};
+  bool stats_json = false;
   std::vector<std::string> refs;
   core::ShamFinderConfig config;
   std::size_t repeat = 1;
   std::string db_file;
-  for (std::size_t i = 1; i + 1 < args.size(); ++i) {
-    if (args[i] == "--db-file") {
-      db_file = args[i + 1];
-    } else if (args[i] == "--repeat") {
-      repeat = parse_number<std::size_t>("--repeat", args[i + 1]);
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    const std::string& flag = args[i];
+    if (flag == "--stats-json") {
+      stats_json = true;
+      continue;
+    }
+    if (std::ranges::find(kValueFlags, flag) == std::end(kValueFlags)) {
+      std::fprintf(stderr, "check: unknown argument %s\n", flag.c_str());
+      return 2;
+    }
+    if (i + 1 == args.size()) {
+      std::fprintf(stderr, "check: %s needs a value\n", flag.c_str());
+      return 2;
+    }
+    const std::string& value = args[++i];
+    if (flag == "--db-file") {
+      db_file = value;
+    } else if (flag == "--repeat") {
+      repeat = parse_number<std::size_t>("--repeat", value);
       if (repeat == 0) {
         std::fprintf(stderr, "check: --repeat needs a positive integer, got 0\n");
         return 2;
       }
-    } else if (args[i] == "--join") {
-      const auto& value = args[i + 1];
+    } else if (flag == "--join") {
       if (value == "auto") {
         config.engine.join = detect::SkeletonJoin::kAuto;
       } else if (value == "idn") {
@@ -356,21 +370,18 @@ int cmd_check(const std::vector<std::string>& raw_args) {
         std::fprintf(stderr, "check: unknown join %s (auto|idn|refs)\n", value.c_str());
         return 2;
       }
-    } else if (args[i] == "--refs") {
-      for (const auto part : util::split(args[i + 1], ',')) {
-        refs.emplace_back(part);
-      }
-    } else if (args[i] == "--strategy") {
-      const auto strategy = detect::parse_strategy(args[i + 1]);
+    } else if (flag == "--refs") {
+      for (const auto part : util::split(value, ',')) refs.emplace_back(part);
+    } else if (flag == "--strategy") {
+      const auto strategy = detect::parse_strategy(value);
       if (!strategy) {
-        std::fprintf(stderr,
-                     "check: unknown strategy %s (serial|skeleton)\n",
-                     args[i + 1].c_str());
+        std::fprintf(stderr, "check: unknown strategy %s (serial|skeleton)\n",
+                     value.c_str());
         return 2;
       }
       config.engine.strategy = *strategy;
-    } else if (args[i] == "--threads") {
-      config.engine.threads = parse_number<std::size_t>("--threads", args[i + 1]);
+    } else if (flag == "--threads") {
+      config.engine.threads = parse_number<std::size_t>("--threads", value);
     }
   }
   const auto label = label_of(args[0]);
@@ -677,6 +688,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> args;
   for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
 
+  // --help or -h anywhere prints usage before any command does work.
+  if (wants_help(args)) return usage();
   // Corrupt/missing artifacts (and other environmental failures) surface
   // as exceptions with a diagnostic naming the failing check, as do bad
   // numeric arguments (parse_number) — print it, don't terminate().

@@ -112,24 +112,29 @@ Payload references_payload(std::span<const std::string> references) {
   return out;
 }
 
+/// SKEL keeps its format-v1 field order. The retired fields described the
+/// secondary-hash bucket splitting (max_bucket_occupancy, split_buckets,
+/// entry_h2, bucket_child_start, child_h2, child_offsets, child_entries);
+/// they are written empty, so readers of either age load the other's files.
 Payload skeleton_payload(const SkeletonFlat& flat) {
+  const std::vector<std::uint32_t> no_children(flat.bucket_hashes.size() + 1, 0);
   Payload out;
   out.scalar<std::uint64_t>(flat.hash_mask);
-  out.scalar<std::uint64_t>(flat.max_bucket_occupancy);
+  out.scalar<std::uint64_t>(0);  // max_bucket_occupancy
   out.scalar<std::uint64_t>(flat.non_empty_buckets);
-  out.scalar<std::uint64_t>(flat.split_buckets);
+  out.scalar<std::uint64_t>(0);  // split_buckets
   out.scalar<std::uint64_t>(flat.entry_hashes.size());
-  out.scalar<std::uint64_t>(flat.entry_h2.size());
+  out.scalar<std::uint64_t>(0);  // entry_h2 count
   out.scalar<std::uint64_t>(flat.bucket_hashes.size());
   out.array(std::span<const std::uint64_t>{flat.entry_hashes});
-  out.array(std::span<const std::uint64_t>{flat.entry_h2});
+  out.array(std::span<const std::uint64_t>{});  // entry_h2
   out.array(std::span<const std::uint64_t>{flat.bucket_hashes});
   out.array(std::span<const std::uint32_t>{flat.bucket_offsets});
   out.array(std::span<const std::uint32_t>{flat.bucket_entries});
-  out.array(std::span<const std::uint32_t>{flat.bucket_child_start});
-  out.array(std::span<const std::uint64_t>{flat.child_h2});
-  out.array(std::span<const std::uint32_t>{flat.child_offsets});
-  out.array(std::span<const std::uint32_t>{flat.child_entries});
+  out.array(std::span<const std::uint32_t>{no_children});           // bucket_child_start
+  out.array(std::span<const std::uint64_t>{});                      // child_h2
+  out.array(std::span<const std::uint32_t>{no_children}.first(1));  // child_offsets
+  out.array(std::span<const std::uint32_t>{});                      // child_entries
   return out;
 }
 
@@ -371,27 +376,31 @@ std::vector<std::string> parse_references(SpanReader r) {
 }
 
 SkeletonFlatView parse_skeleton(SpanReader r) {
+  // Reads the retired fields of skeleton_payload past, bounds-checked. An
+  // older writer's split children only repeat entries of their bucket, so
+  // ignoring them loses nothing.
   SkeletonFlatView flat;
   flat.hash_mask = r.scalar<std::uint64_t>();
-  flat.max_bucket_occupancy = r.scalar<std::uint64_t>();
+  (void)r.scalar<std::uint64_t>();  // max_bucket_occupancy
   flat.non_empty_buckets = r.scalar<std::uint64_t>();
-  flat.split_buckets = r.scalar<std::uint64_t>();
+  (void)r.scalar<std::uint64_t>();  // split_buckets
   const auto entry_count = r.scalar<std::uint64_t>();
   const auto h2_count = r.scalar<std::uint64_t>();
   const auto bucket_count = r.scalar<std::uint64_t>();
   flat.entry_hashes = r.array<std::uint64_t>(entry_count);
-  flat.entry_h2 = r.array<std::uint64_t>(h2_count);
+  (void)r.array<std::uint64_t>(h2_count);  // entry_h2
   flat.bucket_hashes = r.array<std::uint64_t>(bucket_count);
   flat.bucket_offsets = r.array<std::uint32_t>(bucket_count + 1);
   flat.bucket_entries = r.array<std::uint32_t>(flat.bucket_offsets.back());
-  flat.bucket_child_start = r.array<std::uint32_t>(bucket_count + 1);
-  flat.child_h2 = r.array<std::uint64_t>(flat.bucket_child_start.back());
-  flat.child_offsets = r.array<std::uint32_t>(flat.child_h2.size() + 1);
-  flat.child_entries = r.array<std::uint32_t>(flat.child_offsets.back());
+  const auto child_start = r.array<std::uint32_t>(bucket_count + 1);
+  const auto child_h2 = r.array<std::uint64_t>(child_start.back());
+  const auto child_offsets = r.array<std::uint32_t>(child_h2.size() + 1);
+  (void)r.array<std::uint32_t>(child_offsets.back());  // child_entries
   if (r.remaining() != 0) r.fail("trailing bytes");
   // Full structural validation (offset monotonicity, entry ranges, bucket
-  // ordering) happens in detect::SkeletonIndex::adopt_view — the arrays
-  // here are bounds-correct spans either way.
+  // ordering, one bucket per entry) happens in
+  // detect::SkeletonIndex::adopt_view — the arrays here are bounds-correct
+  // spans either way.
   return flat;
 }
 

@@ -165,44 +165,30 @@ class SpanReader {
 //
 // The serialized form of detect::SkeletonIndex (the detect layer converts
 // to/from these via SkeletonIndex::to_flat / adopt_view; the db layer only
-// moves the arrays). Buckets are sorted by primary hash; `bucket_entries`
-// holds each bucket's ascending entry union back-to-back. Split buckets
-// additionally list their secondary-hash children: children of bucket i
-// occupy [bucket_child_start[i], bucket_child_start[i+1]) in `child_h2` /
-// `child_offsets` (h2-ascending), with entries duplicated into
-// `child_entries` so both the legacy whole-bucket probe and the
-// split-aware probe read one contiguous span.
+// moves the arrays). Buckets are sorted by hash; bucket i holds the
+// ascending entries bucket_entries[bucket_offsets[i], bucket_offsets[i+1]).
+// The v1 SKEL payload also has slots for the retired secondary-hash bucket
+// splitting, which the writer leaves empty and the reader skips
+// (db/artifact.cpp skeleton_payload / parse_skeleton).
 
 struct SkeletonFlat {
   std::uint64_t hash_mask = ~0ULL;
-  std::uint64_t max_bucket_occupancy = 0;
   std::uint64_t non_empty_buckets = 0;
-  std::uint64_t split_buckets = 0;
   std::vector<std::uint64_t> entry_hashes;
-  std::vector<std::uint64_t> entry_h2;  // empty unless max_bucket_occupancy > 0
-  std::vector<std::uint64_t> bucket_hashes;       // ascending
-  std::vector<std::uint32_t> bucket_offsets;      // size B + 1
-  std::vector<std::uint32_t> bucket_entries;      // ascending within a bucket
-  std::vector<std::uint32_t> bucket_child_start;  // size B + 1
-  std::vector<std::uint64_t> child_h2;            // ascending within a bucket
-  std::vector<std::uint32_t> child_offsets;       // size C + 1
-  std::vector<std::uint32_t> child_entries;
+  std::vector<std::uint64_t> bucket_hashes;   // ascending
+  std::vector<std::uint32_t> bucket_offsets;  // size B + 1
+  std::vector<std::uint32_t> bucket_entries;  // ascending within a bucket
+
+  bool operator==(const SkeletonFlat&) const = default;
 };
 
 struct SkeletonFlatView {
   std::uint64_t hash_mask = ~0ULL;
-  std::uint64_t max_bucket_occupancy = 0;
   std::uint64_t non_empty_buckets = 0;
-  std::uint64_t split_buckets = 0;
   std::span<const std::uint64_t> entry_hashes;
-  std::span<const std::uint64_t> entry_h2;
   std::span<const std::uint64_t> bucket_hashes;
   std::span<const std::uint32_t> bucket_offsets;
   std::span<const std::uint32_t> bucket_entries;
-  std::span<const std::uint32_t> bucket_child_start;
-  std::span<const std::uint64_t> child_h2;
-  std::span<const std::uint32_t> child_offsets;
-  std::span<const std::uint32_t> child_entries;
 };
 
 }  // namespace sham::db

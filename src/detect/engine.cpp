@@ -105,7 +105,7 @@ void scan_references_skeleton(const HomographDetector& detector,
   std::vector<DiffChar> diffs;
   for (std::size_t r = begin; r < end; ++r) {
     const auto& ref = references[r];
-    const auto bucket = index.probe(index.hashes_of(ref));
+    const auto bucket = index.probe(index.hash_of(ref));
     if (bucket.empty()) continue;
     for (const auto x : bucket) {
       ++out.candidates;
@@ -133,7 +133,7 @@ void scan_idns_skeleton(const HomographDetector& detector,
                         std::size_t begin, std::size_t end, ShardResult& out) {
   std::vector<DiffChar> diffs;
   for (std::size_t x = begin; x < end; ++x) {
-    const auto bucket = index.probe(index.hashes_of(idns[x].unicode));
+    const auto bucket = index.probe(index.hash_of(idns[x].unicode));
     if (bucket.empty()) continue;
     for (const auto r : bucket) {
       ++out.candidates;
@@ -171,7 +171,7 @@ template <typename Label>
 std::shared_ptr<const SkeletonIndex> acquire_index(
     IndexSlot& slot, std::uint64_t fingerprint, std::span<const Label> labels,
     const homoglyph::HomoglyphDb& db, std::uint64_t generation,
-    const SkeletonIndexOptions& options, DetectionStats& stats) {
+    DetectionStats& stats) {
   if (!(slot.valid && slot.fingerprint == fingerprint)) {
     slot = {};
     slot.valid = true;
@@ -193,7 +193,7 @@ std::shared_ptr<const SkeletonIndex> acquire_index(
       return slot.skeleton;
     }
   }
-  slot.skeleton = std::make_shared<SkeletonIndex>(db, labels, options);
+  slot.skeleton = std::make_shared<SkeletonIndex>(db, labels);
   slot.skeleton_generation = generation;
   stats.index_cache_rebuilds = 1;
   stats.skeleton_build_seconds = stage.seconds();
@@ -489,19 +489,17 @@ DetectResponse Engine::run(std::span<const RefString> references,
   // L2: index acquisition — cached (hit / incremental patch / rebuild)
   // or a local uncached build.
   std::shared_ptr<const SkeletonIndex> skeleton;
-  const SkeletonIndexOptions index_opts{
-      .max_bucket_occupancy = options_.skeleton_bucket_cap};
   if (!use_cache) {
     util::Stopwatch build;
-    skeleton = inverted ? std::make_shared<SkeletonIndex>(*db_, references, index_opts)
-                        : std::make_shared<SkeletonIndex>(*db_, idns, index_opts);
+    skeleton = inverted ? std::make_shared<SkeletonIndex>(*db_, references)
+                        : std::make_shared<SkeletonIndex>(*db_, idns);
     out.stats.skeleton_build_seconds = build.seconds();
   } else {
     std::lock_guard lock{cache_->mutex};
     skeleton = inverted ? acquire_index(cache_->ref, ref_fp, references, *db_,
-                                        generation, index_opts, out.stats)
+                                        generation, out.stats)
                         : acquire_index(cache_->idn, idn_fp, idns, *db_, generation,
-                                        index_opts, out.stats);
+                                        out.stats);
     cache_->last_idn_seen = true;
     cache_->last_idn_fingerprint = idn_fp;
   }

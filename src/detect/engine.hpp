@@ -98,10 +98,8 @@ struct EngineOptions {
   /// kept, so rotating reference lists against one zone snapshot all hit.
   /// 0 disables the response memo (index caching is unaffected).
   std::size_t result_cache_capacity = 8;
-  /// Split skeleton-index buckets holding more than this many labels by a
-  /// secondary hash (0 = never split) — bounds verification cost when many
-  /// labels share one skeleton. Applies to engine-built skeleton indexes.
-  std::size_t skeleton_bucket_cap = 64;
+  /// Ignored; perfbench compiles against it.
+  static constexpr std::size_t skeleton_bucket_cap = 64;
 };
 
 /// One detection run: references (exactly one of the two spans may be

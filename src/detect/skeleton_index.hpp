@@ -53,20 +53,8 @@ struct SkeletonIndexOptions {
   /// keeps all 64; tests shrink it to force bucket collisions and exercise
   /// the verification path deterministically.
   unsigned hash_bits = 64;
-  /// Split any bucket holding more than this many entries into child
-  /// buckets keyed by a secondary, full-width hash (0 = never split).
-  /// Bounds per-probe verification cost when many labels share one
-  /// skeleton (or when hash_bits truncation piles distinct skeletons into
-  /// one bucket). Exact: a true match has equal canonical streams, hence
-  /// equal secondary hashes, so it always lands in the probed child.
+  /// Ignored; perfbench compiles against it.
   std::size_t max_bucket_occupancy = 0;
-};
-
-/// Primary (bucket) and secondary (child-bucket) skeleton hashes of one
-/// label. Both are functions of the canonical code-point stream only.
-struct SkeletonHashes {
-  std::uint64_t primary = 0;
-  std::uint64_t secondary = 0;
 };
 
 class SkeletonIndex {
@@ -89,16 +77,10 @@ class SkeletonIndex {
   [[nodiscard]] std::uint64_t hash_of(std::string_view reference) const;
   [[nodiscard]] std::uint64_t hash_of(const unicode::U32String& reference) const;
 
-  /// Primary + secondary skeleton hashes of a probe label, for the
-  /// split-aware probe below.
-  [[nodiscard]] SkeletonHashes hashes_of(std::string_view reference) const;
-  [[nodiscard]] SkeletonHashes hashes_of(const unicode::U32String& reference) const;
-
   /// Entry indices bucketed under `hash`, ascending; empty span on a miss.
-  /// For a split bucket this is the full union of its children (legacy
-  /// probe — never misses, just unbounded). The bucket over-approximates
-  /// (closure + collisions): exact-verify every entry. Returned by value
-  /// so the owned and memory-mapped (view) storage modes share one shape.
+  /// The bucket over-approximates (closure + collisions): exact-verify
+  /// every entry. Returned by value so the owned and memory-mapped (view)
+  /// storage modes share one shape.
   [[nodiscard]] std::span<const std::uint32_t> probe(std::uint64_t hash) const {
     if (view_) {
       const auto b = view_bucket(hash);
@@ -108,43 +90,7 @@ class SkeletonIndex {
     }
     const auto it = buckets_.find(hash);
     return it == buckets_.end() ? std::span<const std::uint32_t>{}
-                                : std::span<const std::uint32_t>{it->second.entries};
-  }
-
-  /// Split-aware probe: on a split bucket only the child keyed by the
-  /// secondary hash is returned, so occupancy stays under the cap even
-  /// when thousands of labels share one primary hash.
-  [[nodiscard]] std::span<const std::uint32_t> probe(SkeletonHashes hashes) const {
-    if (view_) {
-      const auto b = view_bucket(hashes.primary);
-      if (b == kNoBucket) return {};
-      const auto child_begin = flat_.bucket_child_start[b];
-      const auto child_end = flat_.bucket_child_start[b + 1];
-      if (child_begin == child_end) {
-        return flat_.bucket_entries.subspan(
-            flat_.bucket_offsets[b],
-            flat_.bucket_offsets[b + 1] - flat_.bucket_offsets[b]);
-      }
-      const auto first = flat_.child_h2.begin() + child_begin;
-      const auto last = flat_.child_h2.begin() + child_end;
-      const auto it = std::lower_bound(first, last, hashes.secondary);
-      if (it == last || *it != hashes.secondary) return {};
-      const auto c = static_cast<std::size_t>(it - flat_.child_h2.begin());
-      return flat_.child_entries.subspan(
-          flat_.child_offsets[c], flat_.child_offsets[c + 1] - flat_.child_offsets[c]);
-    }
-    const auto it = buckets_.find(hashes.primary);
-    if (it == buckets_.end() || it->second.entries.empty()) return {};
-    if (!it->second.split) return it->second.entries;
-    const auto child = it->second.children.find(hashes.secondary);
-    return child == it->second.children.end()
-               ? std::span<const std::uint32_t>{}
-               : std::span<const std::uint32_t>{child->second};
-  }
-
-  /// Number of primary buckets currently split into secondary children.
-  [[nodiscard]] std::size_t split_bucket_count() const noexcept {
-    return split_buckets_;
+                                : std::span<const std::uint32_t>{it->second};
   }
 
   /// Number of non-empty buckets (incremental maintenance can leave empty
@@ -163,7 +109,7 @@ class SkeletonIndex {
   // --- DB-artifact (de)serialization ------------------------------------
 
   /// Flatten into the artifact's sorted-array layout (db/format.hpp SKEL
-  /// section). Deterministic: buckets by hash, children by secondary hash.
+  /// section). Deterministic: buckets ascending by hash.
   [[nodiscard]] db::SkeletonFlat to_flat() const;
 
   /// Adopt a mapped flat index in place (zero parsing; probes binary-search
@@ -171,7 +117,8 @@ class SkeletonIndex {
   /// against — same canonical map, same generation — and must outlive the
   /// index; `backing` keeps the mapped arrays alive. The first
   /// rehash_changed() call materializes an owned copy (copy-on-write).
-  /// Throws std::runtime_error on structurally inconsistent flat data.
+  /// Throws std::runtime_error on structurally inconsistent flat data,
+  /// including any entry not filed exactly once, under its own hash.
   static SkeletonIndex adopt_view(const homoglyph::HomoglyphDb& db,
                                   const db::SkeletonFlatView& flat,
                                   std::shared_ptr<const void> backing);
@@ -193,43 +140,32 @@ class SkeletonIndex {
 
   /// Bucket-occupancy histogram: slot i counts buckets holding exactly
   /// i+1 entries; the final slot aggregates buckets of size >= max_slots.
-  /// Split buckets contribute their children (the probe-visible units),
-  /// not the parent union — that is the long tail the split removes.
   /// Empty buckets (possible after rehash_changed) are not counted.
   [[nodiscard]] std::vector<std::uint64_t> occupancy_histogram(
       std::size_t max_slots = 8) const;
 
  private:
-  /// `entries` is always the full ascending union (serves the legacy
-  /// probe); when `split`, `children` partitions it by secondary hash.
-  struct Bucket {
-    std::vector<std::uint32_t> entries;
-    bool split = false;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> children;
-  };
-
   static constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
 
   SkeletonIndex() = default;  // adopt_view scaffolding
 
   template <typename String>
   [[nodiscard]] std::uint64_t hash_impl(const String& label) const;
-  template <typename String>
-  [[nodiscard]] std::uint64_t hash2_impl(const String& label) const;
   template <typename Label>
   void build(std::span<const Label> labels);
+  /// Bucket and posting insertion from entry_hashes_, ascending entry
+  /// order (deterministic); shared by build() and materialize().
+  template <typename Label>
+  void fill_buckets(std::span<const Label> labels);
   template <typename Label>
   std::size_t rehash_impl(std::span<const Label> labels,
                           std::span<const unicode::CodePoint> changed);
-  /// Re-derive a bucket's split state from its current entries (called on
-  /// every bucket rehash_changed touched, and after build).
-  void refresh_split(Bucket& bucket);
   /// Copy-on-write: rebuild owned buckets/postings from the flat arrays
   /// (no rehash — hashes are stored) before the first mutation.
   template <typename Label>
   void materialize(std::span<const Label> labels);
   /// Binary search the flat bucket table; kNoBucket on a miss or an empty
-  /// bucket union.
+  /// bucket.
   [[nodiscard]] std::size_t view_bucket(std::uint64_t hash) const {
     const auto it =
         std::lower_bound(flat_.bucket_hashes.begin(), flat_.bucket_hashes.end(), hash);
@@ -240,14 +176,11 @@ class SkeletonIndex {
 
   const homoglyph::HomoglyphDb* db_ = nullptr;
   std::uint64_t hash_mask_ = ~0ULL;
-  std::size_t max_bucket_occupancy_ = 0;
-  std::unordered_map<std::uint64_t, Bucket> buckets_;
+  /// Hash -> entries bucketed under it, ascending.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
   std::size_t non_empty_buckets_ = 0;
-  std::size_t split_buckets_ = 0;
   /// Hash currently keying each entry's bucket slot.
   std::vector<std::uint64_t> entry_hashes_;
-  /// Secondary hash per entry; filled only when max_bucket_occupancy > 0.
-  std::vector<std::uint64_t> entry_h2_;
   /// Raw code point -> entries whose label contains it (deduplicated,
   /// ascending). Keys are raw code points, not canonical representatives,
   /// so the postings stay valid across database updates.

@@ -632,8 +632,7 @@ GenerationDiffPipeline::GenerationDiffPipeline(const font::FontSource& initial_f
       simchar_{simchar::SimCharDb::build(initial_font, config_.build)},
       db_{simchar_, unicode::ConfusablesDb::embedded(), config_.db},
       references_{std::move(references)},
-      ref_index_{db_, std::span<const std::string>{references_},
-                 {.max_bucket_occupancy = config_.engine.skeleton_bucket_cap}},
+      ref_index_{db_, std::span<const std::string>{references_}},
       engine_{std::make_unique<detect::Engine>(db_, config_.engine)} {}
 
 GenerationDiffPipeline::ApplyResult GenerationDiffPipeline::apply(
@@ -685,18 +684,8 @@ DiffEquivalence verify_against_rebuild(const GenerationDiffPipeline& p) {
                            a.canon_reps == b.canon_reps &&
                            a.canonical_classes == b.canonical_classes;
 
-  const detect::SkeletonIndex rebuilt_index{
-      rebuilt_db, p.references(),
-      {.max_bucket_occupancy = cfg.engine.skeleton_bucket_cap}};
-  const auto fa = p.reference_index().to_flat();
-  const auto fb = rebuilt_index.to_flat();
-  eq.skeleton_identical =
-      fa.hash_mask == fb.hash_mask && fa.entry_hashes == fb.entry_hashes &&
-      fa.entry_h2 == fb.entry_h2 && fa.bucket_hashes == fb.bucket_hashes &&
-      fa.bucket_offsets == fb.bucket_offsets &&
-      fa.bucket_entries == fb.bucket_entries &&
-      fa.bucket_child_start == fb.bucket_child_start && fa.child_h2 == fb.child_h2 &&
-      fa.child_offsets == fb.child_offsets && fa.child_entries == fb.child_entries;
+  const detect::SkeletonIndex rebuilt_index{rebuilt_db, p.references()};
+  eq.skeleton_identical = p.reference_index().to_flat() == rebuilt_index.to_flat();
 
   const detect::Engine rebuilt_engine{rebuilt_db, cfg.engine};
   eq.verdicts_identical = true;

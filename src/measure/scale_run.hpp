@@ -194,7 +194,6 @@ struct DiffBatch {
 struct DiffPipelineConfig {
   simchar::BuildOptions build;
   homoglyph::DbConfig db;
-  /// Also sizes the reference index: engine.skeleton_bucket_cap.
   detect::EngineOptions engine;
   std::string tld = "com";
 };

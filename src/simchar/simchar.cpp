@@ -29,22 +29,23 @@ std::vector<MinerGlyph> render_repertoire(const font::FontSource& font,
   }
   stats.repertoire_size = repertoire.size();
 
-  std::vector<MinerGlyph> rendered(repertoire.size());
+  std::vector<MinerGlyph> glyphs(repertoire.size());
   std::vector<char> covered(repertoire.size(), 0);
   pool.parallel_for(0, repertoire.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const auto g = font.glyph(repertoire[i]);
       if (!g) continue;
-      rendered[i] = MinerGlyph{repertoire[i], *g, g->popcount()};
+      glyphs[i] = MinerGlyph{repertoire[i], *g, g->popcount()};
       covered[i] = 1;
     }
   });
-  std::vector<MinerGlyph> glyphs;
-  glyphs.reserve(rendered.size());
-  for (std::size_t i = 0; i < rendered.size(); ++i) {
-    if (covered[i]) glyphs.push_back(rendered[i]);
+  // Compact the covered glyphs to the front, in repertoire order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < glyphs.size(); ++i) {
+    if (covered[i]) glyphs[kept++] = glyphs[i];
   }
-  stats.glyphs_rendered = glyphs.size();
+  glyphs.resize(kept);
+  stats.glyphs_rendered = kept;
   return glyphs;
 }
 

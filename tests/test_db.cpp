@@ -10,8 +10,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/artifact.hpp"
@@ -95,7 +97,7 @@ std::string write_small_artifact(const std::string& name,
   request.homoglyph = &db;
   db::SkeletonFlat skeleton;
   if (!refs.empty()) {
-    const detect::SkeletonIndex index{db, refs, {.max_bucket_occupancy = 4}};
+    const detect::SkeletonIndex index{db, refs};
     skeleton = index.to_flat();
     request.references = refs;
     request.reference_fingerprint = detect::label_set_fingerprint(refs);
@@ -214,28 +216,22 @@ TEST(DbArtifact, AdoptedSkeletonProbesIdenticallyToFreshBuild) {
       write_small_artifact("skel_rt", small_simchar(), db, w.refs);
   const auto artifact = db::DbArtifact::load(path);
 
-  const detect::SkeletonIndex fresh{
-      db, std::span<const std::string>{w.refs}, {.max_bucket_occupancy = 4}};
+  const detect::SkeletonIndex fresh{db, std::span<const std::string>{w.refs}};
   const auto adopted =
       detect::SkeletonIndex::adopt_view(db, artifact.skeleton(), artifact.backing());
   EXPECT_TRUE(adopted.is_view());
   EXPECT_EQ(adopted.entry_count(), fresh.entry_count());
   EXPECT_EQ(adopted.bucket_count(), fresh.bucket_count());
-  EXPECT_EQ(adopted.split_bucket_count(), fresh.split_bucket_count());
   EXPECT_EQ(adopted.occupancy_histogram(), fresh.occupancy_histogram());
-  // Probe with every reference and every IDN: identical candidate sets,
-  // through both the whole-bucket and the split-aware probe.
+  // Probe with every reference and every IDN: identical candidate sets.
   for (const auto& ref : w.refs) {
     const auto a = adopted.probe(adopted.hash_of(ref));
     const auto b = fresh.probe(fresh.hash_of(ref));
     EXPECT_TRUE(std::ranges::equal(a, b)) << ref;
-    const auto a2 = adopted.probe(adopted.hashes_of(ref));
-    const auto b2 = fresh.probe(fresh.hashes_of(ref));
-    EXPECT_TRUE(std::ranges::equal(a2, b2)) << ref;
   }
   for (const auto& idn : w.idns) {
-    const auto a = adopted.probe(adopted.hashes_of(idn.unicode));
-    const auto b = fresh.probe(fresh.hashes_of(idn.unicode));
+    const auto a = adopted.probe(adopted.hash_of(idn.unicode));
+    const auto b = fresh.probe(fresh.hash_of(idn.unicode));
     EXPECT_TRUE(std::ranges::equal(a, b));
   }
   std::remove(path.c_str());
@@ -389,8 +385,7 @@ TEST(DbArtifact, ViewSkeletonIndexMaterializesOnRehash) {
 
   auto adopted =
       detect::SkeletonIndex::adopt_view(db, artifact.skeleton(), artifact.backing());
-  detect::SkeletonIndex fresh{
-      db, std::span<const std::string>{w.refs}, {.max_bucket_occupancy = 4}};
+  detect::SkeletonIndex fresh{db, std::span<const std::string>{w.refs}};
   ASSERT_TRUE(adopted.is_view());
 
   const simchar::HomoglyphPair extra[] = {{'z', 0x0436, 2}};
@@ -401,8 +396,8 @@ TEST(DbArtifact, ViewSkeletonIndexMaterializesOnRehash) {
   EXPECT_FALSE(adopted.is_view());
   EXPECT_EQ(adopted_touched, fresh_touched);
   for (const auto& ref : w.refs) {
-    EXPECT_TRUE(std::ranges::equal(adopted.probe(adopted.hashes_of(ref)),
-                                   fresh.probe(fresh.hashes_of(ref))))
+    EXPECT_TRUE(std::ranges::equal(adopted.probe(adopted.hash_of(ref)),
+                                   fresh.probe(fresh.hash_of(ref))))
         << ref;
   }
   std::remove(path.c_str());
@@ -674,8 +669,7 @@ TEST(DbArtifactErrors, RejectsSkeletonLargerThanItsReferenceList) {
   const auto db = small_db();
   const auto w = small_workload(31);
   const auto path = temp_path("hostile_skel");
-  const detect::SkeletonIndex index{db, std::span<const std::string>{w.refs},
-                                    {.max_bucket_occupancy = 4}};
+  const detect::SkeletonIndex index{db, std::span<const std::string>{w.refs}};
   const auto skeleton = index.to_flat();
   const std::vector<std::string> short_refs{w.refs.begin(), w.refs.begin() + 3};
   db::WriteRequest request;
@@ -690,13 +684,120 @@ TEST(DbArtifactErrors, RejectsSkeletonLargerThanItsReferenceList) {
   std::remove(path.c_str());
 }
 
+/// Write `refs` with a hand-edited SKEL section. The writer computes every
+/// checksum and the entry count still matches the REFS list, so the raw
+/// load succeeds and adopt_view's structural checks are the rejection point.
+void expect_skeleton_rejected(const std::string& name,
+                              std::span<const std::string> refs,
+                              const db::SkeletonFlat& skeleton) {
+  const auto sim = small_simchar();
+  const auto db = small_db();
+  const auto path = temp_path(name);
+  db::WriteRequest request;
+  request.simchar = &sim;
+  request.homoglyph = &db;
+  request.references = refs;
+  request.reference_fingerprint = detect::label_set_fingerprint(refs);
+  request.skeleton = &skeleton;
+  db::write_db_file(path, request);
+  EXPECT_NO_THROW((void)db::DbArtifact::load(path));
+  try {
+    (void)detect::Engine::from_db_file(path);
+    ADD_FAILURE() << name << ": hostile SKEL section accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("SkeletonIndex: flat view"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+/// References with one repeat: "google" (entries 0 and 2) shares a bucket.
+const std::vector<std::string> kRepeatRefs{"google", "mail", "google", "ok"};
+
+/// The flat index over kRepeatRefs and the position of google's bucket.
+std::pair<db::SkeletonFlat, std::size_t> repeat_refs_flat() {
+  const auto db = small_db();
+  auto flat = detect::SkeletonIndex{db, std::span<const std::string>{kRepeatRefs}}.to_flat();
+  const auto b = static_cast<std::size_t>(
+      std::lower_bound(flat.bucket_hashes.begin(), flat.bucket_hashes.end(),
+                       flat.entry_hashes[0]) -
+      flat.bucket_hashes.begin());
+  return {std::move(flat), b};
+}
+
+// An entry listed twice would make detect() report its match twice; an
+// entry listed nowhere would be missed until the first update rebuilds
+// the buckets from entry_hashes.
+TEST(DbArtifactErrors, RejectsSkeletonEntryInNoBucketOrInTwo) {
+  {
+    auto [flat, b] = repeat_refs_flat();
+    flat.bucket_entries.insert(flat.bucket_entries.begin() + flat.bucket_offsets[b], 0);
+    for (auto i = b + 1; i < flat.bucket_offsets.size(); ++i) ++flat.bucket_offsets[i];
+    expect_skeleton_rejected("skel_twice", kRepeatRefs, flat);
+  }
+  {
+    auto [flat, b] = repeat_refs_flat();
+    ASSERT_EQ(flat.bucket_offsets[b + 1] - flat.bucket_offsets[b], 2u);
+    flat.bucket_entries.erase(flat.bucket_entries.begin() + flat.bucket_offsets[b] + 1);
+    for (auto i = b + 1; i < flat.bucket_offsets.size(); ++i) --flat.bucket_offsets[i];
+    expect_skeleton_rejected("skel_missing", kRepeatRefs, flat);
+  }
+}
+
+// materialize() files each entry under its own entry hash, so an entry
+// filed elsewhere would answer probes differently after the first update.
+TEST(DbArtifactErrors, RejectsSkeletonEntryUnderAnotherHash) {
+  auto [flat, b] = repeat_refs_flat();
+  flat.entry_hashes[1] = flat.bucket_hashes[b];  // "mail" still sits in its own bucket
+  expect_skeleton_rejected("skel_other_hash", kRepeatRefs, flat);
+}
+
+TEST(DbArtifactErrors, RejectsSkeletonWrongNonEmptyBucketCount) {
+  auto flat = repeat_refs_flat().first;
+  ++flat.non_empty_buckets;
+  expect_skeleton_rejected("skel_bucket_count", kRepeatRefs, flat);
+}
+
+// tests/data/skel_split_v1.artifact was written by the last writer that
+// split oversized buckets: 3 SimChar pairs, UC off, 9 references with
+// repeats and an occupancy cap of 1, so its SKEL section carries 3
+// split buckets, 7 child entries and 9 secondary hashes. The reader skips
+// those retired fields; the bucket arrays alone must answer.
+TEST(DbArtifactCompat, SplitBucketV1ArtifactStillLoads) {
+  const auto artifact = std::make_shared<const db::DbArtifact>(db::DbArtifact::load(
+      std::string{SHAM_TEST_DATA_DIR} + "/skel_split_v1.artifact"));
+  ASSERT_TRUE(artifact->has_skeleton());
+  const auto& refs = artifact->references();
+  ASSERT_EQ(refs.size(), 9u);
+
+  const auto db = artifact->homoglyph();
+  const detect::SkeletonIndex fresh{db, std::span<const std::string>{refs}};
+  EXPECT_EQ(detect::SkeletonIndex::adopt_view(db, artifact->skeleton(), artifact->backing())
+                .to_flat(),
+            fresh.to_flat());
+
+  const std::vector<detect::IdnEntry> idns{
+      {"", {'g', 0x043E, 'o', 'g', 'l', 'e'}},
+      {"", {'m', 0x0430, 'i', 'l'}},
+      {"", {0x043E, 'k'}},
+      {"", {'c', 0x0430, 't'}},
+      {"", {'d', 0x043E, 'g'}},
+  };
+  const auto engine = detect::Engine::from_db_artifact(artifact, {.threads = 1});
+  const auto seeded = engine.detect({.references = refs, .idns = idns});
+  EXPECT_EQ(seeded.stats.index_cache_hits, 1u);
+  const auto serial = engine.detect(
+      {.references = refs, .idns = idns, .strategy = detect::Strategy::kSerial});
+  EXPECT_EQ(seeded.matches, serial.matches);
+  EXPECT_FALSE(serial.matches.empty());
+}
+
 TEST(DbArtifactErrors, EngineRejectsMismatchedReferenceFingerprint) {
   const auto sim = small_simchar();
   const auto db = small_db();
   const auto w = small_workload(32);
   const auto path = temp_path("bad_fingerprint");
-  const detect::SkeletonIndex index{db, std::span<const std::string>{w.refs},
-                                    {.max_bucket_occupancy = 4}};
+  const detect::SkeletonIndex index{db, std::span<const std::string>{w.refs}};
   const auto skeleton = index.to_flat();
   db::WriteRequest request;
   request.simchar = &sim;

