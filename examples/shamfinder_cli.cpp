@@ -89,6 +89,22 @@ T parse_number(std::string_view flag, const std::string& value) {
   return out;
 }
 
+/// Reject positional arguments a command does not take: any beyond its
+/// first `max`, and a first argument starting with '-' (a mistyped flag)
+/// unless `dash_ok`. Throws std::invalid_argument naming the argument,
+/// which main() reports as a usage error (exit 2) before any work.
+void check_positionals(const std::vector<std::string>& args, std::size_t max,
+                       std::string_view synopsis, bool dash_ok = false) {
+  if (!dash_ok && args[0].starts_with('-')) {
+    throw std::invalid_argument{"'" + args[0] + "' starts with '-'; expected " +
+                                std::string{synopsis}};
+  }
+  if (args.size() > max) {
+    throw std::invalid_argument{"unexpected argument '" + args[max] + "'; expected " +
+                                std::string{synopsis}};
+  }
+}
+
 /// True when `--help` or `-h` appears anywhere in `args`.
 bool wants_help(const std::vector<std::string>& args) {
   for (const auto& arg : args) {
@@ -449,6 +465,7 @@ int cmd_check(const std::vector<std::string>& args) {
 
 int cmd_candidates(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
+  check_positionals(args, 2, "candidates <brand> [max]");
   const std::size_t max = args.size() > 1 ? parse_number<std::size_t>("max", args[1]) : 40;
   const auto finder = make_finder();
   detect::CandidateOptions options;
@@ -463,6 +480,7 @@ int cmd_candidates(const std::vector<std::string>& args) {
 
 int cmd_revert(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
+  check_positionals(args, 1, "revert <domain>");
   const auto label = label_of(args[0]);
   if (!label) {
     std::fprintf(stderr, "revert: cannot decode %s\n", args[0].c_str());
@@ -480,15 +498,23 @@ int cmd_revert(const std::vector<std::string>& args) {
 
 int cmd_inspect(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
+  constexpr std::string_view kSynopsis = "inspect <char|U+XXXX>";
+  check_positionals(args, 1, kSynopsis, /*dash_ok=*/true);
+  const auto not_a_character = [&] {
+    return std::invalid_argument{"'" + args[0] + "' is neither U+XXXX nor one character; " +
+                                 "expected " + std::string{kSynopsis}};
+  };
   unicode::CodePoint cp = 0;
   if (util::starts_with(args[0], "U+") || util::starts_with(args[0], "u+")) {
-    cp = util::parse_hex_codepoint(args[0]);
+    try {
+      cp = util::parse_hex_codepoint(args[0]);
+    } catch (const std::invalid_argument&) {
+      throw not_a_character();
+    }
+    if (cp > unicode::kMaxCodePoint) throw not_a_character();
   } else {
     const auto decoded = unicode::decode_utf8(args[0]);
-    if (!decoded || decoded->empty()) {
-      std::fprintf(stderr, "inspect: cannot decode argument\n");
-      return 2;
-    }
+    if (!decoded || decoded->size() != 1) throw not_a_character();
     cp = decoded->front();
   }
   std::printf("%s '%s'\n", util::format_codepoint(cp).c_str(),
@@ -509,6 +535,7 @@ int cmd_inspect(const std::vector<std::string>& args) {
 
 int cmd_policy(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
+  check_positionals(args, 1, "policy <domain>");
   const auto label = label_of(args[0]);
   if (!label) {
     std::fprintf(stderr, "policy: cannot decode %s\n", args[0].c_str());

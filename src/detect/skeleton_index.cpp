@@ -62,13 +62,16 @@ std::uint64_t SkeletonIndex::hash_impl(const String& label) const {
     buf[fill++] = db_->canonical(to_cp(c));
   }
   h = kernels::fnv1a_span(h, buf.data(), fill);
-  return h & hash_mask_;
+  return h & arrays_.hash_mask;
 }
 
 template <typename Label>
 void SkeletonIndex::build(std::span<const Label> labels) {
   const std::size_t n = labels.size();
-  entry_hashes_.resize(n);
+  auto flat = std::make_shared<db::SkeletonFlat>();
+  flat->hash_mask = arrays_.hash_mask;
+  auto& hashes = flat->entry_hashes;
+  hashes.resize(n);
 
   // Hash four labels per kernel call — four independent FNV chains, which
   // the dispatch table runs in SIMD lanes where available. Remainder
@@ -88,94 +91,103 @@ void SkeletonIndex::build(std::span<const Label> labels) {
       seeds[c] = kFnvOffset;
     }
     kernels::fnv1a_batch4(ptrs, lens, seeds, out);
-    for (int c = 0; c < 4; ++c) entry_hashes_[x + c] = out[c] & hash_mask_;
+    for (int c = 0; c < 4; ++c) hashes[x + c] = out[c] & flat->hash_mask;
   }
-  for (; x < n; ++x) entry_hashes_[x] = hash_impl(label_of(labels[x]));
-  fill_buckets(labels);
+  for (; x < n; ++x) hashes[x] = hash_impl(label_of(labels[x]));
+  attach_buckets(std::move(flat));
 }
 
-template <typename Label>
-void SkeletonIndex::fill_buckets(std::span<const Label> labels) {
-  const std::size_t n = entry_hashes_.size();
-  buckets_.clear();
-  entries_by_cp_.clear();
-  non_empty_buckets_ = 0;
-  buckets_.reserve(n);
-  std::vector<unicode::CodePoint> uniq;
-  for (std::size_t y = 0; y < n; ++y) {
-    auto& bucket = buckets_[entry_hashes_[y]];
-    if (bucket.empty()) ++non_empty_buckets_;
-    bucket.push_back(static_cast<std::uint32_t>(y));  // ascending
-
-    uniq.clear();
-    for (const auto c : label_of(labels[y])) uniq.push_back(to_cp(c));
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    for (const auto cp : uniq) {
-      entries_by_cp_[cp].push_back(static_cast<std::uint32_t>(y));
+void SkeletonIndex::attach_buckets(std::shared_ptr<db::SkeletonFlat> flat) {
+  // Entries sorted by (hash, entry): buckets ascending by hash, entries
+  // ascending within a bucket, no empty buckets.
+  const std::size_t n = flat->entry_hashes.size();
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> filed(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    filed[x] = {flat->entry_hashes[x], static_cast<std::uint32_t>(x)};
+  }
+  std::sort(filed.begin(), filed.end());
+  flat->bucket_hashes.clear();
+  flat->bucket_offsets.clear();
+  flat->bucket_entries.clear();
+  flat->bucket_entries.reserve(n);
+  for (const auto& [h, x] : filed) {
+    if (flat->bucket_hashes.empty() || flat->bucket_hashes.back() != h) {
+      flat->bucket_hashes.push_back(h);
+      flat->bucket_offsets.push_back(static_cast<std::uint32_t>(flat->bucket_entries.size()));
     }
+    flat->bucket_entries.push_back(x);
   }
-}
+  flat->bucket_offsets.push_back(static_cast<std::uint32_t>(flat->bucket_entries.size()));
+  flat->non_empty_buckets = flat->bucket_hashes.size();
 
-template <typename Label>
-void SkeletonIndex::materialize(std::span<const Label> labels) {
-  if (!view_) return;
-  // Rebuild the owned representation from the stored hashes, without any
-  // rehashing. `labels` must be the list the flat index was built over
-  // (the rehash_changed contract already requires this).
-  entry_hashes_.assign(flat_.entry_hashes.begin(), flat_.entry_hashes.end());
-  view_ = false;
-  flat_ = {};
-  backing_.reset();
-  fill_buckets(labels);
+  arrays_ = {.hash_mask = flat->hash_mask,
+             .non_empty_buckets = flat->non_empty_buckets,
+             .entry_hashes = flat->entry_hashes,
+             .bucket_hashes = flat->bucket_hashes,
+             .bucket_offsets = flat->bucket_offsets,
+             .bucket_entries = flat->bucket_entries};
+  keepalive_ = std::move(flat);
+  adopted_ = false;
 }
 
 template <typename Label>
 std::size_t SkeletonIndex::rehash_impl(std::span<const Label> labels,
                                        std::span<const unicode::CodePoint> changed) {
-  if (view_) materialize(labels);  // copy-on-write before the first mutation
-  std::vector<std::uint32_t> affected;
+  if (changed.empty()) return 0;
+  // One bit per code point; anything above U+10FFFF, which no valid label
+  // holds, falls back to a search.
+  std::vector<bool> moved(unicode::kMaxCodePoint + 1);
   for (const auto cp : changed) {
-    const auto it = entries_by_cp_.find(cp);
-    if (it == entries_by_cp_.end()) continue;
-    affected.insert(affected.end(), it->second.begin(), it->second.end());
+    if (cp <= unicode::kMaxCodePoint) moved[cp] = true;
   }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
-
-  for (const auto x : affected) {
-    const auto old_hash = entry_hashes_[x];
-    const auto new_hash = hash_impl(label_of(labels[x]));
-    if (new_hash == old_hash) continue;
-    auto& old_bucket = buckets_[old_hash];
-    old_bucket.erase(std::find(old_bucket.begin(), old_bucket.end(), x));
-    if (old_bucket.empty()) --non_empty_buckets_;  // stays in the table, empty
-    auto& new_bucket = buckets_[new_hash];
-    if (new_bucket.empty()) ++non_empty_buckets_;
-    new_bucket.insert(std::upper_bound(new_bucket.begin(), new_bucket.end(), x), x);
-    entry_hashes_[x] = new_hash;
+  const auto is_affected = [&](auto c) {
+    const auto cp = to_cp(c);
+    return cp <= unicode::kMaxCodePoint ? moved[cp]
+                                        : std::find(changed.begin(), changed.end(), cp) !=
+                                              changed.end();
+  };
+  // Scan the labels for a changed code point; copy the hashes only once
+  // one of them moves.
+  std::size_t affected = 0;
+  std::shared_ptr<db::SkeletonFlat> next;
+  for (std::size_t x = 0; x < labels.size(); ++x) {
+    const auto& label = label_of(labels[x]);
+    if (std::none_of(label.begin(), label.end(), is_affected)) continue;
+    ++affected;
+    const auto new_hash = hash_impl(label);
+    if (new_hash == arrays_.entry_hashes[x]) continue;
+    if (next == nullptr) {
+      next = std::make_shared<db::SkeletonFlat>();
+      next->hash_mask = arrays_.hash_mask;
+      next->entry_hashes.assign(arrays_.entry_hashes.begin(), arrays_.entry_hashes.end());
+    }
+    next->entry_hashes[x] = new_hash;
   }
-  return affected.size();
+  if (next != nullptr) attach_buckets(std::move(next));
+  return affected;
 }
 
 SkeletonIndex::SkeletonIndex(const homoglyph::HomoglyphDb& db,
                              std::span<const IdnEntry> idns,
                              SkeletonIndexOptions options)
-    : db_{&db}, hash_mask_{hash_mask_of(options)} {
+    : db_{&db} {
+  arrays_.hash_mask = hash_mask_of(options);
   build(idns);
 }
 
 SkeletonIndex::SkeletonIndex(const homoglyph::HomoglyphDb& db,
                              std::span<const std::string> labels,
                              SkeletonIndexOptions options)
-    : db_{&db}, hash_mask_{hash_mask_of(options)} {
+    : db_{&db} {
+  arrays_.hash_mask = hash_mask_of(options);
   build(labels);
 }
 
 SkeletonIndex::SkeletonIndex(const homoglyph::HomoglyphDb& db,
                              std::span<const unicode::U32String> labels,
                              SkeletonIndexOptions options)
-    : db_{&db}, hash_mask_{hash_mask_of(options)} {
+    : db_{&db} {
+  arrays_.hash_mask = hash_mask_of(options);
   build(labels);
 }
 
@@ -204,36 +216,12 @@ std::size_t SkeletonIndex::rehash_changed(std::span<const unicode::U32String> la
 
 db::SkeletonFlat SkeletonIndex::to_flat() const {
   db::SkeletonFlat flat;
-  if (view_) {
-    // Already flat: copy the mapped arrays verbatim.
-    flat.hash_mask = flat_.hash_mask;
-    flat.non_empty_buckets = flat_.non_empty_buckets;
-    flat.entry_hashes.assign(flat_.entry_hashes.begin(), flat_.entry_hashes.end());
-    flat.bucket_hashes.assign(flat_.bucket_hashes.begin(), flat_.bucket_hashes.end());
-    flat.bucket_offsets.assign(flat_.bucket_offsets.begin(), flat_.bucket_offsets.end());
-    flat.bucket_entries.assign(flat_.bucket_entries.begin(), flat_.bucket_entries.end());
-    return flat;
-  }
-
-  flat.hash_mask = hash_mask_;
-  flat.non_empty_buckets = static_cast<std::uint64_t>(non_empty_buckets_);
-  flat.entry_hashes = entry_hashes_;
-
-  // Deterministic layout: buckets ascending by hash (empty buckets left by
-  // rehash_changed are dropped — view_bucket treats absence as a miss).
-  flat.bucket_hashes.reserve(buckets_.size());
-  for (const auto& [h, bucket] : buckets_) {
-    if (!bucket.empty()) flat.bucket_hashes.push_back(h);
-  }
-  std::sort(flat.bucket_hashes.begin(), flat.bucket_hashes.end());
-  flat.bucket_offsets.reserve(flat.bucket_hashes.size() + 1);
-  flat.bucket_offsets.push_back(0);
-  flat.bucket_entries.reserve(entry_hashes_.size());
-  for (const auto h : flat.bucket_hashes) {
-    const auto& bucket = buckets_.at(h);
-    flat.bucket_entries.insert(flat.bucket_entries.end(), bucket.begin(), bucket.end());
-    flat.bucket_offsets.push_back(static_cast<std::uint32_t>(flat.bucket_entries.size()));
-  }
+  flat.hash_mask = arrays_.hash_mask;
+  flat.non_empty_buckets = arrays_.non_empty_buckets;
+  flat.entry_hashes.assign(arrays_.entry_hashes.begin(), arrays_.entry_hashes.end());
+  flat.bucket_hashes.assign(arrays_.bucket_hashes.begin(), arrays_.bucket_hashes.end());
+  flat.bucket_offsets.assign(arrays_.bucket_offsets.begin(), arrays_.bucket_offsets.end());
+  flat.bucket_entries.assign(arrays_.bucket_entries.begin(), arrays_.bucket_entries.end());
   return flat;
 }
 
@@ -259,7 +247,7 @@ SkeletonIndex SkeletonIndex::adopt_view(const homoglyph::HomoglyphDb& db,
     bad("bucket offsets inconsistent");
   }
   // Every entry sits in exactly one bucket, the one keyed by its own hash:
-  // materialize() rebuilds the buckets from entry_hashes alone, so any
+  // rehash_changed() rebuilds the buckets from entry_hashes alone, so any
   // other filing would answer probes differently after the first update,
   // and an entry listed twice would be reported twice.
   std::vector<bool> filed(n, false);
@@ -286,11 +274,9 @@ SkeletonIndex SkeletonIndex::adopt_view(const homoglyph::HomoglyphDb& db,
 
   SkeletonIndex index;
   index.db_ = &db;
-  index.hash_mask_ = flat.hash_mask;
-  index.non_empty_buckets_ = non_empty;
-  index.view_ = true;
-  index.flat_ = flat;
-  index.backing_ = std::move(backing);
+  index.arrays_ = flat;
+  index.keepalive_ = std::move(backing);
+  index.adopted_ = true;
   return index;
 }
 
@@ -298,17 +284,11 @@ std::vector<std::uint64_t> SkeletonIndex::occupancy_histogram(
     std::size_t max_slots) const {
   std::vector<std::uint64_t> histogram(max_slots, 0);
   if (max_slots == 0) return histogram;
-  const auto count = [&](std::size_t size) {
-    // Vacated buckets (rehash_changed moved every entry out) stay in the
-    // table; size - 1 would underflow for them.
+  const auto& offsets = arrays_.bucket_offsets;
+  for (std::size_t b = 0; b < arrays_.bucket_hashes.size(); ++b) {
+    // An adopted index may list empty buckets; size - 1 would underflow.
+    const std::size_t size = offsets[b + 1] - offsets[b];
     if (size != 0) ++histogram[std::min(size - 1, max_slots - 1)];
-  };
-  if (view_) {
-    for (std::size_t b = 0; b < flat_.bucket_hashes.size(); ++b) {
-      count(flat_.bucket_offsets[b + 1] - flat_.bucket_offsets[b]);
-    }
-  } else {
-    for (const auto& [h, bucket] : buckets_) count(bucket.size());
   }
   return histogram;
 }

@@ -22,14 +22,19 @@
 // is therefore a *candidate* that must be re-verified with the exact
 // per-character check before it becomes a match.
 //
-// Incremental maintenance: the index records each entry's hash and an
-// inverted posting list from raw code point to the entries whose label
-// contains it. When the database reports which code points changed their
-// canonical representative (HomoglyphDb::canonical_changes_since), only
-// the entries whose labels contain an affected code point are rehashed —
-// an entry's hash depends on canonical(c) for exactly its raw code
-// points, so rehashing that set reproduces a full rebuild. Removal can
-// leave empty buckets behind (probe treats them as misses).
+// Storage: the index is the artifact's sorted arrays (db::SkeletonFlat) —
+// each entry's hash, plus buckets sorted by hash holding ascending entry
+// indices. Probes binary-search spans over them, whether the arrays were
+// built in memory or adopted from a mapped artifact. Copies share the
+// arrays (a copy is O(1)); a mutation builds new arrays.
+//
+// Incremental maintenance: when the database reports which code points
+// changed their canonical representative
+// (HomoglyphDb::canonical_changes_since), only the entries whose labels
+// contain an affected code point are rehashed — an entry's hash depends
+// on canonical(c) for exactly its raw code points, so rehashing that set
+// reproduces a full rebuild. A built index holds no empty buckets; an
+// adopted one may (probe treats them as misses).
 #pragma once
 
 #include <algorithm>
@@ -38,7 +43,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "db/format.hpp"
@@ -79,58 +83,56 @@ class SkeletonIndex {
 
   /// Entry indices bucketed under `hash`, ascending; empty span on a miss.
   /// The bucket over-approximates (closure + collisions): exact-verify
-  /// every entry. Returned by value so the owned and memory-mapped (view)
-  /// storage modes share one shape.
+  /// every entry.
   [[nodiscard]] std::span<const std::uint32_t> probe(std::uint64_t hash) const {
-    if (view_) {
-      const auto b = view_bucket(hash);
-      if (b == kNoBucket) return {};
-      return flat_.bucket_entries.subspan(
-          flat_.bucket_offsets[b], flat_.bucket_offsets[b + 1] - flat_.bucket_offsets[b]);
-    }
-    const auto it = buckets_.find(hash);
-    return it == buckets_.end() ? std::span<const std::uint32_t>{}
-                                : std::span<const std::uint32_t>{it->second};
+    const auto& hashes = arrays_.bucket_hashes;
+    const auto it = std::lower_bound(hashes.begin(), hashes.end(), hash);
+    if (it == hashes.end() || *it != hash) return {};
+    const auto b = static_cast<std::size_t>(it - hashes.begin());
+    return arrays_.bucket_entries.subspan(
+        arrays_.bucket_offsets[b], arrays_.bucket_offsets[b + 1] - arrays_.bucket_offsets[b]);
   }
 
-  /// Number of non-empty buckets (incremental maintenance can leave empty
-  /// buckets in the table; they don't count).
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return non_empty_buckets_; }
+  /// Number of non-empty buckets (an adopted index may list empty buckets;
+  /// they don't count).
+  [[nodiscard]] std::size_t bucket_count() const noexcept {
+    return static_cast<std::size_t>(arrays_.non_empty_buckets);
+  }
 
   [[nodiscard]] std::size_t entry_count() const noexcept {
-    return view_ ? flat_.entry_hashes.size() : entry_hashes_.size();
+    return arrays_.entry_hashes.size();
   }
 
   /// Current skeleton hash of entry `i` (what its bucket is keyed by).
   [[nodiscard]] std::uint64_t entry_hash(std::size_t i) const {
-    return view_ ? flat_.entry_hashes[i] : entry_hashes_[i];
+    return arrays_.entry_hashes[i];
   }
 
   // --- DB-artifact (de)serialization ------------------------------------
 
-  /// Flatten into the artifact's sorted-array layout (db/format.hpp SKEL
+  /// Copy the arrays out in the artifact's layout (db/format.hpp SKEL
   /// section). Deterministic: buckets ascending by hash.
   [[nodiscard]] db::SkeletonFlat to_flat() const;
 
   /// Adopt a mapped flat index in place (zero parsing; probes binary-search
   /// the bucket table). `db` must be the database the index was built
   /// against — same canonical map, same generation — and must outlive the
-  /// index; `backing` keeps the mapped arrays alive. The first
-  /// rehash_changed() call materializes an owned copy (copy-on-write).
+  /// index; `backing` keeps the mapped arrays alive. A rehash_changed()
+  /// that moves an entry builds new arrays in memory.
   /// Throws std::runtime_error on structurally inconsistent flat data,
   /// including any entry not filed exactly once, under its own hash.
   static SkeletonIndex adopt_view(const homoglyph::HomoglyphDb& db,
                                   const db::SkeletonFlatView& flat,
                                   std::shared_ptr<const void> backing);
 
-  /// True when the index reads adopted (e.g. memory-mapped) storage.
-  [[nodiscard]] bool is_view() const noexcept { return view_; }
+  /// True while the index reads adopted (e.g. memory-mapped) storage.
+  [[nodiscard]] bool is_view() const noexcept { return adopted_; }
 
   /// Recompute the hashes of exactly the entries whose label contains a
   /// code point in `changed` (sorted or not; the set the database reports
-  /// after an update), moving them between buckets. `labels` must be the
-  /// same list the index was built over. Returns the number of entries
-  /// examined. Vacated buckets stay in the table, empty.
+  /// after an update), re-bucketing when a hash moved. `labels` must be
+  /// the same list the index was built over. Returns the number of
+  /// entries examined.
   std::size_t rehash_changed(std::span<const IdnEntry> labels,
                              std::span<const unicode::CodePoint> changed);
   std::size_t rehash_changed(std::span<const std::string> labels,
@@ -140,57 +142,29 @@ class SkeletonIndex {
 
   /// Bucket-occupancy histogram: slot i counts buckets holding exactly
   /// i+1 entries; the final slot aggregates buckets of size >= max_slots.
-  /// Empty buckets (possible after rehash_changed) are not counted.
+  /// Empty buckets (possible in an adopted index) are not counted.
   [[nodiscard]] std::vector<std::uint64_t> occupancy_histogram(
       std::size_t max_slots = 8) const;
 
  private:
-  static constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
-
   SkeletonIndex() = default;  // adopt_view scaffolding
 
   template <typename String>
   [[nodiscard]] std::uint64_t hash_impl(const String& label) const;
   template <typename Label>
   void build(std::span<const Label> labels);
-  /// Bucket and posting insertion from entry_hashes_, ascending entry
-  /// order (deterministic); shared by build() and materialize().
-  template <typename Label>
-  void fill_buckets(std::span<const Label> labels);
   template <typename Label>
   std::size_t rehash_impl(std::span<const Label> labels,
                           std::span<const unicode::CodePoint> changed);
-  /// Copy-on-write: rebuild owned buckets/postings from the flat arrays
-  /// (no rehash — hashes are stored) before the first mutation.
-  template <typename Label>
-  void materialize(std::span<const Label> labels);
-  /// Binary search the flat bucket table; kNoBucket on a miss or an empty
-  /// bucket.
-  [[nodiscard]] std::size_t view_bucket(std::uint64_t hash) const {
-    const auto it =
-        std::lower_bound(flat_.bucket_hashes.begin(), flat_.bucket_hashes.end(), hash);
-    if (it == flat_.bucket_hashes.end() || *it != hash) return kNoBucket;
-    const auto b = static_cast<std::size_t>(it - flat_.bucket_hashes.begin());
-    return flat_.bucket_offsets[b] == flat_.bucket_offsets[b + 1] ? kNoBucket : b;
-  }
+  /// Bucket `flat`'s entry hashes and make it this index's storage.
+  void attach_buckets(std::shared_ptr<db::SkeletonFlat> flat);
 
   const homoglyph::HomoglyphDb* db_ = nullptr;
-  std::uint64_t hash_mask_ = ~0ULL;
-  /// Hash -> entries bucketed under it, ascending.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
-  std::size_t non_empty_buckets_ = 0;
-  /// Hash currently keying each entry's bucket slot.
-  std::vector<std::uint64_t> entry_hashes_;
-  /// Raw code point -> entries whose label contains it (deduplicated,
-  /// ascending). Keys are raw code points, not canonical representatives,
-  /// so the postings stay valid across database updates.
-  std::unordered_map<unicode::CodePoint, std::vector<std::uint32_t>> entries_by_cp_;
-
-  /// View mode: probes binary-search these mapped arrays instead of the
-  /// hash map (empty until adopt_view; cleared by materialize()).
-  bool view_ = false;
-  db::SkeletonFlatView flat_;
-  std::shared_ptr<const void> backing_;
+  /// The query path reads only these spans, which point into `keepalive_`:
+  /// arrays built in memory or the adopted mapping.
+  db::SkeletonFlatView arrays_;
+  std::shared_ptr<const void> keepalive_;
+  bool adopted_ = false;
 };
 
 }  // namespace sham::detect

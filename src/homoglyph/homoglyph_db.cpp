@@ -11,161 +11,115 @@ namespace sham::homoglyph {
 
 namespace {
 
-/// Minimal union-find over code points, path-halving, union by smaller
-/// representative so the final canonical form of a component is its
-/// smallest member (deterministic regardless of insertion order).
-class UnionFind {
- public:
-  unicode::CodePoint find(unicode::CodePoint cp) {
-    auto it = parent_.find(cp);
-    if (it == parent_.end()) {
-      parent_.emplace(cp, cp);
-      return cp;
+/// One (pair key, provenance) per listed pair, in any order, repeats
+/// allowed.
+using KeyedSources = std::vector<std::pair<std::uint64_t, std::uint8_t>>;
+
+/// Sort `entries` by key and OR together the provenance of repeated keys:
+/// the sorted, unique pair arrays the builder takes.
+HomoglyphDb::Flat sorted_pairs(KeyedSources entries) {
+  std::sort(entries.begin(), entries.end());
+  HomoglyphDb::Flat flat;
+  flat.pair_keys.reserve(entries.size());
+  flat.pair_sources.reserve(entries.size());
+  for (const auto& [k, s] : entries) {
+    if (!flat.pair_keys.empty() && flat.pair_keys.back() == k) {
+      flat.pair_sources.back() |= s;
+    } else {
+      flat.pair_keys.push_back(k);
+      flat.pair_sources.push_back(s);
     }
-    while (it->second != cp) {
-      const auto up = parent_.find(it->second);
-      it->second = up->second;  // path halving: point at grandparent
-      cp = it->second;
-      it = parent_.find(cp);    // continue from the new position, not the old parent
-    }
-    return cp;
   }
-
-  void unite(unicode::CodePoint a, unicode::CodePoint b) {
-    const auto ra = find(a);
-    const auto rb = find(b);
-    if (ra == rb) return;
-    const auto [lo, hi] = std::minmax(ra, rb);
-    parent_[hi] = lo;
-  }
-
-  const std::unordered_map<unicode::CodePoint, unicode::CodePoint>& nodes() const {
-    return parent_;
-  }
-
- private:
-  std::unordered_map<unicode::CodePoint, unicode::CodePoint> parent_;
-};
+  return flat;
+}
 
 }  // namespace
 
-HomoglyphDb::HomoglyphDb() { finalize(); }
+HomoglyphDb::HomoglyphDb() { build({}); }
 
-void HomoglyphDb::finalize() {
-  for (auto& [cp, neighbours] : adjacency_) {
-    std::sort(neighbours.begin(), neighbours.end());
+void HomoglyphDb::build(Flat flat) {
+  // Adjacency CSR: both directions of every pair as (cp << 32) | partner,
+  // sorted, so each character's list comes out ascending.
+  std::vector<std::uint64_t> directed;
+  directed.reserve(2 * flat.pair_keys.size());
+  for (const auto k : flat.pair_keys) {
+    directed.push_back(k);
+    directed.push_back((k << 32) | (k >> 32));
   }
+  std::sort(directed.begin(), directed.end());
+  flat.adj_cps.clear();
+  flat.adj_offsets.clear();
+  flat.adj_data.clear();
+  flat.adj_data.reserve(directed.size());
+  for (const auto d : directed) {
+    const auto cp = static_cast<unicode::CodePoint>(d >> 32);
+    if (flat.adj_cps.empty() || flat.adj_cps.back() != cp) {
+      flat.adj_cps.push_back(cp);
+      flat.adj_offsets.push_back(static_cast<std::uint32_t>(flat.adj_data.size()));
+    }
+    flat.adj_data.push_back(static_cast<unicode::CodePoint>(d & 0xFFFFFFFF));
+  }
+  flat.adj_offsets.push_back(static_cast<std::uint32_t>(flat.adj_data.size()));
 
-  UnionFind uf;
-  for (const auto& [cp, neighbours] : adjacency_) {
-    for (const auto n : neighbours) uf.unite(cp, n);
+  // Canonical map: union-find over positions in adj_cps. Positions ascend
+  // with code points, so joining toward the smaller root keeps the
+  // smallest member as every component's representative.
+  const std::size_t n = flat.adj_cps.size();
+  std::vector<std::uint32_t> parent(n);
+  for (std::size_t i = 0; i < n; ++i) parent[i] = static_cast<std::uint32_t>(i);
+  const auto find = [&](std::uint32_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];  // path halving
+    return i;
+  };
+  const auto position = [&](unicode::CodePoint cp) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(flat.adj_cps.begin(), flat.adj_cps.end(), cp) -
+        flat.adj_cps.begin());
+  };
+  for (const auto k : flat.pair_keys) {
+    const auto ra = find(position(static_cast<unicode::CodePoint>(k >> 32)));
+    const auto rb = find(position(static_cast<unicode::CodePoint>(k & 0xFFFFFFFF)));
+    if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
   }
-  canonical_.clear();
-  canonical_.reserve(adjacency_.size());
+  flat.canon_keys = flat.adj_cps;
+  flat.canon_reps.resize(n);
   std::size_t classes = 0;
-  for (const auto& node : uf.nodes()) {
-    const auto cp = node.first;
-    const auto rep = uf.find(cp);
-    canonical_.emplace(cp, rep);
-    if (rep == cp) ++classes;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto root = find(i);
+    flat.canon_reps[i] = flat.adj_cps[root];
+    if (root == i) ++classes;
   }
   canonical_classes_ = classes;
+  adopted_ = false;
+
+  auto storage = std::make_shared<const Flat>(std::move(flat));
+  const FlatView arrays{.pair_keys = storage->pair_keys,
+                        .pair_sources = storage->pair_sources,
+                        .adj_cps = storage->adj_cps,
+                        .adj_offsets = storage->adj_offsets,
+                        .adj_data = storage->adj_data,
+                        .canon_keys = storage->canon_keys,
+                        .canon_reps = storage->canon_reps};
+  attach(arrays, std::move(storage));
+}
+
+void HomoglyphDb::attach(const FlatView& arrays, std::shared_ptr<const void> keepalive) {
+  keepalive_ = std::move(keepalive);
+  pair_keys_ = arrays.pair_keys;
+  pair_sources_ = arrays.pair_sources;
+  adj_cps_ = arrays.adj_cps;
+  adj_offsets_ = arrays.adj_offsets;
+  adj_data_ = arrays.adj_data;
+  canon_keys_ = arrays.canon_keys;
+  canon_reps_ = arrays.canon_reps;
   for (unicode::CodePoint cp = 0; cp < kDenseCanonical; ++cp) {
-    const auto it = canonical_.find(cp);
-    canonical_latin1_[cp] = it == canonical_.end() ? cp : it->second;
+    canonical_latin1_[cp] = cp;
   }
-
-  // Rebuild the rep -> members inverse (canonical_ maps every graph node,
-  // reps included, so every tracked component here has >= 2 members;
-  // singletons are represented by absence).
-  component_members_.clear();
-  for (const auto& [cp, rep] : canonical_) {
-    component_members_[rep].push_back(cp);
+  for (std::size_t i = 0; i < canon_keys_.size(); ++i) {
+    const auto cp = canon_keys_[i];
+    if (cp >= kDenseCanonical) break;  // keys ascending
+    canonical_latin1_[cp] = canon_reps_[i];
   }
-  for (auto& [rep, members] : component_members_) {
-    std::sort(members.begin(), members.end());
-  }
-  // A full rebuild invalidates incremental bookkeeping: restart the change
-  // log at the current generation.
-  change_log_base_ = generation_;
-  canonical_change_log_.clear();
-}
-
-void HomoglyphDb::merge_components(unicode::CodePoint a, unicode::CodePoint b,
-                                   std::vector<unicode::CodePoint>& changed) {
-  const auto ra = canonical(a);
-  const auto rb = canonical(b);
-  if (ra == rb) return;  // within-component pair: no representative moves
-  const auto [lo, hi] = std::minmax(ra, rb);
-
-  // Move the losing component's member list out before touching the winner:
-  // unordered_map insertion below may rehash and invalidate references.
-  std::vector<unicode::CodePoint> losers;
-  if (auto it = component_members_.find(hi); it != component_members_.end()) {
-    losers = std::move(it->second);
-    component_members_.erase(it);
-  } else {
-    losers.push_back(hi);  // hi was a singleton being pulled into the graph
-  }
-
-  std::size_t winner_size = 1;
-  auto wit = component_members_.find(lo);
-  if (wit == component_members_.end()) {
-    wit = component_members_.emplace(lo, std::vector<unicode::CodePoint>{lo}).first;
-    // lo is a singleton entering the graph: give it the self-entry
-    // finalize() records for every graph node (canonical(lo) is unchanged
-    // — absence already meant identity — but the serialized canonical map
-    // must match a full rebuild's exactly).
-    canonical_.emplace(lo, lo);
-  } else {
-    winner_size = wit->second.size();
-  }
-
-  // The merged component is always non-singleton; each input counted toward
-  // canonical_classes_ iff it already had >= 2 members.
-  canonical_classes_ += 1;
-  if (winner_size >= 2) --canonical_classes_;
-  if (losers.size() >= 2) --canonical_classes_;
-
-  auto& winners = wit->second;
-  winners.reserve(winners.size() + losers.size());
-  for (const auto cp : losers) {
-    canonical_[cp] = lo;
-    if (cp < kDenseCanonical) canonical_latin1_[cp] = lo;
-    winners.push_back(cp);
-    changed.push_back(cp);
-  }
-}
-
-void HomoglyphDb::materialize() {
-  if (!view_) return;
-  // Rebuild the owned hash-map representation from the flat arrays, then
-  // finalize() — which recomputes the identical canonical map (union by
-  // smallest representative is deterministic) and restarts the change log
-  // at the current generation, exactly like a freshly parsed database.
-  pair_source_.clear();
-  pair_source_.reserve(v_pair_keys_.size());
-  for (std::size_t i = 0; i < v_pair_keys_.size(); ++i) {
-    pair_source_.emplace(v_pair_keys_[i], static_cast<Source>(v_pair_sources_[i]));
-  }
-  adjacency_.clear();
-  adjacency_.reserve(v_adj_cps_.size());
-  for (std::size_t i = 0; i < v_adj_cps_.size(); ++i) {
-    adjacency_.emplace(v_adj_cps_[i],
-                       std::vector<unicode::CodePoint>{
-                           v_adj_data_.begin() + v_adj_offsets_[i],
-                           v_adj_data_.begin() + v_adj_offsets_[i + 1]});
-  }
-  view_ = false;
-  backing_.reset();
-  v_pair_keys_ = {};
-  v_pair_sources_ = {};
-  v_adj_cps_ = {};
-  v_adj_offsets_ = {};
-  v_adj_data_ = {};
-  v_canon_keys_ = {};
-  v_canon_reps_ = {};
-  finalize();
 }
 
 HomoglyphDb::Flat HomoglyphDb::to_flat() const {
@@ -175,50 +129,13 @@ HomoglyphDb::Flat HomoglyphDb::to_flat() const {
   flat.config_flags = (config_.use_uc ? DbConfigFlags::kUseUc : 0) |
                       (config_.use_simchar ? DbConfigFlags::kUseSimChar : 0) |
                       (config_.idna_only ? DbConfigFlags::kIdnaOnly : 0);
-  if (view_) {
-    flat.pair_keys.assign(v_pair_keys_.begin(), v_pair_keys_.end());
-    flat.pair_sources.assign(v_pair_sources_.begin(), v_pair_sources_.end());
-    flat.adj_cps.assign(v_adj_cps_.begin(), v_adj_cps_.end());
-    flat.adj_offsets.assign(v_adj_offsets_.begin(), v_adj_offsets_.end());
-    flat.adj_data.assign(v_adj_data_.begin(), v_adj_data_.end());
-    flat.canon_keys.assign(v_canon_keys_.begin(), v_canon_keys_.end());
-    flat.canon_reps.assign(v_canon_reps_.begin(), v_canon_reps_.end());
-    return flat;
-  }
-
-  std::vector<std::pair<std::uint64_t, Source>> pairs{pair_source_.begin(),
-                                                      pair_source_.end()};
-  std::sort(pairs.begin(), pairs.end());
-  flat.pair_keys.reserve(pairs.size());
-  flat.pair_sources.reserve(pairs.size());
-  for (const auto& [k, s] : pairs) {
-    flat.pair_keys.push_back(k);
-    flat.pair_sources.push_back(static_cast<std::uint8_t>(s));
-  }
-
-  std::vector<unicode::CodePoint> cps;
-  cps.reserve(adjacency_.size());
-  for (const auto& [cp, neighbours] : adjacency_) cps.push_back(cp);
-  std::sort(cps.begin(), cps.end());
-  flat.adj_cps.reserve(cps.size());
-  flat.adj_offsets.reserve(cps.size() + 1);
-  for (const auto cp : cps) {
-    flat.adj_cps.push_back(cp);
-    flat.adj_offsets.push_back(static_cast<std::uint32_t>(flat.adj_data.size()));
-    const auto& neighbours = adjacency_.at(cp);
-    flat.adj_data.insert(flat.adj_data.end(), neighbours.begin(), neighbours.end());
-  }
-  flat.adj_offsets.push_back(static_cast<std::uint32_t>(flat.adj_data.size()));
-
-  std::vector<std::pair<unicode::CodePoint, unicode::CodePoint>> canon{
-      canonical_.begin(), canonical_.end()};
-  std::sort(canon.begin(), canon.end());
-  flat.canon_keys.reserve(canon.size());
-  flat.canon_reps.reserve(canon.size());
-  for (const auto& [cp, rep] : canon) {
-    flat.canon_keys.push_back(cp);
-    flat.canon_reps.push_back(rep);
-  }
+  flat.pair_keys.assign(pair_keys_.begin(), pair_keys_.end());
+  flat.pair_sources.assign(pair_sources_.begin(), pair_sources_.end());
+  flat.adj_cps.assign(adj_cps_.begin(), adj_cps_.end());
+  flat.adj_offsets.assign(adj_offsets_.begin(), adj_offsets_.end());
+  flat.adj_data.assign(adj_data_.begin(), adj_data_.end());
+  flat.canon_keys.assign(canon_keys_.begin(), canon_keys_.end());
+  flat.canon_reps.assign(canon_reps_.begin(), canon_reps_.end());
   return flat;
 }
 
@@ -231,77 +148,80 @@ HomoglyphDb HomoglyphDb::adopt_view(const FlatView& flat,
     throw std::runtime_error{"HomoglyphDb: flat view shape mismatch"};
   }
   HomoglyphDb db;
-  db.view_ = true;
-  db.backing_ = std::move(backing);
-  db.v_pair_keys_ = flat.pair_keys;
-  db.v_pair_sources_ = flat.pair_sources;
-  db.v_adj_cps_ = flat.adj_cps;
-  db.v_adj_offsets_ = flat.adj_offsets;
-  db.v_adj_data_ = flat.adj_data;
-  db.v_canon_keys_ = flat.canon_keys;
-  db.v_canon_reps_ = flat.canon_reps;
+  db.attach(flat, std::move(backing));
+  db.adopted_ = true;
   db.generation_ = flat.generation;
   db.canonical_classes_ = flat.canonical_classes;
   db.config_.use_uc = (flat.config_flags & DbConfigFlags::kUseUc) != 0;
   db.config_.use_simchar = (flat.config_flags & DbConfigFlags::kUseSimChar) != 0;
   db.config_.idna_only = (flat.config_flags & DbConfigFlags::kIdnaOnly) != 0;
-  // The change log restarts at adoption (same contract as finalize()):
-  // canonical_changes_since(generation()) answers with "nothing changed";
-  // anything older forces the caller's full rebuild.
+  // The change log starts at adoption: canonical_changes_since(generation())
+  // answers with "nothing changed"; anything older forces the caller's full
+  // rebuild.
   db.change_log_base_ = flat.generation;
-  // The inline canonical() fast path is a dense Latin-1 array in both
-  // modes; fill it from the (sorted) flat map once at adoption.
-  for (unicode::CodePoint cp = 0; cp < kDenseCanonical; ++cp) {
-    db.canonical_latin1_[cp] = cp;
-  }
-  for (std::size_t i = 0; i < flat.canon_keys.size(); ++i) {
-    const auto cp = flat.canon_keys[i];
-    if (cp >= kDenseCanonical) break;  // keys ascending
-    db.canonical_latin1_[cp] = flat.canon_reps[i];
-  }
   return db;
 }
 
 HomoglyphDb::UpdateResult HomoglyphDb::apply_update(
     std::span<const simchar::HomoglyphPair> pairs, Source source) {
-  materialize();  // copy-on-write: views go owned on the first mutation
   const auto permitted = [&](unicode::CodePoint cp) {
     return !config_.idna_only || unicode::is_idna_permitted(cp);
   };
-  const auto insert_sorted = [](std::vector<unicode::CodePoint>& v,
-                                unicode::CodePoint cp) {
-    v.insert(std::upper_bound(v.begin(), v.end(), cp), cp);
-  };
-
-  UpdateResult result;
-  std::vector<unicode::CodePoint> changed;
+  std::vector<std::uint64_t> fresh;
+  fresh.reserve(pairs.size());
   for (const auto& p : pairs) {
     if (p.a == p.b) continue;
     if (!permitted(p.a) || !permitted(p.b)) continue;
-    auto [it, inserted] = pair_source_.try_emplace(key(p.a, p.b), source);
-    if (!inserted) {
-      const auto widened = static_cast<Source>(static_cast<std::uint8_t>(it->second) |
-                                               static_cast<std::uint8_t>(source));
-      if (widened != it->second) {
-        it->second = widened;
-        ++result.sources_widened;
-      }
-      continue;
-    }
-    ++result.pairs_added;
-    // Adjacency lists stay sorted (revert_to_ascii's smallest-LDH scan and
-    // serialize determinism depend on it).
-    insert_sorted(adjacency_[p.a], p.b);
-    insert_sorted(adjacency_[p.b], p.a);
-    merge_components(p.a, p.b, changed);
+    fresh.push_back(key(p.a, p.b));
   }
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
 
+  // Merge the batch into the sorted pair arrays.
+  UpdateResult result;
+  const auto bits = static_cast<std::uint8_t>(source);
+  Flat next;
+  next.pair_keys.reserve(pair_keys_.size() + fresh.size());
+  next.pair_sources.reserve(pair_keys_.size() + fresh.size());
+  std::size_t i = 0;
+  for (const auto k : fresh) {
+    for (; i < pair_keys_.size() && pair_keys_[i] < k; ++i) {
+      next.pair_keys.push_back(pair_keys_[i]);
+      next.pair_sources.push_back(pair_sources_[i]);
+    }
+    std::uint8_t s = bits;
+    if (i < pair_keys_.size() && pair_keys_[i] == k) {
+      s |= pair_sources_[i];
+      if (s != pair_sources_[i]) ++result.sources_widened;
+      ++i;
+    } else {
+      ++result.pairs_added;
+    }
+    next.pair_keys.push_back(k);
+    next.pair_sources.push_back(s);
+  }
   if (result.pairs_added == 0 && result.sources_widened == 0) return result;
-  std::sort(changed.begin(), changed.end());
-  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-  result.canonical_changed = changed;
+  next.pair_keys.insert(next.pair_keys.end(), pair_keys_.begin() + i, pair_keys_.end());
+  next.pair_sources.insert(next.pair_sources.end(), pair_sources_.begin() + i,
+                           pair_sources_.end());
+
+  // Rebuild, then diff the canonical maps. Pairs are only ever added, so
+  // the new keys cover the old ones, and a representative only ever moves
+  // to a smaller code point: the diff is every code point that moved at
+  // any merge of this call.
+  const auto previous = keepalive_;  // keeps the old arrays alive for the diff
+  const auto old_keys = canon_keys_;
+  const auto old_reps = canon_reps_;
+  build(std::move(next));
+  std::size_t j = 0;
+  for (std::size_t x = 0; x < canon_keys_.size(); ++x) {
+    const auto cp = canon_keys_[x];
+    while (j < old_keys.size() && old_keys[j] < cp) ++j;
+    const auto old_rep = j < old_keys.size() && old_keys[j] == cp ? old_reps[j] : cp;
+    if (canon_reps_[x] != old_rep) result.canonical_changed.push_back(cp);
+  }
   ++generation_;
-  canonical_change_log_.push_back(std::move(changed));
+  canonical_change_log_.push_back(result.canonical_changed);
   return result;
 }
 
@@ -329,37 +249,29 @@ std::uint64_t HomoglyphDb::key(unicode::CodePoint a, unicode::CodePoint b) noexc
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-void HomoglyphDb::add_pair(unicode::CodePoint a, unicode::CodePoint b, Source source) {
-  if (a == b) return;
-  auto [it, inserted] = pair_source_.try_emplace(key(a, b), source);
-  if (!inserted) {
-    it->second = static_cast<Source>(static_cast<std::uint8_t>(it->second) |
-                                     static_cast<std::uint8_t>(source));
-    return;
-  }
-  adjacency_[a].push_back(b);
-  adjacency_[b].push_back(a);
-}
-
 HomoglyphDb::HomoglyphDb(const simchar::SimCharDb& simchar_db,
                          const unicode::ConfusablesDb& uc_db, const DbConfig& config)
     : config_(config) {
   const auto permitted = [&](unicode::CodePoint cp) {
     return !config.idna_only || unicode::is_idna_permitted(cp);
   };
+  KeyedSources entries;
+  const auto add = [&](unicode::CodePoint a, unicode::CodePoint b, Source source) {
+    if (a != b && permitted(a) && permitted(b)) {
+      entries.emplace_back(key(a, b), static_cast<std::uint8_t>(source));
+    }
+  };
   if (config.use_uc) {
     for (const auto& [source, proto] : uc_db.single_char_pairs()) {
-      if (permitted(source) && permitted(proto)) add_pair(source, proto, Source::kUc);
+      add(source, proto, Source::kUc);
     }
   }
   if (config.use_simchar) {
-    for (const auto& p : simchar_db.pairs()) {
-      // SimChar is built from the PVALID repertoire already; the check is
-      // kept for externally loaded databases.
-      if (permitted(p.a) && permitted(p.b)) add_pair(p.a, p.b, Source::kSimChar);
-    }
+    // SimChar is built from the PVALID repertoire already; the check is
+    // kept for externally loaded databases.
+    for (const auto& p : simchar_db.pairs()) add(p.a, p.b, Source::kSimChar);
   }
-  finalize();
+  build(sorted_pairs(std::move(entries)));
 }
 
 bool HomoglyphDb::are_homoglyphs(unicode::CodePoint a, unicode::CodePoint b) const {
@@ -370,28 +282,16 @@ std::optional<Source> HomoglyphDb::source_of(unicode::CodePoint a,
                                              unicode::CodePoint b) const {
   if (a == b) return std::nullopt;
   const auto k = key(a, b);
-  if (view_) {
-    const auto it = std::lower_bound(v_pair_keys_.begin(), v_pair_keys_.end(), k);
-    if (it == v_pair_keys_.end() || *it != k) return std::nullopt;
-    return static_cast<Source>(
-        v_pair_sources_[static_cast<std::size_t>(it - v_pair_keys_.begin())]);
-  }
-  const auto it = pair_source_.find(k);
-  if (it == pair_source_.end()) return std::nullopt;
-  return it->second;
+  const auto it = std::lower_bound(pair_keys_.begin(), pair_keys_.end(), k);
+  if (it == pair_keys_.end() || *it != k) return std::nullopt;
+  return static_cast<Source>(pair_sources_[static_cast<std::size_t>(it - pair_keys_.begin())]);
 }
 
 std::vector<unicode::CodePoint> HomoglyphDb::homoglyphs_of(unicode::CodePoint cp) const {
-  if (view_) {
-    const auto it = std::lower_bound(v_adj_cps_.begin(), v_adj_cps_.end(), cp);
-    if (it == v_adj_cps_.end() || *it != cp) return {};
-    const auto i = static_cast<std::size_t>(it - v_adj_cps_.begin());
-    return {v_adj_data_.begin() + v_adj_offsets_[i],
-            v_adj_data_.begin() + v_adj_offsets_[i + 1]};
-  }
-  const auto it = adjacency_.find(cp);
-  if (it == adjacency_.end()) return {};
-  return it->second;
+  const auto it = std::lower_bound(adj_cps_.begin(), adj_cps_.end(), cp);
+  if (it == adj_cps_.end() || *it != cp) return {};
+  const auto i = static_cast<std::size_t>(it - adj_cps_.begin());
+  return {adj_data_.begin() + adj_offsets_[i], adj_data_.begin() + adj_offsets_[i + 1]};
 }
 
 std::size_t HomoglyphDb::pair_count(Source source) const {
@@ -399,39 +299,22 @@ std::size_t HomoglyphDb::pair_count(Source source) const {
   // `source`: kUc/kSimChar mean "listed in that database (possibly both)",
   // kBoth means "listed in both".
   const auto want = static_cast<std::uint8_t>(source);
-  std::size_t n = 0;
-  if (view_) {
-    for (const auto s : v_pair_sources_) {
-      if ((s & want) == want) ++n;
-    }
-    return n;
-  }
-  for (const auto& [k, s] : pair_source_) {
-    if ((static_cast<std::uint8_t>(s) & want) == want) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(std::count_if(
+      pair_sources_.begin(), pair_sources_.end(),
+      [&](std::uint8_t s) { return (s & want) == want; }));
 }
 
 std::string HomoglyphDb::serialize() const {
-  // Deterministic order: sort by key (views are key-sorted already).
-  std::vector<std::pair<std::uint64_t, Source>> items;
-  if (view_) {
-    items.reserve(v_pair_keys_.size());
-    for (std::size_t i = 0; i < v_pair_keys_.size(); ++i) {
-      items.emplace_back(v_pair_keys_[i], static_cast<Source>(v_pair_sources_[i]));
-    }
-  } else {
-    items.assign(pair_source_.begin(), pair_source_.end());
-    std::sort(items.begin(), items.end());
-  }
+  // Deterministic order: the pair arrays are key-sorted.
   std::string out;
-  out.reserve(items.size() * 24);
-  for (const auto& [k, source] : items) {
+  out.reserve(pair_keys_.size() * 24);
+  for (std::size_t i = 0; i < pair_keys_.size(); ++i) {
+    const auto k = pair_keys_[i];
     out += util::format_codepoint(static_cast<unicode::CodePoint>(k >> 32));
     out += ' ';
     out += util::format_codepoint(static_cast<unicode::CodePoint>(k & 0xFFFFFFFF));
     out += ' ';
-    switch (source) {
+    switch (static_cast<Source>(pair_sources_[i])) {
       case Source::kUc: out += "UC"; break;
       case Source::kSimChar: out += "SimChar"; break;
       case Source::kBoth: out += "both"; break;
@@ -442,19 +325,30 @@ std::string HomoglyphDb::serialize() const {
 }
 
 HomoglyphDb HomoglyphDb::parse(std::string_view text) {
-  HomoglyphDb db;
+  KeyedSources entries;
   std::size_t line_no = 0;
   for (const auto line : util::split(text, '\n')) {
     ++line_no;
     const auto body = util::trim(line);
     if (body.empty() || body.front() == '#') continue;
+    const auto error = [&](const std::string& why) {
+      return std::invalid_argument{"HomoglyphDb::parse: line " + std::to_string(line_no) +
+                                   ": " + why};
+    };
     const auto fields = util::split_ws(body);
-    if (fields.size() != 3) {
-      throw std::invalid_argument{"HomoglyphDb::parse: line " +
-                                  std::to_string(line_no) + ": expected 3 fields"};
+    if (fields.size() != 3) throw error("expected 3 fields");
+    unicode::CodePoint a = 0;
+    unicode::CodePoint b = 0;
+    try {
+      a = util::parse_hex_codepoint(fields[0]);
+      b = util::parse_hex_codepoint(fields[1]);
+    } catch (const std::invalid_argument& e) {
+      throw error(e.what());
     }
-    const auto a = util::parse_hex_codepoint(fields[0]);
-    const auto b = util::parse_hex_codepoint(fields[1]);
+    if (a > unicode::kMaxCodePoint || b > unicode::kMaxCodePoint) {
+      throw error("code point above U+10FFFF");
+    }
+    if (a == b) throw error("reflexive pair");
     Source source;
     if (fields[2] == "UC") {
       source = Source::kUc;
@@ -463,12 +357,12 @@ HomoglyphDb HomoglyphDb::parse(std::string_view text) {
     } else if (fields[2] == "both") {
       source = Source::kBoth;
     } else {
-      throw std::invalid_argument{"HomoglyphDb::parse: line " +
-                                  std::to_string(line_no) + ": bad source tag"};
+      throw error("bad source tag");
     }
-    db.add_pair(a, b, source);
+    entries.emplace_back(key(a, b), static_cast<std::uint8_t>(source));
   }
-  db.finalize();
+  HomoglyphDb db;
+  db.build(sorted_pairs(std::move(entries)));
   return db;
 }
 

@@ -12,7 +12,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "simchar/simchar.hpp"
@@ -61,18 +60,13 @@ class HomoglyphDb {
   /// canonical(a) == canonical(b) is a necessary — NOT sufficient —
   /// condition for {a, b} being a listed pair; candidate sets built on it
   /// over-approximate and must be re-verified with source_of()/
-  /// are_homoglyphs(). Code points below U+0100 hit a dense flat array
-  /// (copied out of the artifact at adoption time, so the fast path is
-  /// identical in both storage modes).
+  /// are_homoglyphs(). Code points below U+0100 hit a dense flat array;
+  /// the rest binary-search the sorted canonical map.
   [[nodiscard]] unicode::CodePoint canonical(unicode::CodePoint cp) const noexcept {
     if (cp < kDenseCanonical) return canonical_latin1_[cp];
-    if (view_) {
-      const auto it = std::lower_bound(v_canon_keys_.begin(), v_canon_keys_.end(), cp);
-      if (it == v_canon_keys_.end() || *it != cp) return cp;
-      return v_canon_reps_[static_cast<std::size_t>(it - v_canon_keys_.begin())];
-    }
-    const auto it = canonical_.find(cp);
-    return it == canonical_.end() ? cp : it->second;
+    const auto it = std::lower_bound(canon_keys_.begin(), canon_keys_.end(), cp);
+    if (it == canon_keys_.end() || *it != cp) return cp;
+    return canon_reps_[static_cast<std::size_t>(it - canon_keys_.begin())];
   }
 
   /// Number of non-singleton confusable-closure components.
@@ -81,13 +75,9 @@ class HomoglyphDb {
   }
 
   /// Pair counts by provenance (for Table 1-style set arithmetic).
-  [[nodiscard]] std::size_t pair_count() const noexcept {
-    return view_ ? v_pair_keys_.size() : pair_source_.size();
-  }
+  [[nodiscard]] std::size_t pair_count() const noexcept { return pair_keys_.size(); }
   [[nodiscard]] std::size_t pair_count(Source source) const;
-  [[nodiscard]] std::size_t character_count() const noexcept {
-    return view_ ? v_adj_cps_.size() : adjacency_.size();
-  }
+  [[nodiscard]] std::size_t character_count() const noexcept { return adj_cps_.size(); }
 
   // --- Incremental maintenance (Section 4.2: the DB evolves as Unicode
   // adds glyphs) -------------------------------------------------------
@@ -96,20 +86,21 @@ class HomoglyphDb {
   // Every mutating update bumps it and records which code points changed
   // their confusable-closure canonical representative, so index structures
   // built over canonical() (detect::SkeletonIndex) can rehash exactly the
-  // affected union-find components instead of rebuilding from scratch.
+  // affected components instead of rebuilding from scratch.
 
   /// Outcome of one apply_update()/update_with_new_characters() call.
   struct UpdateResult {
     std::size_t pairs_added = 0;      // brand-new pairs inserted
     std::size_t sources_widened = 0;  // existing pairs that gained a provenance bit
-    /// Code points whose canonical() representative moved (sorted, unique).
-    /// Empty when every new pair landed inside an existing component.
+    /// Code points whose canonical() representative differs from before
+    /// the call (sorted, unique). Empty when every new pair landed inside
+    /// an existing component.
     std::vector<unicode::CodePoint> canonical_changed;
   };
 
-  /// Add pairs in place (pair graph, adjacency, and the canonical map are
-  /// maintained incrementally — no full finalize()). Bumps generation()
-  /// iff the update changed anything (new pair or widened provenance).
+  /// Add pairs: merges them into the sorted pair arrays and rebuilds the
+  /// adjacency and canonical arrays. Bumps generation() iff the update
+  /// changed anything (new pair or widened provenance).
   UpdateResult apply_update(std::span<const simchar::HomoglyphPair> pairs,
                             Source source = Source::kSimChar);
 
@@ -141,17 +132,20 @@ class HomoglyphDb {
   /// per line) — the portable artifact Section 7.2 proposes embedding in
   /// clients (browser extensions, mail filters). Round-trips with parse().
   [[nodiscard]] std::string serialize() const;
+  /// Throws std::invalid_argument naming the line on a malformed line: not
+  /// three fields, bad hex, a code point above U+10FFFF, a reflexive pair
+  /// or an unknown source tag.
   static HomoglyphDb parse(std::string_view text);
 
   // --- Flat (DB-artifact) form -----------------------------------------
   //
-  // The hash-map representation flattened into sorted arrays: pair keys
-  // ((a << 32) | b, a < b) with per-pair provenance, the adjacency lists
-  // as a CSR over ascending characters, and the union-find canonical map
-  // as parallel key/representative arrays. An adopted view answers every
-  // const query by binary search over these spans — zero parsing; the
-  // first mutating call (apply_update / update_with_new_characters)
-  // materializes a private owned copy first (copy-on-write).
+  // The database *is* these sorted arrays: pair keys ((a << 32) | b,
+  // a < b) with per-pair provenance, the adjacency lists as a CSR over
+  // ascending characters, and the canonical map as parallel
+  // key/representative arrays (its keys are exactly the adjacency
+  // characters). Every const query binary-searches spans over them,
+  // whether the arrays were built in memory or adopted from a mapped
+  // artifact. Copies share the arrays; a mutation builds new arrays.
 
   struct DbConfigFlags {
     static constexpr std::uint32_t kUseUc = 1u << 0;
@@ -185,7 +179,7 @@ class HomoglyphDb {
     std::uint32_t config_flags = 0;
   };
 
-  /// Flatten the current state (either mode) for serialization.
+  /// Copy the arrays out for serialization.
   [[nodiscard]] Flat to_flat() const;
 
   /// Adopt immutable flat storage in place. The spans must stay valid for
@@ -194,57 +188,41 @@ class HomoglyphDb {
   static HomoglyphDb adopt_view(const FlatView& flat,
                                 std::shared_ptr<const void> backing);
 
-  /// True when the db reads adopted (e.g. memory-mapped) storage; the
-  /// next mutating call flips it back to owned via materialize().
-  [[nodiscard]] bool is_view() const noexcept { return view_; }
+  /// True while the db reads adopted (e.g. memory-mapped) storage; the
+  /// next effective mutation moves it to arrays built in memory.
+  [[nodiscard]] bool is_view() const noexcept { return adopted_; }
 
  private:
   static constexpr unicode::CodePoint kDenseCanonical = 0x100;
 
   static std::uint64_t key(unicode::CodePoint a, unicode::CodePoint b) noexcept;
-  void add_pair(unicode::CodePoint a, unicode::CodePoint b, Source source);
-  /// Sort adjacency lists and rebuild the canonical map; every constructor
-  /// and parse() must call this once after the last add_pair().
-  void finalize();
-  /// Merge the components of `a` and `b`, recording every code point whose
-  /// representative moved into `changed` (members of the losing component).
-  void merge_components(unicode::CodePoint a, unicode::CodePoint b,
-                        std::vector<unicode::CodePoint>& changed);
-  /// Copy-on-write: rebuild the owned hash-map representation from the
-  /// flat view and drop the backing reference. Preserves generation();
-  /// resets the change log (exactly like a fresh finalize()).
-  void materialize();
+  /// The one builder: complete `flat` from its sorted, unique
+  /// pair_keys/pair_sources (adjacency CSR, canonical map, class count)
+  /// and make it this database's storage. Every constructor, parse() and
+  /// apply_update() end here.
+  void build(Flat flat);
+  /// Point the query spans at `arrays`, kept alive by `keepalive`, and
+  /// fill the dense Latin-1 canonical table from them.
+  void attach(const FlatView& arrays, std::shared_ptr<const void> keepalive);
 
-  std::unordered_map<std::uint64_t, Source> pair_source_;
-  std::unordered_map<unicode::CodePoint, std::vector<unicode::CodePoint>> adjacency_;
-  /// Union-find component representatives (only code points that appear in
-  /// at least one pair; everything else is its own canonical form).
-  std::unordered_map<unicode::CodePoint, unicode::CodePoint> canonical_;
+  std::shared_ptr<const void> keepalive_;
+  std::span<const std::uint64_t> pair_keys_;
+  std::span<const std::uint8_t> pair_sources_;
+  std::span<const std::uint32_t> adj_cps_;
+  std::span<const std::uint32_t> adj_offsets_;
+  std::span<const std::uint32_t> adj_data_;
+  std::span<const std::uint32_t> canon_keys_;
+  std::span<const std::uint32_t> canon_reps_;
   std::array<unicode::CodePoint, kDenseCanonical> canonical_latin1_{};
   std::size_t canonical_classes_ = 0;
-  /// Inverse of canonical_: representative -> every member of its
-  /// component, maintained so merges touch only the losing component.
-  std::unordered_map<unicode::CodePoint, std::vector<unicode::CodePoint>> component_members_;
+  bool adopted_ = false;
   DbConfig config_;
   std::uint64_t generation_ = 0;
   /// canonical_change_log_[i] lists the code points whose representative
-  /// moved in generation change_log_base_ + i + 1; finalize() resets the
-  /// log (a full rebuild invalidates incremental bookkeeping).
+  /// moved in generation change_log_base_ + i + 1. Construction, parse()
+  /// and adoption start the log at the current generation.
   std::uint64_t change_log_base_ = 0;
   std::vector<std::vector<unicode::CodePoint>> canonical_change_log_;
-
-  /// View mode: const queries binary-search these spans instead of the
-  /// hash maps (which stay empty until materialize()). `backing_` owns the
-  /// storage — typically the mmap'd DB artifact.
-  bool view_ = false;
-  std::shared_ptr<const void> backing_;
-  std::span<const std::uint64_t> v_pair_keys_;
-  std::span<const std::uint8_t> v_pair_sources_;
-  std::span<const std::uint32_t> v_adj_cps_;
-  std::span<const std::uint32_t> v_adj_offsets_;
-  std::span<const std::uint32_t> v_adj_data_;
-  std::span<const std::uint32_t> v_canon_keys_;
-  std::span<const std::uint32_t> v_canon_reps_;
 };
 
 }  // namespace sham::homoglyph

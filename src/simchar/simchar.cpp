@@ -96,53 +96,30 @@ SimCharDb SimCharDb::build(const font::FontSource& font, const BuildOptions& opt
   return SimCharDb{std::move(pairs)};
 }
 
-SimCharDb::SimCharDb(std::vector<HomoglyphPair> pairs)
-    : owned_pairs_{std::move(pairs)} {
-  for (auto& p : owned_pairs_) {
+SimCharDb::SimCharDb(std::vector<HomoglyphPair> pairs) {
+  for (auto& p : pairs) {
     if (p.a == p.b) throw std::invalid_argument{"SimCharDb: reflexive pair"};
     if (p.a > p.b) std::swap(p.a, p.b);
   }
-  std::sort(owned_pairs_.begin(), owned_pairs_.end());
-  owned_pairs_.erase(std::unique(owned_pairs_.begin(), owned_pairs_.end(),
-                                 [](const HomoglyphPair& x, const HomoglyphPair& y) {
-                                   return x.a == y.a && x.b == y.b;
-                                 }),
-                     owned_pairs_.end());
-  index();
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                          [](const HomoglyphPair& x, const HomoglyphPair& y) {
+                            return x.a == y.a && x.b == y.b;
+                          }),
+              pairs.end());
+  index(std::move(pairs));
 }
 
-SimCharDb& SimCharDb::operator=(const SimCharDb& other) {
-  if (this == &other) return *this;
-  if (other.is_view()) {
-    // View copies share the immutable backing storage — no deep copy.
-    owned_pairs_.clear();
-    owned_chars_.clear();
-    owned_offsets_.clear();
-    owned_postings_.clear();
-    pairs_ = other.pairs_;
-    chars_ = other.chars_;
-    offsets_ = other.offsets_;
-    postings_ = other.postings_;
-    backing_ = other.backing_;
-    return *this;
-  }
-  owned_pairs_ = other.owned_pairs_;
-  owned_chars_ = other.owned_chars_;
-  owned_offsets_ = other.owned_offsets_;
-  owned_postings_ = other.owned_postings_;
-  backing_.reset();
-  rebind();
-  return *this;
-}
+void SimCharDb::index(std::vector<HomoglyphPair> pairs) {
+  struct Arrays {
+    std::vector<HomoglyphPair> pairs;
+    std::vector<std::uint32_t> chars;
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> postings;
+  };
+  auto arrays = std::make_shared<Arrays>();
+  arrays->pairs = std::move(pairs);
 
-void SimCharDb::rebind() noexcept {
-  pairs_ = owned_pairs_;
-  chars_ = owned_chars_;
-  offsets_ = owned_offsets_;
-  postings_ = owned_postings_;
-}
-
-void SimCharDb::index() {
   // CSR posting index: one (cp, partner, pair) triple per pair endpoint,
   // sorted by (cp, partner) — each character's postings therefore come out
   // partner-sorted, so delta_of can binary-search them (hot in the detect
@@ -153,9 +130,9 @@ void SimCharDb::index() {
     std::uint32_t pair;
   };
   std::vector<Entry> entries;
-  entries.reserve(2 * owned_pairs_.size());
-  for (std::size_t i = 0; i < owned_pairs_.size(); ++i) {
-    const auto& p = owned_pairs_[i];
+  entries.reserve(2 * arrays->pairs.size());
+  for (std::size_t i = 0; i < arrays->pairs.size(); ++i) {
+    const auto& p = arrays->pairs[i];
     entries.push_back({p.a, p.b, static_cast<std::uint32_t>(i)});
     entries.push_back({p.b, p.a, static_cast<std::uint32_t>(i)});
   }
@@ -163,19 +140,20 @@ void SimCharDb::index() {
     return x.cp != y.cp ? x.cp < y.cp : x.partner < y.partner;
   });
 
-  owned_chars_.clear();
-  owned_offsets_.clear();
-  owned_postings_.clear();
-  owned_postings_.reserve(entries.size());
+  arrays->postings.reserve(entries.size());
   for (const auto& e : entries) {
-    if (owned_chars_.empty() || owned_chars_.back() != e.cp) {
-      owned_chars_.push_back(e.cp);
-      owned_offsets_.push_back(static_cast<std::uint32_t>(owned_postings_.size()));
+    if (arrays->chars.empty() || arrays->chars.back() != e.cp) {
+      arrays->chars.push_back(e.cp);
+      arrays->offsets.push_back(static_cast<std::uint32_t>(arrays->postings.size()));
     }
-    owned_postings_.push_back(e.pair);
+    arrays->postings.push_back(e.pair);
   }
-  owned_offsets_.push_back(static_cast<std::uint32_t>(owned_postings_.size()));
-  rebind();
+  arrays->offsets.push_back(static_cast<std::uint32_t>(arrays->postings.size()));
+  pairs_ = arrays->pairs;
+  chars_ = arrays->chars;
+  offsets_ = arrays->offsets;
+  postings_ = arrays->postings;
+  keepalive_ = std::move(arrays);
 }
 
 SimCharDb::Flat SimCharDb::flat() const noexcept {
@@ -193,7 +171,8 @@ SimCharDb SimCharDb::adopt_view(const Flat& flat, std::shared_ptr<const void> ba
   db.chars_ = flat.chars;
   db.offsets_ = flat.offsets;
   db.postings_ = flat.postings;
-  db.backing_ = std::move(backing);
+  db.keepalive_ = std::move(backing);
+  db.adopted_ = true;
   return db;
 }
 

@@ -54,13 +54,10 @@ struct BuildStats {
 
 /// The built homoglyph database (value type; cheap queries).
 ///
-/// Storage comes in two modes sharing one query path:
-///   owned  — the pair list and its CSR posting index live in vectors
-///            (every constructor and build() produce this);
-///   view   — pairs and index are immutable spans into storage somebody
-///            else owns (the mmap'd DB artifact; see adopt_view). A view
-///            answers every const query with zero parsing or allocation;
-///            `backing` keeps the mapping alive for the db's lifetime.
+/// Every query reads immutable spans over the pair list and its CSR
+/// posting index, held alive by one shared keepalive: arrays built in
+/// memory (every constructor and build()) or the mmap'd DB artifact
+/// (adopt_view). Copies share the arrays.
 class SimCharDb {
  public:
   /// Run the three-step construction against `font`.
@@ -69,11 +66,6 @@ class SimCharDb {
 
   SimCharDb() = default;
   explicit SimCharDb(std::vector<HomoglyphPair> pairs);
-
-  SimCharDb(const SimCharDb& other) { *this = other; }
-  SimCharDb& operator=(const SimCharDb& other);
-  SimCharDb(SimCharDb&&) noexcept = default;
-  SimCharDb& operator=(SimCharDb&&) noexcept = default;
 
   /// The flat shape serialized into (and adopted from) the DB artifact:
   /// the canonical pair array plus the CSR posting index —
@@ -86,8 +78,8 @@ class SimCharDb {
     std::span<const std::uint32_t> postings;  // size 2 * pairs.size()
   };
 
-  /// Spans over the current storage (either mode) — what the artifact
-  /// writer serializes. Valid until the db is mutated or destroyed.
+  /// Spans over the storage — what the artifact writer serializes. Valid
+  /// while this db or a copy of it is alive.
   [[nodiscard]] Flat flat() const noexcept;
 
   /// Adopt immutable flat storage in place (zero-copy load path). The
@@ -97,7 +89,7 @@ class SimCharDb {
   static SimCharDb adopt_view(const Flat& flat, std::shared_ptr<const void> backing);
 
   /// True when the db reads adopted (e.g. memory-mapped) storage.
-  [[nodiscard]] bool is_view() const noexcept { return backing_ != nullptr; }
+  [[nodiscard]] bool is_view() const noexcept { return adopted_; }
 
   /// True if {a, b} is listed (order-insensitive; reflexive pairs are not
   /// stored, so are_homoglyphs(x, x) is false).
@@ -128,21 +120,17 @@ class SimCharDb {
   [[nodiscard]] static SimCharDb merge(const SimCharDb& a, const SimCharDb& b);
 
  private:
-  void index();
-  /// Point the query spans at the owned vectors (owned mode only).
-  void rebind() noexcept;
+  /// Build the CSR posting index over sorted, unique `pairs` and make both
+  /// this db's storage.
+  void index(std::vector<HomoglyphPair> pairs);
 
-  std::vector<HomoglyphPair> owned_pairs_;
-  std::vector<std::uint32_t> owned_chars_;
-  std::vector<std::uint32_t> owned_offsets_;
-  std::vector<std::uint32_t> owned_postings_;
-  /// The query path reads only these spans; owned mode points them at the
-  /// vectors above, view mode into `backing_`-owned storage.
+  /// The query path reads only these spans, which point into `keepalive_`.
   std::span<const HomoglyphPair> pairs_;
   std::span<const std::uint32_t> chars_;
   std::span<const std::uint32_t> offsets_;
   std::span<const std::uint32_t> postings_;
-  std::shared_ptr<const void> backing_;
+  std::shared_ptr<const void> keepalive_;
+  bool adopted_ = false;
 };
 
 /// Step I output in the kernels' word-major shape: the rendered repertoire

@@ -1,7 +1,7 @@
 // The DB artifact (db/format.hpp, db/artifact.hpp): write -> mmap ->
 // adopt round trips, loader hardening against corrupt input, in-place
-// glyph-panel adoption for the SIMD kernels, and copy-on-write when a
-// view-mode structure is mutated.
+// glyph-panel adoption for the SIMD kernels, and copy-on-write when an
+// adopted structure is mutated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -377,7 +377,7 @@ TEST(DbArtifact, ViewHomoglyphDbMaterializesOnUpdate) {
   std::remove(path.c_str());
 }
 
-TEST(DbArtifact, ViewSkeletonIndexMaterializesOnRehash) {
+TEST(DbArtifact, ViewSkeletonIndexCopiesOnRehash) {
   auto db = small_db();
   const auto w = small_workload(99);
   const auto path = write_small_artifact("cow_skel", small_simchar(), db, w.refs);
@@ -387,19 +387,36 @@ TEST(DbArtifact, ViewSkeletonIndexMaterializesOnRehash) {
       detect::SkeletonIndex::adopt_view(db, artifact.skeleton(), artifact.backing());
   detect::SkeletonIndex fresh{db, std::span<const std::string>{w.refs}};
   ASSERT_TRUE(adopted.is_view());
-
-  const simchar::HomoglyphPair extra[] = {{'z', 0x0436, 2}};
-  const auto update = db.apply_update(extra);
   const std::span<const std::string> labels{w.refs};
+  const auto expect_probes_match = [&] {
+    for (const auto& ref : w.refs) {
+      EXPECT_TRUE(std::ranges::equal(adopted.probe(adopted.hash_of(ref)),
+                                     fresh.probe(fresh.hash_of(ref))))
+          << ref;
+    }
+  };
+
+  // U+0436 joins z's component; no reference contains it, so no entry
+  // moves and the index keeps reading the mapping.
+  const simchar::HomoglyphPair no_move[] = {{'z', 0x0436, 2}};
+  auto update = db.apply_update(no_move);
+  EXPECT_EQ(adopted.rehash_changed(labels, update.canonical_changed),
+            fresh.rehash_changed(labels, update.canonical_changed));
+  EXPECT_TRUE(adopted.is_view());
+  expect_probes_match();
+
+  // {b, k} moves k's representative to b: every reference containing k
+  // rehashes, so the index copies its arrays into memory.
+  const simchar::HomoglyphPair moves[] = {{'b', 'k', 2}};
+  update = db.apply_update(moves);
+  ASSERT_EQ(update.canonical_changed, std::vector<CodePoint>{'k'});
   const auto adopted_touched = adopted.rehash_changed(labels, update.canonical_changed);
-  const auto fresh_touched = fresh.rehash_changed(labels, update.canonical_changed);
+  EXPECT_EQ(adopted_touched, fresh.rehash_changed(labels, update.canonical_changed));
+  EXPECT_GT(adopted_touched, 0u);
   EXPECT_FALSE(adopted.is_view());
-  EXPECT_EQ(adopted_touched, fresh_touched);
-  for (const auto& ref : w.refs) {
-    EXPECT_TRUE(std::ranges::equal(adopted.probe(adopted.hash_of(ref)),
-                                   fresh.probe(fresh.hash_of(ref))))
-        << ref;
-  }
+  expect_probes_match();
+  EXPECT_EQ(adopted.to_flat(),
+            (detect::SkeletonIndex{db, std::span<const std::string>{w.refs}}.to_flat()));
   std::remove(path.c_str());
 }
 
@@ -744,8 +761,9 @@ TEST(DbArtifactErrors, RejectsSkeletonEntryInNoBucketOrInTwo) {
   }
 }
 
-// materialize() files each entry under its own entry hash, so an entry
-// filed elsewhere would answer probes differently after the first update.
+// rehash_changed() re-buckets every entry under its own entry hash, so an
+// entry filed elsewhere would answer probes differently after the first
+// update.
 TEST(DbArtifactErrors, RejectsSkeletonEntryUnderAnotherHash) {
   auto [flat, b] = repeat_refs_flat();
   flat.entry_hashes[1] = flat.bucket_hashes[b];  // "mail" still sits in its own bucket
@@ -790,6 +808,21 @@ TEST(DbArtifactCompat, SplitBucketV1ArtifactStillLoads) {
       {.references = refs, .idns = idns, .strategy = detect::Strategy::kSerial});
   EXPECT_EQ(seeded.matches, serial.matches);
   EXPECT_FALSE(serial.matches.empty());
+}
+
+// tests/data/small_v1.artifact was written by the hash-map implementation
+// of HomoglyphDb and SkeletonIndex from small_simchar(), small_db() (UC
+// off) and these references with a default skeleton index. The writer
+// must keep producing exactly these bytes.
+TEST(DbArtifactCompat, WriterOutputUnchanged) {
+  const std::vector<std::string> refs{"google", "mail",  "paypal", "google",
+                                      "ok",     "apple", "amazon", "coinbase"};
+  const auto path = write_small_artifact("writer_compat", small_simchar(), small_db(), refs);
+  const auto written = slurp(path);
+  const auto pinned = slurp(std::string{SHAM_TEST_DATA_DIR} + "/small_v1.artifact");
+  ASSERT_FALSE(pinned.empty());
+  EXPECT_EQ(written, pinned);
+  std::remove(path.c_str());
 }
 
 TEST(DbArtifactErrors, EngineRejectsMismatchedReferenceFingerprint) {

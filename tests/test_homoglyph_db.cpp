@@ -144,6 +144,23 @@ TEST(HomoglyphDb, ParseRejectsGarbage) {
   EXPECT_THROW(HomoglyphDb::parse("U+0061 U+0430\n"), std::invalid_argument);
   EXPECT_THROW(HomoglyphDb::parse("U+0061 U+0430 Bogus\n"), std::invalid_argument);
   EXPECT_THROW(HomoglyphDb::parse("zz U+0430 UC\n"), std::invalid_argument);
+
+  // Out-of-range and reflexive pairs fail with their line number, as they
+  // do in SimCharDb::parse.
+  const auto expect_rejected = [](const std::string& text, const std::string& why) {
+    try {
+      (void)HomoglyphDb::parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(why), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected("U+110000 U+0430 UC\n", "line 1: code point above U+10FFFF");
+  expect_rejected("U+FFFFFFFF U+0061 SimChar\n", "line 1: code point above U+10FFFF");
+  expect_rejected("U+0061 U+0061 UC\n", "line 1: reflexive pair");
+  expect_rejected("# portable homoglyph DB\nU+0061 U+0430 UC\nU+0062 U+0062 both\n",
+                  "line 3: reflexive pair");
+  expect_rejected("U+0061 zz UC\n", "line 1:");
 }
 
 TEST(HomoglyphDb, ParseAcceptsCommentsAndBlankLines) {

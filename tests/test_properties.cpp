@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "db/artifact.hpp"
 #include "detect/detector.hpp"
@@ -378,6 +379,119 @@ TEST_P(DbRoundTripProperty, MappedDetectTracksSerialBaselineEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbRoundTripProperty,
                          ::testing::Values(501, 502, 503, 504, 505));
+
+// --- Incremental updates against a rebuild ----------------------------------
+
+void expect_same_arrays(const homoglyph::HomoglyphDb::Flat& got,
+                        const homoglyph::HomoglyphDb::Flat& want, const std::string& where) {
+  EXPECT_EQ(got.pair_keys, want.pair_keys) << where;
+  EXPECT_EQ(got.pair_sources, want.pair_sources) << where;
+  EXPECT_EQ(got.adj_cps, want.adj_cps) << where;
+  EXPECT_EQ(got.adj_offsets, want.adj_offsets) << where;
+  EXPECT_EQ(got.adj_data, want.adj_data) << where;
+  EXPECT_EQ(got.canon_keys, want.canon_keys) << where;
+  EXPECT_EQ(got.canon_reps, want.canon_reps) << where;
+  EXPECT_EQ(got.canonical_classes, want.canonical_classes) << where;
+}
+
+/// Random apply_update batches over a 24-character Latin/Cyrillic alphabet
+/// (duplicates, widenings from both sources, bridges between components
+/// and chords inside one). After every call:
+///   - canonical_changed is exactly the set of code points whose
+///     canonical() moved (brute force over U+0000..U+04FF);
+///   - the database equals a reparse of its own text form;
+///   - a built index and an index adopted from flat storage, both patched
+///     by rehash_changed, equal a fresh index over the updated database.
+class UpdateEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(UpdateEquivalence, EveryUpdateMatchesARebuild) {
+  util::Rng rng{GetParam()};
+  std::vector<CodePoint> alphabet;
+  for (char c = 'a'; c <= 'l'; ++c) alphabet.push_back(static_cast<CodePoint>(c));
+  for (CodePoint c = 0x0430; c < 0x043C; ++c) alphabet.push_back(c);
+  const auto pick = [&] { return alphabet[rng.below(alphabet.size())]; };
+
+  std::vector<simchar::HomoglyphPair> seed_pairs;
+  for (int i = 0; i < 4; ++i) {
+    const auto a = pick();
+    const auto b = pick();
+    if (a != b) seed_pairs.push_back({std::min(a, b), std::max(a, b), 1});
+  }
+  homoglyph::DbConfig config;
+  config.use_uc = false;
+  homoglyph::HomoglyphDb hg{simchar::SimCharDb{std::move(seed_pairs)},
+                            unicode::ConfusablesDb::embedded(), config};
+
+  std::vector<U32String> labels;
+  for (int i = 0; i < 40; ++i) {
+    U32String label;
+    const std::size_t n = 2 + rng.below(5);
+    for (std::size_t j = 0; j < n; ++j) label.push_back(pick());
+    labels.push_back(label);
+  }
+  const std::span<const U32String> label_span{labels};
+  detect::SkeletonIndex built{hg, label_span};
+  const auto initial = std::make_shared<const db::SkeletonFlat>(built.to_flat());
+  auto adopted = detect::SkeletonIndex::adopt_view(
+      hg,
+      {.hash_mask = initial->hash_mask,
+       .non_empty_buckets = initial->non_empty_buckets,
+       .entry_hashes = initial->entry_hashes,
+       .bucket_hashes = initial->bucket_hashes,
+       .bucket_offsets = initial->bucket_offsets,
+       .bucket_entries = initial->bucket_entries},
+      initial);
+
+  constexpr CodePoint kScan = 0x500;
+  for (int step = 0; step < 20; ++step) {
+    const std::string where =
+        "seed=" + std::to_string(GetParam()) + " step=" + std::to_string(step);
+    std::vector<simchar::HomoglyphPair> batch;
+    const std::size_t size = 1 + rng.below(5);
+    for (std::size_t i = 0; i < size; ++i) {
+      CodePoint a = pick();
+      CodePoint b = pick();
+      const auto kind = rng.below(4);
+      const auto pairs = hg.to_flat().pair_keys;
+      if (kind == 0 && !pairs.empty()) {  // a listed pair: duplicate or widening
+        const auto k = pairs[rng.below(pairs.size())];
+        a = static_cast<CodePoint>(k >> 32);
+        b = static_cast<CodePoint>(k & 0xFFFFFFFF);
+      } else if (kind == 1) {  // a chord: both ends already in one component
+        std::vector<CodePoint> mates;
+        for (const auto c : alphabet) {
+          if (c != a && hg.canonical(c) == hg.canonical(a)) mates.push_back(c);
+        }
+        if (!mates.empty()) b = mates[rng.below(mates.size())];
+      }
+      if (a == b) continue;
+      batch.push_back({std::min(a, b), std::max(a, b), 2});
+    }
+    const auto source =
+        rng.below(2) == 0 ? homoglyph::Source::kUc : homoglyph::Source::kSimChar;
+
+    std::vector<CodePoint> before(kScan);
+    for (CodePoint cp = 0; cp < kScan; ++cp) before[cp] = hg.canonical(cp);
+    const auto result = hg.apply_update(batch, source);
+    std::vector<CodePoint> moved;
+    for (CodePoint cp = 0; cp < kScan; ++cp) {
+      if (hg.canonical(cp) != before[cp]) moved.push_back(cp);
+    }
+    EXPECT_EQ(result.canonical_changed, moved) << where;
+
+    expect_same_arrays(hg.to_flat(),
+                       homoglyph::HomoglyphDb::parse(hg.serialize()).to_flat(), where);
+
+    built.rehash_changed(label_span, result.canonical_changed);
+    adopted.rehash_changed(label_span, result.canonical_changed);
+    const auto fresh = detect::SkeletonIndex{hg, label_span}.to_flat();
+    EXPECT_EQ(built.to_flat(), fresh) << where;
+    EXPECT_EQ(adopted.to_flat(), fresh) << where;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UpdateEquivalence,
+                         ::testing::Values(601, 602, 603, 604, 605));
 
 // --- Serialization closure -------------------------------------------------
 

@@ -3,8 +3,8 @@
 # the artifact test suite and the db_load smoke (round-trip byte-identity
 # plus corruption fuzzing), then drive the CLI the way a user would —
 # usage errors that must exit 2 without writing anything (bad numbers,
-# unknown or valueless flags and --help on every command among them,
-# caught before any database is built), build-db,
+# unknown or valueless flags, stray positional arguments and --help on
+# every command among them, caught before any database is built), build-db,
 # check --db-file vs the font-built path, and a corrupt-artifact
 # rejection probe.
 #
@@ -100,6 +100,25 @@ expect_usage_naming "unknown argument --thread" "$CLI" check xn--ggle-0nda.com \
 expect_usage_naming "--threads needs a value" "$CLI" check xn--ggle-0nda.com \
   --refs google --threads
 expect_usage_naming "domain '--refs'" "$CLI" check --refs google xn--ggle-0nda.com
+expect_usage_naming "unexpected argument 'extra'" "$CLI" candidates google 3 extra
+expect_usage_naming "unexpected argument 'extra'" "$CLI" revert xn--ggle-0nda.com extra
+expect_usage_naming "unexpected argument 'extra'" "$CLI" policy xn--ggle-0nda.com extra
+expect_usage_naming "unexpected argument 'b'" "$CLI" inspect a b
+expect_usage_naming "'-x' starts with '-'" "$CLI" candidates -x
+expect_usage_naming "'--foo' starts with '-'" "$CLI" revert --foo
+expect_usage_naming "'--strict' starts with '-'" "$CLI" policy --strict xn--ggle-0nda.com
+expect_usage_naming "'abc' is neither U+XXXX nor one character" "$CLI" inspect abc
+expect_usage_naming "'-x' is neither U+XXXX nor one character" "$CLI" inspect -x
+expect_usage_naming "'U+110000' is neither U+XXXX nor one character" "$CLI" inspect U+110000
+
+echo "=== CLI: inspect takes '-' as a character ==="
+for arg in - U+002D; do
+  if ! "$CLI" inspect "$arg" 2>/dev/null | grep -q '^U+002D'; then
+    echo "inspect $arg did not describe U+002D"
+    exit 1
+  fi
+  echo "    inspect $arg: describes U+002D"
+done
 
 echo "=== CLI: build-db -> check --db-file vs font-built check ==="
 "$CLI" build-db "$ARTIFACT" \
