@@ -3,9 +3,13 @@
 // homoglyph-DB lookups, Algorithm 1's per-pair matcher, and zone parsing.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "detect/detector.hpp"
 #include "detect/engine.hpp"
+#include "dns/domain.hpp"
 #include "dns/zone_file.hpp"
+#include "dns/zone_stream.hpp"
 #include "font/metrics.hpp"
 #include "font/paper_font.hpp"
 #include "idna/idna.hpp"
@@ -216,6 +220,61 @@ void BM_ZoneParse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_ZoneParse)->Unit(benchmark::kMillisecond);
+
+/// Lines shaped like the seed zones' delegations: absolute owner, TTL, IN,
+/// NS target.
+std::string generator_shaped_zone(std::size_t lines) {
+  util::Rng rng{17};
+  std::string zone = "$ORIGIN com.\n$TTL 172800\n";
+  for (std::size_t i = 0; i < lines; ++i) {
+    zone += "domain-" + std::to_string(rng.below(10'000'000)) + ".com. 86400 IN NS ns1.hosting-" +
+            std::to_string(rng.below(4096)) + ".net.\n";
+  }
+  return zone;
+}
+
+// The per-record cost a zone slice pays: ZoneStreamReader::feed in 64 KiB
+// chunks, as feed_file reads. per_record is the time per record.
+void BM_ZoneStreamRecord(benchmark::State& state) {
+  const std::string zone = generator_shaped_zone(20'000);
+  std::size_t records = 0;
+  for (auto _ : state) {
+    dns::ZoneStreamReader reader{[&](const dns::ResourceRecord& r) {
+      benchmark::DoNotOptimize(r.target.data());
+      ++records;
+    }};
+    for (std::string_view rest = zone; !rest.empty();) {
+      const auto take = std::min<std::size_t>(64 * 1024, rest.size());
+      reader.feed(rest.substr(0, take));
+      rest.remove_prefix(take);
+    }
+    reader.finish();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+  state.counters["per_record"] = benchmark::Counter(
+      static_cast<double>(records), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ZoneStreamRecord)->Unit(benchmark::kMillisecond);
+
+// One name through the zone reader's rule set (resolve already done):
+// generator-shaped owners and NS targets, mixed case. Time = ns/name.
+void BM_DomainNormalize(benchmark::State& state) {
+  util::Rng rng{19};
+  std::vector<std::string> names;
+  for (int i = 0; i < 1024; ++i) {
+    names.push_back(i % 2 == 0 ? "Domain-" + std::to_string(rng.below(10'000'000)) + ".com"
+                               : "ns1.hosting-" + std::to_string(rng.below(4096)) + ".NET");
+  }
+  std::string out;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::DomainName::normalize(out, names[next++ % names.size()]));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DomainNormalize);
 
 void BM_Utf8Decode(benchmark::State& state) {
   const std::string text = "g\xD0\xBE\xD0\xBEgle-\xE4\xB8\xAD\xE6\x96\x87";

@@ -26,12 +26,13 @@ class DomainName {
   static DomainName parse_or_throw(std::string_view text);
 
   /// The one set of name rules. Sets `out` to `name`, followed by "." and
-  /// `origin` when `origin` is non-empty, lowercases it in place, and
-  /// returns whether it is 1-253 octets of labels that are 1-63 octets of
-  /// LDH (underscore tolerated) and neither start nor end with '-'. No FQDN
-  /// dot is stripped. Allocates only if `out` lacks the capacity. parse()
-  /// runs it, and the zone reader runs it on every owner and every
-  /// NS/CNAME/MX target.
+  /// `origin` when `origin` is non-empty, lowercased, and returns whether
+  /// it is 1-253 octets of labels that are 1-63 octets of LDH (underscore
+  /// tolerated) and neither start nor end with '-'; on false, `out` is
+  /// unspecified. No FQDN dot is stripped. Each octet is read once, through
+  /// a table. Allocates only if `out` lacks the capacity. Neither `name`
+  /// nor `origin` may view `out`'s own characters. parse() runs it, and the
+  /// zone reader runs it on every owner and every NS/CNAME/MX target.
   static bool normalize(std::string& out, std::string_view name,
                         std::string_view origin = {});
 

@@ -1,39 +1,74 @@
 #include "dns/zone_stream.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <charconv>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
+#include "dns/zone_tokens.hpp"
+
 namespace sham::dns {
+
+namespace detail {
+
+std::size_t split_tokens(std::string_view line, std::size_t readable, Tokens& out) noexcept {
+  std::size_t count = 0;
+  std::size_t start = 0;  // of the open token
+  bool open = false;      // a token has started and not yet ended
+  for (std::size_t base = 0; base < line.size(); base += 64) {
+    const std::size_t left = line.size() - base;
+    const char* window = line.data() + base;
+    char padded[64];
+    if (readable - base < 64) {
+      std::memset(padded, ' ', sizeof padded);
+      std::memcpy(padded, window, left);
+      window = padded;
+    }
+#if defined(__SSE2__)
+    const WindowMasks masks = window_masks_sse2(window);
+#else
+    const WindowMasks masks = window_masks_table(window);
+#endif
+    // Separators: whitespace, the first ';' and everything after it, and
+    // every position past the line's end.
+    std::uint64_t sep = masks.space | (0 - (masks.semicolon & (0 - masks.semicolon)));
+    if (left < 64) sep |= ~std::uint64_t{0} << left;
+    // A bit where sep differs from the byte before it: a token starts (a
+    // separator before a non-separator) or ends. Starts and ends alternate.
+    std::uint64_t edges = sep ^ ((sep << 1) | std::uint64_t{!open});
+    while (edges != 0) {
+      const std::size_t at = base + static_cast<std::size_t>(std::countr_zero(edges));
+      edges &= edges - 1;
+      if (open) {
+        out[count++] = std::string_view{line.data() + start, at - start};
+        if (count == kMaxTokens) return count;
+      } else {
+        start = at;
+      }
+      open = !open;
+    }
+    if (masks.semicolon != 0) return count;  // the rest is a comment
+  }
+  if (open) out[count++] = std::string_view{line.data() + start, line.size() - start};
+  return count;
+}
+
+}  // namespace detail
 
 namespace {
 
-/// A record line reads at most six tokens (owner, TTL, class, type, MX
-/// priority, host), so splitting stops at kMaxTokens; a directive with
-/// extra tokens still counts more than two.
-constexpr std::size_t kMaxTokens = 8;
-using Tokens = std::array<std::string_view, kMaxTokens>;
+using detail::Tokens;
 
-/// ASCII whitespace, as std::isspace classifies it in the "C" locale.
-constexpr bool is_space(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
-}
-
-/// Split `line` on runs of whitespace into `out`; returns the token count
-/// (at most kMaxTokens).
-std::size_t split_tokens(std::string_view line, Tokens& out) noexcept {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  while (count < kMaxTokens) {
-    while (i < line.size() && is_space(line[i])) ++i;
-    if (i == line.size()) break;
-    const std::size_t start = i;
-    while (i < line.size() && !is_space(line[i])) ++i;
-    out[count++] = line.substr(start, i - start);
-  }
-  return count;
+/// The kind of a line split into `count` tokens: the one rule classify()
+/// and process_line() share.
+ZoneLineKind line_kind(std::string_view line, const Tokens& tokens,
+                       std::size_t count) noexcept {
+  if (count == 0) return ZoneLineKind::kEmpty;
+  if (tokens[0] == "$ORIGIN" || tokens[0] == "$TTL") return ZoneLineKind::kDirective;
+  return line[0] == ' ' || line[0] == '\t' ? ZoneLineKind::kContinuation
+                                           : ZoneLineKind::kOwner;
 }
 
 /// Parse a non-negative decimal token, rejecting values above `max` with
@@ -105,41 +140,34 @@ ZoneStreamReader::ZoneStreamReader(Sink sink, const ZoneReaderState& start)
 }
 
 ZoneLineKind ZoneStreamReader::classify(std::string_view line) noexcept {
-  // The same steps, in the same order, as process_line.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  if (const auto semi = line.find(';'); semi != std::string_view::npos) {
-    line = line.substr(0, semi);
-  }
   Tokens tokens;
-  if (split_tokens(line, tokens) == 0) return ZoneLineKind::kEmpty;
-  if (tokens[0] == "$ORIGIN" || tokens[0] == "$TTL") return ZoneLineKind::kDirective;
-  return line[0] == ' ' || line[0] == '\t' ? ZoneLineKind::kContinuation
-                                           : ZoneLineKind::kOwner;
+  const std::size_t count = detail::split_tokens(line, line.size(), tokens);
+  return line_kind(line, tokens, count);
 }
 
 ZoneReaderState ZoneStreamReader::state() const {
   return {origin_, origin_seen_, default_ttl_, record_.owner.str()};
 }
 
-void ZoneStreamReader::process_line(std::string_view line) {
+void ZoneStreamReader::process_line(std::string_view line, std::size_t readable) {
   ++line_no_;
   const std::size_t line_no = line_no_;
 
-  // CRLF: the terminator was consumed by feed(); a trailing CR belongs to
-  // the line ending, not the last token.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-
-  // Strip comments (zone files quote TXT data; registry zones we model
-  // don't contain quoted semicolons, so a plain scan suffices).
-  if (const auto semi = line.find(';'); semi != std::string_view::npos) {
-    line = line.substr(0, semi);
-  }
-  const bool owner_continuation = !line.empty() && (line[0] == ' ' || line[0] == '\t');
+  // A CR before the consumed LF is whitespace to the tokenizer, and the
+  // first ';' starts a comment (zone files quote TXT data; registry zones
+  // we model don't contain quoted semicolons).
   Tokens tokens;
-  const std::size_t count = split_tokens(line, tokens);
-  if (count == 0) return;
+  const std::size_t count = detail::split_tokens(line, readable, tokens);
+  const ZoneLineKind kind = line_kind(line, tokens, count);
+  if (kind == ZoneLineKind::kEmpty) return;
 
-  if (tokens[0] == "$ORIGIN") {
+  if (kind == ZoneLineKind::kDirective) {
+    if (tokens[0] == "$TTL") {
+      if (count != 2) throw ZoneParseError{line_no, "$TTL needs a value"};
+      default_ttl_ = static_cast<std::uint32_t>(parse_bounded(
+          tokens[1], std::numeric_limits<std::uint32_t>::max(), "$TTL", line_no));
+      return;
+    }
     if (count != 2) throw ZoneParseError{line_no, "$ORIGIN needs a name"};
     if (tokens[1] == ".") {
       // The absolute root: relative names below are already fully
@@ -154,16 +182,10 @@ void ZoneStreamReader::process_line(std::string_view line) {
     origin_seen_ = true;
     return;
   }
-  if (tokens[0] == "$TTL") {
-    if (count != 2) throw ZoneParseError{line_no, "$TTL needs a value"};
-    default_ttl_ = static_cast<std::uint32_t>(parse_bounded(
-        tokens[1], std::numeric_limits<std::uint32_t>::max(), "$TTL", line_no));
-    return;
-  }
 
   ResourceRecord& record = record_;
   std::size_t i = 0;
-  if (owner_continuation) {
+  if (kind == ZoneLineKind::kContinuation) {
     if (record.owner.str().empty()) throw ZoneParseError{line_no, "record without owner"};
   } else {
     const auto token = tokens[i++];
@@ -255,11 +277,11 @@ void ZoneStreamReader::feed(std::string_view chunk) {
     }
     if (pending_.empty()) {
       // Complete line lives entirely inside this chunk — parse the view
-      // in place, no copy.
-      process_line(chunk.substr(0, newline));
+      // in place, no copy. The rest of the chunk is readable.
+      process_line(chunk.substr(0, newline), chunk.size());
     } else {
       pending_.append(chunk.substr(0, newline));
-      process_line(pending_);
+      process_line(pending_, pending_.size());
       pending_.clear();
     }
     chunk.remove_prefix(newline + 1);
@@ -272,7 +294,7 @@ std::size_t ZoneStreamReader::finish() {
   }
   finished_ = true;
   if (!pending_.empty()) {
-    process_line(pending_);
+    process_line(pending_, pending_.size());
     pending_.clear();
   }
   return records_;

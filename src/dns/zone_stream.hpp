@@ -10,10 +10,19 @@
 // across chunk boundaries, so a stream cut into 1-byte chunks yields the
 // record sequence of a one-shot parse, byte for byte.
 //
+// Each line is read in one pass: 64-byte windows become separator masks
+// (whitespace, the comment from the first ';' on, the line's end) and the
+// tokens fall out of the masks (dns/zone_tokens.hpp), so every byte is
+// classified once. A window is loaded in place only when its 64 bytes lie
+// inside the chunk being fed; otherwise, as for a line carried over from an
+// earlier chunk, it is copied into a space-padded buffer, so the reader
+// never reads past what it was given.
+//
 // The per-record path allocates nothing in steady state: every line is
 // parsed into one member ResourceRecord whose owner and target strings
 // keep their capacity, tokens land in a fixed array, and names are
-// resolved, lowercased and validated in place (DomainName::normalize).
+// resolved, lowercased and validated by one table-driven copy of each
+// octet (DomainName::normalize).
 //
 // A reader can also start mid-file: given the state a sequential parse has
 // at a line boundary (ZoneReaderState), it parses the rest exactly as that
@@ -99,7 +108,9 @@ class ZoneStreamReader {
   [[nodiscard]] ZoneReaderState state() const;
 
  private:
-  void process_line(std::string_view line);
+  /// Parse one line (without its '\n'); `readable` >= line.size() bytes
+  /// from line.data() may be read.
+  void process_line(std::string_view line, std::size_t readable);
 
   Sink sink_;
   std::string origin_;

@@ -280,7 +280,7 @@ struct FleetZone {
   /// Zone file on disk; empty = synthetic (the worker generates the zone
   /// on the fly from `scenario`/`which` over the engine's own database).
   std::string zone_path;
-  internet::ScenarioConfig scenario;  // synthetic zones only
+  internet::ScenarioConfig scenario{};  // synthetic zones only
   int which = 2;                      // source list for synthetic zones
   std::size_t chunk_bytes = 256 * 1024;  // generator chunk size
 };

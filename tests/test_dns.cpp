@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
@@ -11,6 +13,7 @@
 #include "dns/records.hpp"
 #include "dns/zone_file.hpp"
 #include "dns/zone_stream.hpp"
+#include "dns/zone_tokens.hpp"
 #include "util/rng.hpp"
 #include "temp_dir.hpp"
 
@@ -387,6 +390,18 @@ TEST(ZoneStream, ClassifyMatchesTheParser) {
   // Only a space or a tab makes a continuation line; other whitespace
   // before the owner is skipped.
   EXPECT_EQ(kind("\vfoo IN A 1.2.3.4"), Kind::kOwner);
+  // Across the tokenizer's 64-byte windows: indentation and comments that
+  // reach past bytes 63 and 127, '\f' and '\v' indentation, a mid-line
+  // '\r', a 63-octet owner label, and a directive of more than 8 tokens.
+  EXPECT_EQ(kind(std::string(70, ' ') + "$TTL 300"), Kind::kDirective);
+  EXPECT_EQ(kind(std::string(64, '\t') + "; $ORIGIN com."), Kind::kEmpty);
+  EXPECT_EQ(kind(std::string(127, ' ') + ";"), Kind::kEmpty);
+  EXPECT_EQ(kind(std::string(128, ' ') + "x"), Kind::kContinuation);
+  EXPECT_EQ(kind("\f$ORIGIN com."), Kind::kDirective);
+  EXPECT_EQ(kind("\v\f\r\v"), Kind::kEmpty);
+  EXPECT_EQ(kind("a\rIN A 1.2.3.4"), Kind::kOwner);
+  EXPECT_EQ(kind(std::string(63, 'a') + " IN A 1.2.3.4"), Kind::kOwner);
+  EXPECT_EQ(kind("$TTL 1 2 3 4 5 6 7 8 9"), Kind::kDirective);
 
   // The parser agrees: the directive changes the origin, the continuation
   // inherits the previous owner, the '\v' line names its own.
@@ -399,6 +414,19 @@ TEST(ZoneStream, ClassifyMatchesTheParser) {
   ASSERT_EQ(zone.records.size(), 3u);
   EXPECT_EQ(zone.records[1].owner.str(), "a.com");
   EXPECT_EQ(zone.records[2].owner.str(), "b.net");
+
+  // A directive indented past the first window still applies, and one with
+  // more tokens than the tokenizer keeps is still rejected.
+  const auto indented = parse_zone(std::string(70, ' ') + "$ORIGIN net.\nb IN A 1.2.3.4\n");
+  ASSERT_EQ(indented.records.size(), 1u);
+  EXPECT_EQ(indented.records[0].owner.str(), "b.net");
+  try {
+    static_cast<void>(parse_zone("$ORIGIN com.\n$TTL 1 2 3 4 5 6 7 8 9\n"));
+    ADD_FAILURE() << "expected ZoneParseError";
+  } catch (const ZoneParseError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_EQ(e.message(), "$TTL needs a value");
+  }
 }
 
 // A reader started from the state() a sequential parse has at a line
@@ -560,11 +588,49 @@ TEST(ZoneStream, SteadyStateAllocatesNothing) {
   reader.finish();
 }
 
+/// `head` padded with spaces to `column` bytes, then `tail`.
+std::string at_column(std::string head, std::size_t column, std::string_view tail) {
+  head.resize(std::max(head.size(), column), ' ');
+  return head + std::string{tail};
+}
+
+/// Zone lines (65-200 bytes) that put a token, a whitespace run and a ';'
+/// across bytes 63/64 and 127/128, where the tokenizer's 64-byte windows
+/// meet; lines of exactly 64 and 128 bytes whose last token ends the line;
+/// '\v', '\f' and mid-line '\r' separators; indentation longer than a
+/// window; and owners whose first label is exactly 63 octets.
+std::string window_boundary_zone() {
+  std::string text = "$ORIGIN com.\n$TTL 3600\n";
+  const auto line = [&](const std::string& body) { text += body + "\n"; };
+  line(std::string(63, 'a') + " IN NS NS1.Hoster.NET.");           // space at 63
+  line(std::string(60, 'b') + ".com. 300 IN NS ns1.hoster.net.");  // token 0-64
+  line(at_column(at_column("c", 71, "IN"), 140, "A 192.0.2.1"));  // runs 1-70, 73-139
+  line(at_column("d IN A 192.0.2.2", 63, "; comment from byte 63"));
+  line(at_column("e IN A 192.0.2.3", 64, ";from 64"));
+  line(at_column("f IN A 192.0.2.4", 127, ";"));
+  line(at_column("g IN TXT v=spf1", 128, "; from 128"));
+  line(at_column("h IN NS", 120, "ns1.straddle-the-window.net."));  // token 120-147
+  line(at_column("i IN TXT", 60, "abc;def"));                       // ';' at 63
+  line(at_column("j IN NS", 45, "ns1.exactly-64.net."));            // 64 bytes
+  line(at_column("k IN NS", 109, "ns.line-of-128.net."));           // 128 bytes
+  line(at_column("l IN A", 55, "192.0.2.5") + "\r");                // CR is byte 64
+  line("m\vIN\fA\r192.0.2.6");
+  line(std::string(66, ' ') + "IN A 192.0.2.7");
+  line("\t" + std::string(70, '\v') + "IN A 192.0.2.8 ; \f\r");
+  line(at_column(std::string(65, '\t') + "$ORIGIN net.", 130, "; moved"));
+  line(std::string(63, 'n') + "\f300\vIN\tNS\r" + std::string(63, 'z') + ".");
+  line(at_column(at_column("o IN MX", 90, "10"), 180, "mx.o.net."));  // 189 bytes
+  return text;
+}
+
 // Property: a stream cut into random chunks (1 byte up to the whole file)
-// yields the exact record sequence of a one-shot parse. The input covers
-// CRLF endings, comments, owner-continuation lines, mid-file directives,
-// and a trailing unterminated line — everything that can straddle a
-// chunk boundary.
+// yields the exact record sequence of a one-shot parse. The first input
+// covers CRLF endings, comments, owner-continuation lines, mid-file
+// directives, and a trailing unterminated line — everything that can
+// straddle a chunk boundary. The second puts every line's bytes across the
+// tokenizer's windows: 1-byte feeds read each line from a space-padded
+// copy, a one-shot parse mostly in place, so the two paths are pinned
+// against each other.
 class ZoneChunkProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ZoneChunkProperty, ChunkingInvariant) {
@@ -586,32 +652,271 @@ TEST_P(ZoneChunkProperty, ChunkingInvariant) {
   const auto expected = parse_zone(text);
   ASSERT_EQ(expected.records.size(), 8u);
 
-  util::Rng rng{GetParam()};
-  for (int round = 0; round < 64; ++round) {
-    std::vector<ResourceRecord> records;
-    ZoneStreamReader reader{
-        [&](const ResourceRecord& r) { records.push_back(r); }};
-    std::string_view rest = text;
-    while (!rest.empty()) {
-      const auto take =
-          static_cast<std::size_t>(1 + rng.below(rest.size()));
-      reader.feed(rest.substr(0, take));
-      rest.remove_prefix(take);
-    }
-    reader.finish();
+  // The boundary zone parses to literal values: the chunked passes below
+  // compare the reader with itself.
+  const std::string boundary_text = window_boundary_zone();
+  const auto boundary = parse_zone(boundary_text);
+  ASSERT_EQ(boundary.records.size(), 17u);
+  const auto& b = boundary.records;
+  EXPECT_EQ(b[0].owner.str(), std::string(63, 'a') + ".com");
+  EXPECT_EQ(b[0].target, "ns1.hoster.net");
+  EXPECT_EQ(b[1].owner.str(), std::string(60, 'b') + ".com");
+  EXPECT_EQ(b[1].ttl, 300u);
+  EXPECT_EQ(b[2].address.str(), "192.0.2.1");
+  EXPECT_EQ(b[3].address.str(), "192.0.2.2");
+  EXPECT_EQ(b[4].address.str(), "192.0.2.3");
+  EXPECT_EQ(b[5].address.str(), "192.0.2.4");
+  EXPECT_EQ(b[6].target, "v=spf1");
+  EXPECT_EQ(b[7].target, "ns1.straddle-the-window.net");
+  EXPECT_EQ(b[8].target, "abc");
+  EXPECT_EQ(b[9].target, "ns1.exactly-64.net");
+  EXPECT_EQ(b[10].target, "ns.line-of-128.net");
+  EXPECT_EQ(b[11].address.str(), "192.0.2.5");
+  EXPECT_EQ(b[12].owner.str(), "m.com");
+  EXPECT_EQ(b[12].address.str(), "192.0.2.6");
+  EXPECT_EQ(b[13].owner.str(), "m.com");
+  EXPECT_EQ(b[14].owner.str(), "m.com");
+  EXPECT_EQ(b[14].address.str(), "192.0.2.8");
+  EXPECT_EQ(b[15].owner.str(), std::string(63, 'n') + ".net");
+  EXPECT_EQ(b[15].ttl, 300u);
+  EXPECT_EQ(b[15].target, std::string(63, 'z'));
+  EXPECT_EQ(b[16].owner.str(), "o.net");
+  EXPECT_EQ(b[16].priority, 10u);
+  EXPECT_EQ(b[16].target, "mx.o.net");
 
-    ASSERT_EQ(records.size(), expected.records.size()) << "round " << round;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      EXPECT_EQ(records[i], expected.records[i])
-          << "round " << round << " record " << i;
+  util::Rng rng{GetParam()};
+  const auto expect_chunking_invariant = [&](std::string_view text,
+                                             const Zone& expected) {
+    // Round -1 feeds single bytes; the others cut at random.
+    for (int round = -1; round < 64; ++round) {
+      std::vector<ResourceRecord> records;
+      ZoneStreamReader reader{
+          [&](const ResourceRecord& r) { records.push_back(r); }};
+      std::string_view rest = text;
+      while (!rest.empty()) {
+        const auto take =
+            round < 0 ? 1 : static_cast<std::size_t>(1 + rng.below(rest.size()));
+        reader.feed(rest.substr(0, take));
+        rest.remove_prefix(take);
+      }
+      reader.finish();
+
+      ASSERT_EQ(records.size(), expected.records.size()) << "round " << round;
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i], expected.records[i])
+            << "round " << round << " record " << i;
+      }
+      EXPECT_EQ(reader.origin(), expected.origin.str());
+      EXPECT_EQ(reader.default_ttl(), expected.default_ttl);
     }
-    EXPECT_EQ(reader.origin(), expected.origin.str());
-    EXPECT_EQ(reader.default_ttl(), expected.default_ttl);
-  }
+  };
+  expect_chunking_invariant(text, expected);
+  expect_chunking_invariant(boundary_text, boundary);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZoneChunkProperty,
                          ::testing::Values(1u, 77u, 515u, 8191u, 20260808u));
+
+// --- Oracles for the one-pass line scan -------------------------------
+
+/// The tokenizer before the mask scan, one byte at a time: drop a trailing
+/// CR, cut at the first ';', split on "C"-locale whitespace.
+std::size_t reference_split_tokens(std::string_view line, detail::Tokens& out) {
+  const auto is_space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+  };
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (const auto semi = line.find(';'); semi != std::string_view::npos) {
+    line = line.substr(0, semi);
+  }
+  std::size_t count = 0;
+  std::size_t i = 0;
+  while (count < detail::kMaxTokens) {
+    while (i < line.size() && is_space(line[i])) ++i;
+    if (i == line.size()) break;
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) ++i;
+    out[count++] = line.substr(start, i - start);
+  }
+  return count;
+}
+
+// Property: the mask tokenizer returns the byte loop's tokens, at the same
+// addresses, on random lines of 0-300 bytes followed by 0-70 more readable
+// bytes. Each line and its slack fill an exact-size heap block, so
+// AddressSanitizer reports a window loaded past the readable bytes.
+TEST(TokenizerProperty, MatchesByteLoopOracle) {
+  const std::string spaces = " \t\n\v\f\r";
+  std::string others = "$.-_";
+  for (char c = 'A'; c <= 'Z'; ++c) others += c;
+  for (int c = 0x80; c <= 0xFF; ++c) others += static_cast<char>(c);
+  util::Rng rng{2026};
+  for (int trial = 0; trial < 20000; ++trial) {
+    const auto size = static_cast<std::size_t>(rng.below(301));
+    const auto slack = static_cast<std::size_t>(rng.below(71));
+    // Per line, from no separators to mostly separators, and from no ';'
+    // to a few.
+    const auto space_pct = rng.below(80);
+    const auto semicolon_pct = rng.below(3);
+    std::vector<char> bytes(size + slack);
+    for (char& c : bytes) {
+      const auto roll = rng.below(100);
+      c = roll < semicolon_pct             ? ';'
+          : roll < semicolon_pct + space_pct ? spaces[rng.below(spaces.size())]
+                                             : others[rng.below(others.size())];
+    }
+    const std::string_view line{bytes.data(), size};
+    detail::Tokens want;
+    detail::Tokens got;
+    const std::size_t count = reference_split_tokens(line, want);
+    ASSERT_EQ(detail::split_tokens(line, size + slack, got), count) << "trial " << trial;
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(got[i].data(), want[i].data()) << "trial " << trial << " token " << i;
+      EXPECT_EQ(got[i].size(), want[i].size()) << "trial " << trial << " token " << i;
+    }
+  }
+}
+
+/// Each byte value at each window position, in a window of 'x'.
+template <typename Check>
+void for_each_byte_at_each_position(Check check) {
+  for (int byte = 0; byte < 256; ++byte) {
+    for (std::size_t at = 0; at < 64; ++at) {
+      char window[64];
+      std::fill(std::begin(window), std::end(window), 'x');
+      window[at] = static_cast<char>(byte);
+      check(window, static_cast<unsigned char>(byte), at);
+    }
+  }
+}
+
+// The table builder is the "C" locale's isspace plus ';', bit for bit.
+TEST(WindowMaskProperty, TableMatchesIsspace) {
+  for_each_byte_at_each_position([](const char* window, unsigned char byte, std::size_t at) {
+    const auto masks = detail::window_masks_table(window);
+    const std::uint64_t bit = std::uint64_t{1} << at;
+    EXPECT_EQ(masks.space, std::isspace(byte) != 0 ? bit : 0) << int{byte} << " at " << at;
+    EXPECT_EQ(masks.semicolon, byte == ';' ? bit : 0) << int{byte} << " at " << at;
+  });
+}
+
+#if defined(__SSE2__)
+// Property: the SSE2 builder equals the table builder on every byte at
+// every position, and on random unaligned windows drawn from all bytes and
+// from the bytes next to the biased compare's range.
+TEST(WindowMaskProperty, Sse2MatchesTable) {
+  for_each_byte_at_each_position([](const char* window, unsigned char byte, std::size_t at) {
+    EXPECT_EQ(detail::window_masks_sse2(window), detail::window_masks_table(window))
+        << int{byte} << " at " << at;
+  });
+  const std::string near = " \t\n\v\f\r;\x08\x0e\x1f!:<\x80\x88\x89\x8d\x8e\xff";
+  util::Rng rng{64};
+  for (int trial = 0; trial < 20000; ++trial) {
+    char buffer[64 + 15];
+    for (char& c : buffer) {
+      c = trial % 2 == 0 ? static_cast<char>(rng.below(256)) : near[rng.below(near.size())];
+    }
+    const char* window = buffer + rng.below(16);
+    ASSERT_EQ(detail::window_masks_sse2(window), detail::window_masks_table(window))
+        << "trial " << trial;
+  }
+}
+#endif
+
+/// DomainName::normalize before the table: join, then lowercase and check
+/// in place, one octet at a time.
+bool reference_normalize(std::string& out, std::string_view name, std::string_view origin) {
+  out.assign(name);
+  if (!origin.empty()) {
+    out += '.';
+    out += origin;
+  }
+  const std::size_t size = out.size();
+  if (size == 0 || size > 253) return false;
+  char* const p = out.data();
+  std::size_t label_start = 0;
+  for (std::size_t i = 0; i <= size; ++i) {
+    if (i == size || p[i] == '.') {
+      const std::size_t length = i - label_start;
+      if (length == 0 || length > 63 || p[label_start] == '-' || p[i - 1] == '-') {
+        return false;
+      }
+      label_start = i + 1;
+      continue;
+    }
+    char c = p[i];
+    if (c >= 'A' && c <= 'Z') p[i] = c = static_cast<char>(c - 'A' + 'a');
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-' ||
+                    c == '_';
+    if (!ok) return false;
+  }
+  return true;
+}
+
+/// `size` octets of 63-octet labels: a '.' at every 64th position.
+std::string name_of_size(std::size_t size) {
+  std::string name(size, 'A');
+  for (std::size_t i = 63; i < size; i += 64) name[i] = '.';
+  return name;
+}
+
+// Property: normalize() agrees with the byte loop, in its result and in the
+// name it writes, with and without an origin: on random names, at the
+// 63/64-octet label limit and at the 253/254-octet name limit.
+TEST(NormalizeProperty, MatchesByteLoopOracle) {
+  const std::vector<std::string> origins = {
+      "", "com", "Ex-Ample.NET", "a.b.c", "-bad", "trailing.", std::string(63, 'o'),
+      std::string(64, 'o')};
+  std::size_t valid = 0;
+  const auto expect_same = [&](std::string_view name) {
+    for (const auto& origin : origins) {
+      std::string want;
+      std::string got = "stale";
+      const bool ok = reference_normalize(want, name, origin);
+      ASSERT_EQ(DomainName::normalize(got, name, origin), ok)
+          << "'" << name << "' + '" << origin << "'";
+      if (ok) {
+        EXPECT_EQ(got, want) << "'" << name << "' + '" << origin << "'";
+        ++valid;
+      }
+    }
+  };
+  for (const std::size_t label : {1, 62, 63, 64}) {
+    expect_same(std::string(label, 'a'));
+    expect_same(std::string(label, 'a') + ".com");
+    expect_same("x." + std::string(label, 'B'));
+    expect_same("-" + std::string(label, 'c'));
+    expect_same(std::string(label, 'c') + "-");
+  }
+  for (std::size_t size = 186; size <= 256; ++size) expect_same(name_of_size(size));
+  for (const std::string_view edge : {"", ".", "..", "a.", ".a", "a..b", "-", "_", "a-b"}) {
+    expect_same(edge);
+  }
+
+  const std::string alphabet = "abcXYZ09-_..-";
+  const std::string invalid = std::string{" @*/\x80\xff"} + '\0';
+  util::Rng rng{253};
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string name;
+    if (trial % 2 == 0) {
+      // Labels of 0-66 octets.
+      const auto labels = 1 + rng.below(5);
+      for (std::uint64_t l = 0; l < labels; ++l) {
+        if (l != 0) name += '.';
+        const auto length = rng.below(67);
+        for (std::uint64_t i = 0; i < length; ++i) name += alphabet[rng.below(alphabet.size() - 3)];
+      }
+    } else {
+      const auto length = rng.below(271);
+      for (std::uint64_t i = 0; i < length; ++i) name += alphabet[rng.below(alphabet.size())];
+    }
+    if (rng.below(8) == 0 && !name.empty()) {
+      name[rng.below(name.size())] = invalid[rng.below(invalid.size())];
+    }
+    expect_same(name);
+  }
+  EXPECT_GT(valid, 10000u);  // the comparison covers accepted names, not just rejections
+}
 
 // --- Language identification -----------------------------------------
 

@@ -23,9 +23,9 @@ cmake --build "$BUILD_DIR" --target test_scale test_dns scale_run shamfinder_cli
 echo "=== streaming pipeline test suite ==="
 "$BUILD_DIR"/tests/test_scale --gtest_brief=1
 
-echo "=== zone parser + chunk-boundary property suite ==="
+echo "=== zone parser + chunk-boundary and tokenizer/name oracle suites ==="
 "$BUILD_DIR"/tests/test_dns --gtest_brief=1 \
-  --gtest_filter='ZoneFile.*:ZoneStream.*:Seeds/ZoneChunkProperty.*'
+  --gtest_filter='ZoneFile.*:ZoneStream.*:Seeds/ZoneChunkProperty.*:TokenizerProperty.*:WindowMaskProperty.*:NormalizeProperty.*'
 
 echo "=== scale_run smoke (identity + fleet + diff feed) ==="
 "$BUILD_DIR"/bench/scale_run --smoke
