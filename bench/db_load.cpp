@@ -1,7 +1,7 @@
 // DB-artifact cold start: the preprocessing output (SimChar + homoglyph
-// DB + reference skeleton index + glyph panel) serialized once and then
-// memory-mapped with zero parsing. This bench measures what the artifact
-// buys at process start against rebuilding everything from the font:
+// DB + reference skeleton index) serialized once and then memory-mapped
+// with zero parsing. This bench measures what the artifact buys at
+// process start against rebuilding everything from the font:
 //
 //   build path   render repertoire -> mine pairs -> compose HomoglyphDb
 //                -> build skeleton index -> first detect();
@@ -82,11 +82,9 @@ Workload make_workload(const homoglyph::HomoglyphDb& db, std::size_t ref_count,
   return w;
 }
 
-/// Serialize the finder's databases plus a reference-side skeleton index
-/// and (optionally) the rendered panel.
+/// Serialize the finder's databases plus a reference-side skeleton index.
 void write_artifact(const std::string& path, const core::ShamFinder& finder,
-                    std::span<const std::string> refs,
-                    const simchar::RepertoirePanel* panel) {
+                    std::span<const std::string> refs) {
   db::WriteRequest request;
   request.simchar = &finder.simchar();
   request.homoglyph = &finder.db();
@@ -97,11 +95,6 @@ void write_artifact(const std::string& path, const core::ShamFinder& finder,
     request.references = refs;
     request.reference_fingerprint = detect::label_set_fingerprint(refs);
     request.skeleton = &skeleton;
-  }
-  if (panel != nullptr) {
-    request.panel = &panel->panel;
-    request.glyph_cps = panel->cps;
-    request.glyph_popcounts = panel->popcounts;
   }
   db::write_db_file(path, request);
 }
@@ -248,16 +241,14 @@ int main(int argc, char** argv) {
   const auto font = font::make_paper_font({}).font;
   const auto setup = core::ShamFinder::build_from_font(*font);
   const auto workload = make_workload(setup.db(), 500, 20'000, 20260808);
-  const auto panel = simchar::render_repertoire_panel(*font);
 
   const std::string path = "BENCH_db.artifact";
-  write_artifact(path, setup, workload.refs, &panel);
+  write_artifact(path, setup, workload.refs);
   const auto probe = db::DbArtifact::load(path);
   const std::size_t artifact_bytes = probe.file_size();
-  std::printf("artifact: %zu bytes (%zu refs embedded, skeleton %s, panel %s)\n",
+  std::printf("artifact: %zu bytes (%zu refs embedded, skeleton %s)\n",
               artifact_bytes, probe.references().size(),
-              probe.has_skeleton() ? "yes" : "no",
-              probe.has_glyph_panel() ? "yes" : "no");
+              probe.has_skeleton() ? "yes" : "no");
 
   // Cold start is time-to-first-verdict: everything a fresh process pays
   // before it can answer its first query (the CLI `check` shape — a

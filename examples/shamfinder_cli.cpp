@@ -118,8 +118,8 @@ int usage() {
                "usage: shamfinder_cli <command> ...\n"
                "  build-db <out-path>            build the databases and serialize\n"
                "        [--refs a,b,c]           them (plus a reference-side skeleton\n"
-               "        [--no-panel]             index and the glyph panel) into one\n"
-               "                                 mmap-ready artifact file\n"
+               "                                 index) into one mmap-ready artifact\n"
+               "                                 file\n"
                "  check <domain> --refs a,b,c    detect homograph vs references\n"
                "        [--db-file path]         mmap a build-db artifact instead of\n"
                "                                 building from the font (refs default\n"
@@ -143,8 +143,8 @@ int usage() {
                "                                 synthetic closed-loop replay; prints\n"
                "                                 the latency/coalescing report JSON\n"
                "  scale-run --db-file path       stream registry zones through one\n"
-               "        --zone <tld>:<path>      engine per TLD, all workers mapping\n"
-               "        [--zone ...]             the shared build-db artifact; prints\n"
+               "        --zone <tld>:<path>      engine per TLD, all sharing one\n"
+               "        [--zone ...]             mapping of the build-db artifact; prints\n"
                "        [--batch N] [--passes N] the fleet throughput/RSS report as\n"
                "        [--strategy serial|skeleton]\n"
                "                                 JSON (exit 1 if any worker failed)\n"
@@ -159,29 +159,25 @@ int usage() {
   return 2;
 }
 
-/// build-db <out-path> [--refs a,b,c] [--no-panel]: serialize the full
-/// preprocessing output into one mmap-ready artifact. When references are
-/// given, a reference-side skeleton index is built and embedded so a
-/// loading engine's first skeleton query skips the index build. An output
-/// path starting with '-' is rejected (it is almost always a mistyped
-/// flag) before anything is written.
+/// build-db <out-path> [--refs a,b,c]: serialize the full preprocessing
+/// output into one mmap-ready artifact. When references are given, a
+/// reference-side skeleton index is built and embedded so a loading
+/// engine's first skeleton query skips the index build. An output path
+/// starting with '-' is rejected (it is almost always a mistyped flag)
+/// before anything is written.
 int cmd_build_db(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   const std::string out_path = args[0];
   if (out_path.starts_with('-')) {
     std::fprintf(stderr,
                  "build-db: output path '%s' starts with '-'; expected "
-                 "build-db <out-path> [--refs a,b,c] [--no-panel]\n",
+                 "build-db <out-path> [--refs a,b,c]\n",
                  out_path.c_str());
     return 2;
   }
   std::vector<std::string> refs;
-  bool include_panel = true;
-  core::ShamFinderConfig config;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--no-panel") {
-      include_panel = false;
-    } else if (args[i] == "--refs" && i + 1 < args.size()) {
+    if (args[i] == "--refs" && i + 1 < args.size()) {
       for (const auto part : util::split(args[++i], ',')) refs.emplace_back(part);
     } else {
       std::fprintf(stderr, "build-db: unknown argument %s\n", args[i].c_str());
@@ -190,7 +186,7 @@ int cmd_build_db(const std::vector<std::string>& args) {
   }
   const auto font = open_font();
   std::fprintf(stderr, "[db] building from %s ...\n", font->name().c_str());
-  const auto finder = core::ShamFinder::build_from_font(*font, config);
+  const auto finder = core::ShamFinder::build_from_font(*font);
 
   db::WriteRequest request;
   request.simchar = &finder.simchar();
@@ -206,30 +202,21 @@ int cmd_build_db(const std::vector<std::string>& args) {
     request.skeleton = &skeleton;
   }
 
-  std::optional<simchar::RepertoirePanel> panel;
-  if (include_panel) {
-    panel = simchar::render_repertoire_panel(*font, config.build);
-    request.panel = &panel->panel;
-    request.glyph_cps = panel->cps;
-    request.glyph_popcounts = panel->popcounts;
-  }
-
   db::write_db_file(out_path, request);
   const auto artifact = db::DbArtifact::load(out_path);
   std::printf("wrote %s: %zu bytes, generation %llu, %zu pair(s), "
-              "%zu reference(s), skeleton %s, glyph panel %s\n",
+              "%zu reference(s), skeleton %s\n",
               out_path.c_str(), artifact.file_size(),
               static_cast<unsigned long long>(artifact.generation()),
               finder.simchar().pairs().size(), artifact.references().size(),
-              artifact.has_skeleton() ? "yes" : "no",
-              artifact.has_glyph_panel() ? "yes" : "no");
+              artifact.has_skeleton() ? "yes" : "no");
   return 0;
 }
 
 /// scale-run --db-file <path> --zone <tld>:<zone-path> [--zone ...]
 /// [--batch N] [--passes N] [--strategy s] [--domains N] [--tlds a,b]
 /// [--seed N] [--shards N] [--chunk-bytes N] [--progress N]: the multi-TLD
-/// streaming fleet — one engine per zone, every worker mapping the same
+/// streaming fleet — one engine per zone, all over one mapping of the
 /// artifact, each zone cut into `--shards` slices that are parsed and
 /// detected in parallel, in bounded-memory batches. `--domains N`
 /// replaces on-disk zones with seed-deterministic synthetic zones

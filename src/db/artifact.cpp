@@ -1,17 +1,16 @@
 #include "db/artifact.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <utility>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "db/mapped_file.hpp"
 
@@ -138,24 +137,73 @@ Payload skeleton_payload(const SkeletonFlat& flat) {
   return out;
 }
 
-Payload panel_payload(const kernels::GlyphPanel& panel,
-                      std::span<const unicode::CodePoint> cps,
-                      std::span<const std::int32_t> popcounts) {
-  Payload out;
-  out.scalar<std::uint64_t>(panel.size());
-  out.scalar<std::uint64_t>(panel.stride());
-  out.array(cps);
-  out.array(popcounts);
-  // Word rows land 64-byte aligned in the mapping (sections are 64-byte
-  // aligned and this pad mirrors the reader's) so the batched ∆ kernels
-  // can stream them in place; the pad bytes are zero by construction.
-  out.align(kSectionAlign);
-  if (panel.stride() != 0) {
-    out.array(std::span<const std::uint64_t>{
-        panel.word_row(0), kernels::kGlyphWords * panel.stride()});
+/// The staging file write_db_file publishes: a sibling of the target with
+/// a name no other writer uses (pid plus a process-wide counter, created
+/// O_EXCL), so concurrent writers to one path never share it. Until
+/// publish() renames it over the target, the destructor closes and
+/// removes it, so no failure path leaves it behind. Mode 0666 & ~umask,
+/// like any new file: a serving process running as another user must be
+/// able to map the artifact.
+class StagingFile {
+ public:
+  explicit StagingFile(const std::string& path) {
+    static std::atomic<std::uint64_t> counter{0};
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      tmp_ = path + ".tmp." + std::to_string(::getpid()) + "." +
+             std::to_string(counter.fetch_add(1));
+      fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+      if (fd_ >= 0 || errno != EEXIST) break;
+    }
+    if (fd_ < 0) fail("cannot create");
   }
-  return out;
-}
+  ~StagingFile() {
+    if (fd_ >= 0) ::close(fd_);
+    if (!published_) ::unlink(tmp_.c_str());
+  }
+  StagingFile(const StagingFile&) = delete;
+  StagingFile& operator=(const StagingFile&) = delete;
+
+  void write(const void* data, std::size_t n) {
+    const auto* p = static_cast<const char*>(data);
+    while (n > 0) {
+      const ssize_t wrote = ::write(fd_, p, n);
+      if (wrote < 0) {
+        if (errno == EINTR) continue;
+        fail("cannot write");
+      }
+      p += wrote;
+      n -= static_cast<std::size_t>(wrote);
+    }
+  }
+
+  /// fsync, then rename over `path`: readers never map a half-written
+  /// artifact, and a crash after the rename cannot land the new name on
+  /// unwritten data (rename alone does not order the data against the
+  /// metadata).
+  void publish(const std::string& path) {
+    if (::fsync(fd_) != 0) fail("cannot fsync");
+    const int closed = ::close(fd_);
+    fd_ = -1;
+    if (closed != 0) fail("cannot close");
+    if (std::rename(tmp_.c_str(), path.c_str()) != 0) {
+      fail("cannot rename", path);
+    }
+    published_ = true;
+  }
+
+ private:
+  /// Throws "<what> <staging file>[ to <target>]: <errno text>".
+  [[noreturn]] void fail(const char* what, const std::string& target = {}) const {
+    const int err = errno;
+    throw std::runtime_error{std::string{"write_db_file: "} + what + " " + tmp_ +
+                             (target.empty() ? "" : " to " + target) + ": " +
+                             std::strerror(err)};
+  }
+
+  std::string tmp_;
+  int fd_ = -1;
+  bool published_ = false;
+};
 
 }  // namespace
 
@@ -169,12 +217,6 @@ void write_db_file(const std::string& path, const WriteRequest& request) {
         "write_db_file: a skeleton section requires the reference labels it "
         "indexes"};
   }
-  if (request.panel != nullptr &&
-      (request.glyph_cps.size() != request.panel->size() ||
-       request.glyph_popcounts.size() != request.panel->size())) {
-    throw std::invalid_argument{
-        "write_db_file: glyph_cps/glyph_popcounts must parallel the panel"};
-  }
 
   std::vector<std::pair<std::uint32_t, Payload>> sections;
   sections.emplace_back(kSecSimChar, simchar_payload(*request.simchar));
@@ -184,11 +226,6 @@ void write_db_file(const std::string& path, const WriteRequest& request) {
   }
   if (request.skeleton != nullptr) {
     sections.emplace_back(kSecSkeleton, skeleton_payload(*request.skeleton));
-  }
-  if (request.panel != nullptr) {
-    sections.emplace_back(kSecGlyphPanel,
-                          panel_payload(*request.panel, request.glyph_cps,
-                                        request.glyph_popcounts));
   }
 
   FileHeader header;
@@ -214,51 +251,19 @@ void write_db_file(const std::string& path, const WriteRequest& request) {
       fnv1a64(table.data(), table.size() * sizeof(SectionEntry));
   header.header_checksum = fnv1a64(&header, sizeof(FileHeader) - sizeof(std::uint64_t));
 
-  // Write to a sibling temp file, fsync it, and rename into place:
-  // concurrent readers never map a half-written artifact, and a crash or
-  // power loss after the rename cannot land the new name on unwritten data
-  // (rename alone does not order the data against the metadata).
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
-    if (!out) {
-      throw std::runtime_error{"write_db_file: cannot open " + tmp};
-    }
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(table.data()),
-              static_cast<std::streamsize>(table.size() * sizeof(SectionEntry)));
-    std::uint64_t pos = sizeof(FileHeader) + table.size() * sizeof(SectionEntry);
-    static constexpr char kPad[kSectionAlign] = {};
-    for (std::size_t s = 0; s < sections.size(); ++s) {
-      const auto pad = table[s].offset - pos;
-      out.write(kPad, static_cast<std::streamsize>(pad));
-      const auto& payload = sections[s].second.bytes();
-      out.write(reinterpret_cast<const char*>(payload.data()),
-                static_cast<std::streamsize>(payload.size()));
-      pos = table[s].offset + table[s].size;
-    }
-    out.close();
-    if (out.fail()) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error{"write_db_file: short write to " + tmp};
-    }
+  StagingFile out{path};
+  out.write(&header, sizeof(header));
+  out.write(table.data(), table.size() * sizeof(SectionEntry));
+  std::uint64_t pos = sizeof(FileHeader) + table.size() * sizeof(SectionEntry);
+  static constexpr char kPad[kSectionAlign] = {};
+  for (std::size_t s = 0; s < sections.size(); ++s) {
+    out.write(kPad, static_cast<std::size_t>(table[s].offset - pos));
+    const auto& payload = sections[s].second.bytes();
+    out.write(payload.data(), payload.size());
+    pos = table[s].offset + table[s].size;
   }
-#ifndef _WIN32
-  {
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CLOEXEC);
-    if (fd < 0 || ::fsync(fd) != 0) {
-      if (fd >= 0) ::close(fd);
-      std::remove(tmp.c_str());
-      throw std::runtime_error{"write_db_file: cannot fsync " + tmp};
-    }
-    ::close(fd);
-  }
-#endif
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error{"write_db_file: cannot rename " + tmp + " to " + path};
-  }
-#ifndef _WIN32
+  out.publish(path);
+
   // Best-effort directory sync so the rename itself is durable; some
   // filesystems refuse fsync on a directory fd, which is not an error the
   // (already readable) artifact should fail on.
@@ -269,7 +274,6 @@ void write_db_file(const std::string& path, const WriteRequest& request) {
     ::fsync(dfd);
     ::close(dfd);
   }
-#endif
 }
 
 // --- Loader ---------------------------------------------------------------
@@ -450,7 +454,6 @@ DbArtifact DbArtifact::load(const std::string& path) {
   bool seen_homoglyph = false;
   bool seen_references = false;
   bool seen_skeleton = false;
-  bool seen_panel = false;
   for (std::uint32_t s = 0; s < header.section_count; ++s) {
     SectionEntry entry;
     std::memcpy(&entry, table_base + s * sizeof(SectionEntry), sizeof(entry));
@@ -488,39 +491,9 @@ DbArtifact DbArtifact::load(const std::string& path) {
         artifact.skeleton_ = parse_skeleton(std::move(reader));
         artifact.has_skeleton_ = true;
         break;
-      case kSecGlyphPanel: {
-        if (seen_panel) corrupt(path, "duplicate GPAN section");
-        seen_panel = true;
-        const auto count = reader.scalar<std::uint64_t>();
-        const auto stride = reader.scalar<std::uint64_t>();
-        artifact.glyph_cps_ =
-            reader.array<unicode::CodePoint>(count);
-        artifact.glyph_popcounts_ = reader.array<std::int32_t>(count);
-        const auto expected_stride =
-            count == 0 ? 0
-                       : (count + kernels::kPanelPad - 1) / kernels::kPanelPad *
-                             kernels::kPanelPad;
-        if (stride != expected_stride) {
-          reader.fail("panel stride violates the pad contract");
-        }
-        reader.align(kSectionAlign);
-        const auto words = reader.array<std::uint64_t>(kernels::kGlyphWords * stride);
-        if (reader.remaining() != 0) reader.fail("trailing bytes");
-        // The SIMD tail contract: pad columns must be zero (a vector lane
-        // may read past size(); a nonzero pad would poison batched ∆).
-        for (std::size_t w = 0; w < kernels::kGlyphWords; ++w) {
-          for (auto c = count; c < stride; ++c) {
-            if (words[w * stride + c] != 0) reader.fail("nonzero panel pad");
-          }
-        }
-        artifact.panel_count_ = static_cast<std::size_t>(count);
-        artifact.panel_stride_ = static_cast<std::size_t>(stride);
-        artifact.panel_words_ = words.data();
-        artifact.has_panel_ = true;
-        break;
-      }
       default:
-        // Unknown tag: forward-compatible skip (its checksum verified).
+        // Unknown or retired tag (an older writer's GPAN): skipped, its
+        // checksum verified above.
         break;
     }
   }
@@ -555,14 +528,6 @@ simchar::SimCharDb DbArtifact::simchar() const {
 
 homoglyph::HomoglyphDb DbArtifact::homoglyph() const {
   return homoglyph::HomoglyphDb::adopt_view(homoglyph_, map_);
-}
-
-kernels::GlyphPanel DbArtifact::glyph_panel() const {
-  if (!has_panel_) {
-    throw std::runtime_error{"db artifact: no glyph panel section"};
-  }
-  return kernels::GlyphPanel::adopt_view(panel_words_, panel_count_,
-                                         panel_stride_, map_);
 }
 
 }  // namespace sham::db

@@ -2,12 +2,12 @@
 // preprocessing output) and loader (mmap + validate + adopt-in-place).
 //
 //   write_db_file(path, request)   — SimChar + homoglyph DB (mandatory),
-//                                    plus optional reference labels, a
+//                                    plus optional reference labels and a
 //                                    reference-side skeleton index in its
-//                                    flat form, and the rendered glyph
-//                                    panel. Atomic and crash-durable:
-//                                    writes path + ".tmp", fsyncs it, and
-//                                    renames over the target.
+//                                    flat form. Atomic and crash-durable:
+//                                    writes a uniquely named sibling file,
+//                                    fsyncs it, and renames it over the
+//                                    target.
 //   DbArtifact::load(path)         — maps the file, verifies header and
 //                                    per-section checksums, structurally
 //                                    validates every index array (offsets
@@ -17,10 +17,10 @@
 //                                    std::runtime_error — never UB.
 //
 // The loader never materializes the big arrays: simchar()/homoglyph()
-// return view-mode databases whose queries read the mapping in place, and
-// glyph_panel() adopts the mapped word rows directly (they are 64-byte
-// aligned by construction). Multiple processes loading one artifact share
-// its pages through the page cache.
+// return view-mode databases whose queries read the mapping in place.
+// Multiple processes loading one artifact share its pages through the
+// page cache. Artifacts from older writers may carry a glyph-panel (GPAN)
+// section; the loader verifies its checksum and skips it.
 #pragma once
 
 #include <cstdint>
@@ -52,23 +52,27 @@ struct WriteRequest {
   /// loading engine can key its reference-side cache without recomputing.
   std::uint64_t reference_fingerprint = 0;
   const SkeletonFlat* skeleton = nullptr;
-  /// Step I output: the rendered repertoire panel plus its parallel code
-  /// point and ink-count arrays (simchar::RepertoirePanel's shape).
+  /// Ignored: the artifact carries no glyph panel, since nothing read it.
+  /// perfbench still fills these three fields; ROADMAP.md's "For the next
+  /// change to the benchmark" list deletes them.
   const kernels::GlyphPanel* panel = nullptr;
   std::span<const unicode::CodePoint> glyph_cps{};
   std::span<const std::int32_t> glyph_popcounts{};
 };
 
 /// Serialize to `path`. Throws std::invalid_argument on a malformed
-/// request (missing mandatory parts, parallel-array size mismatch) and
+/// request (missing mandatory parts, a skeleton without references) and
 /// std::runtime_error on I/O failure.
 ///
-/// Publishes by rename: the bytes go to `<path>.tmp`, which is fsynced and
-/// renamed over `path`. A process that already mapped `path` keeps the old
-/// file and never sees the swap. This is the only supported way to replace
-/// an artifact: never rewrite or truncate a published artifact in place,
-/// because DbArtifact maps it MAP_PRIVATE and a mapped file truncated under
-/// a reader kills that reader with SIGBUS.
+/// Publishes by rename: the bytes go to a sibling file named
+/// `<path>.tmp.<pid>.<n>`, created exclusively, which is fsynced and
+/// renamed over `path`; on failure it is removed. Concurrent writers to one
+/// path each publish a whole artifact and the last rename wins. A process
+/// that already mapped `path` keeps the old file and never sees the swap.
+/// This is the only supported way to replace an artifact: never rewrite or
+/// truncate a published artifact in place, because DbArtifact maps it
+/// MAP_PRIVATE and a mapped file truncated under a reader kills that
+/// reader with SIGBUS.
 void write_db_file(const std::string& path, const WriteRequest& request);
 
 class DbArtifact {
@@ -115,18 +119,6 @@ class DbArtifact {
     return skeleton_;
   }
 
-  [[nodiscard]] bool has_glyph_panel() const noexcept { return has_panel_; }
-  /// The mapped repertoire panel, adopted in place — word rows are 64-byte
-  /// aligned in the file, so the batched ∆ kernels stream straight from
-  /// the page cache.
-  [[nodiscard]] kernels::GlyphPanel glyph_panel() const;
-  [[nodiscard]] std::span<const unicode::CodePoint> glyph_cps() const noexcept {
-    return glyph_cps_;
-  }
-  [[nodiscard]] std::span<const std::int32_t> glyph_popcounts() const noexcept {
-    return glyph_popcounts_;
-  }
-
   /// The mapping keepalive, for adopting further views over the artifact.
   [[nodiscard]] std::shared_ptr<const void> backing() const noexcept {
     return map_;
@@ -142,12 +134,6 @@ class DbArtifact {
   std::vector<std::string> references_;
   bool has_skeleton_ = false;
   SkeletonFlatView skeleton_{};
-  bool has_panel_ = false;
-  std::size_t panel_count_ = 0;
-  std::size_t panel_stride_ = 0;
-  const std::uint64_t* panel_words_ = nullptr;
-  std::span<const unicode::CodePoint> glyph_cps_{};
-  std::span<const std::int32_t> glyph_popcounts_{};
 };
 
 }  // namespace sham::db

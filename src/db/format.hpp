@@ -2,11 +2,11 @@
 //
 // One flat, section-tagged binary holding the full preprocessing output
 // (SimChar pairs + posting index, the homoglyph pair graph with its
-// union-find canonical map, the reference-side skeleton index, and the
-// word-major glyph panel), laid out so a reader can mmap the file and use
-// every array *in place* — no parsing, no allocation proportional to the
-// database. GGUF-style: fixed header, section table, 64-byte-aligned
-// sections with per-section checksums, little-endian fixed-width fields.
+// union-find canonical map, and the reference-side skeleton index), laid
+// out so a reader can mmap the file and use every array *in place* — no
+// parsing, no allocation proportional to the database. GGUF-style: fixed
+// header, section table, 64-byte-aligned sections with per-section
+// checksums, little-endian fixed-width fields.
 //
 //   ┌────────────────────┐ offset 0
 //   │ FileHeader (64 B)  │ magic, endian marker, format version,
@@ -46,8 +46,7 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// which in practice means little-endian everywhere we build).
 inline constexpr std::uint32_t kEndianMarker = 0x01020304;
 /// Section payloads start on cache-line boundaries so in-place arrays
-/// (notably the glyph panel's word rows) inherit 64-byte alignment from
-/// the page-aligned mapping.
+/// inherit their alignment from the page-aligned mapping.
 inline constexpr std::size_t kSectionAlign = 64;
 
 [[nodiscard]] constexpr std::uint32_t fourcc(char a, char b, char c, char d) noexcept {
@@ -63,6 +62,9 @@ inline constexpr std::uint32_t kSecSimChar = fourcc('S', 'I', 'M', 'C');
 inline constexpr std::uint32_t kSecHomoglyph = fourcc('H', 'G', 'D', 'B');
 inline constexpr std::uint32_t kSecReferences = fourcc('R', 'E', 'F', 'S');
 inline constexpr std::uint32_t kSecSkeleton = fourcc('S', 'K', 'E', 'L');
+/// Retired: the rendered glyph panel, which older writers appended and no
+/// reader used. Loaders verify its checksum and skip it like an unknown
+/// tag. Never reuse this tag: old artifacts still carry it.
 inline constexpr std::uint32_t kSecGlyphPanel = fourcc('G', 'P', 'A', 'N');
 
 struct FileHeader {

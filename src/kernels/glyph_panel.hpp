@@ -13,7 +13,6 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <stdexcept>
 #include <utility>
 
 namespace sham::kernels {
@@ -34,17 +33,6 @@ class GlyphPanel {
   GlyphPanel(const GlyphPanel& other) { *this = other; }
   GlyphPanel& operator=(const GlyphPanel& other) {
     if (this == &other) return *this;
-    if (other.view_ != nullptr) {
-      // A view copy shares the immutable mapped storage (and its keepalive).
-      words_.reset();
-      count_ = other.count_;
-      stride_ = other.stride_;
-      view_ = other.view_;
-      backing_ = other.backing_;
-      return *this;
-    }
-    view_ = nullptr;
-    backing_.reset();
     reset(other.count_);
     if (stride_ != 0) std::memcpy(words_.get(), other.words_.get(), bytes());
     return *this;
@@ -52,52 +40,16 @@ class GlyphPanel {
   GlyphPanel(GlyphPanel&& other) noexcept
       : count_{std::exchange(other.count_, 0)},
         stride_{std::exchange(other.stride_, 0)},
-        words_{std::move(other.words_)},
-        view_{std::exchange(other.view_, nullptr)},
-        backing_{std::move(other.backing_)} {}
+        words_{std::move(other.words_)} {}
   GlyphPanel& operator=(GlyphPanel&& other) noexcept {
     count_ = std::exchange(other.count_, 0);
     stride_ = std::exchange(other.stride_, 0);
     words_ = std::move(other.words_);
-    view_ = std::exchange(other.view_, nullptr);
-    backing_ = std::move(other.backing_);
     return *this;
   }
 
-  /// Adopt immutable word-major storage in place (e.g. a mmap'd DB-artifact
-  /// section) — the kernels then stream vector lanes straight from the
-  /// mapped region, no copy. `words` must satisfy the owned-storage layout
-  /// contract (64-byte aligned, stride a padded multiple of kPanelPad,
-  /// kGlyphWords rows of `stride` words); `backing` keeps the mapping
-  /// alive. Throws std::runtime_error on a contract violation: the caller
-  /// may be handing us untrusted file contents.
-  static GlyphPanel adopt_view(const std::uint64_t* words, std::size_t count,
-                               std::size_t stride,
-                               std::shared_ptr<const void> backing) {
-    const auto expected_stride =
-        count == 0 ? 0 : (count + kPanelPad - 1) / kPanelPad * kPanelPad;
-    if (stride != expected_stride) {
-      throw std::runtime_error{"GlyphPanel: view stride violates pad contract"};
-    }
-    if (stride != 0 &&
-        reinterpret_cast<std::uintptr_t>(words) % kPanelAlign != 0) {
-      throw std::runtime_error{"GlyphPanel: view storage not 64-byte aligned"};
-    }
-    GlyphPanel panel;
-    panel.count_ = count;
-    panel.stride_ = stride;
-    panel.view_ = stride == 0 ? nullptr : words;
-    panel.backing_ = std::move(backing);
-    return panel;
-  }
-
-  /// True when the panel reads adopted (immutable) storage.
-  [[nodiscard]] bool is_view() const noexcept { return view_ != nullptr; }
-
   /// Reallocate for `count` glyphs, all words (including padding) zeroed.
   void reset(std::size_t count) {
-    view_ = nullptr;
-    backing_.reset();
     count_ = count;
     stride_ = count == 0 ? 0 : (count + kPanelPad - 1) / kPanelPad * kPanelPad;
     words_.reset();
@@ -109,7 +61,6 @@ class GlyphPanel {
   }
 
   /// Scatter one glyph's 16 words into column `i` of every word row.
-  /// Owned storage only (views are immutable by construction).
   void set_glyph(std::size_t i, const std::uint64_t* glyph_words) noexcept {
     for (std::size_t w = 0; w < kGlyphWords; ++w) {
       words_[w * stride_ + i] = glyph_words[w];
@@ -119,7 +70,7 @@ class GlyphPanel {
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
   [[nodiscard]] const std::uint64_t* word_row(std::size_t w) const noexcept {
-    return (view_ != nullptr ? view_ : words_.get()) + w * stride_;
+    return words_.get() + w * stride_;
   }
 
  private:
@@ -135,18 +86,9 @@ class GlyphPanel {
   std::size_t count_ = 0;
   std::size_t stride_ = 0;
   std::unique_ptr<std::uint64_t[], AlignedDelete> words_;
-  /// Non-null when the panel is a view over adopted immutable storage;
-  /// word_row then reads view_ and `backing_` keeps the storage alive.
-  const std::uint64_t* view_ = nullptr;
-  std::shared_ptr<const void> backing_;
 };
 
-/// On-disk layout contract for serialized panels (db/format.hpp GPAN
-/// section): rows must land 64-byte aligned with zeroed pad so the AVX2/
-/// NEON batched ∆ can read the mapped region directly.
-static_assert(kPanelAlign == 64, "GPAN section layout assumes cache-line rows");
 static_assert(kPanelPad * sizeof(std::uint64_t) == kPanelAlign,
               "row stride pad must preserve 64-byte row alignment");
-static_assert(kGlyphWords == 16, "GPAN rows serialize 16 words per glyph");
 
 }  // namespace sham::kernels

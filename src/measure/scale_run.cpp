@@ -746,17 +746,16 @@ std::string FleetReport::to_json(int indent) const {
 FleetReport run_fleet(const FleetOptions& options) {
   FleetReport report;
   report.rss_before_kib = resident_kib();
-  {
-    // Validate the artifact once up front; workers map it again (the page
-    // cache backs every mapping with one set of physical pages).
-    const auto probe = db::DbArtifact::load(options.db_file);
-    if (probe.references().empty()) {
-      throw std::invalid_argument{
-          "run_fleet: artifact carries no reference list (build-db --references)"};
-    }
-    report.artifact_bytes = probe.file_size();
-    report.references = probe.references().size();
+  // One load (mapping plus checksum pass) serves every worker: each
+  // engine adopts views over the same immutable mapping.
+  const auto artifact =
+      std::make_shared<const db::DbArtifact>(db::DbArtifact::load(options.db_file));
+  if (artifact->references().empty()) {
+    throw std::invalid_argument{
+        "run_fleet: artifact carries no reference list (build-db --references)"};
   }
+  report.artifact_bytes = artifact->file_size();
+  report.references = artifact->references().size();
 
   report.shards = std::max<std::size_t>(1, options.shards);
   report.zones.resize(options.zones.size());
@@ -765,14 +764,14 @@ FleetReport run_fleet(const FleetOptions& options) {
   std::vector<std::thread> workers;
   workers.reserve(options.zones.size());
   for (std::size_t i = 0; i < options.zones.size(); ++i) {
-    workers.emplace_back([&options, &report, passes, i] {
+    workers.emplace_back([&options, &report, &artifact, passes, i] {
       auto& out = report.zones[i];
       const auto& zone = options.zones[i];
       out.tld = zone.tld;
       try {
         util::Stopwatch setup_watch;
-        const auto engine = detect::Engine::from_db_file(options.db_file);
-        const auto& refs = engine.artifact()->references();
+        const auto engine = detect::Engine::from_db_artifact(artifact);
+        const auto& refs = artifact->references();
         out.setup_seconds = setup_watch.seconds();
 
         StreamOptions stream{.tld = zone.tld, .batch_size = options.batch_size};
@@ -791,7 +790,7 @@ FleetReport run_fleet(const FleetOptions& options) {
             .which = zone.which, .tld = zone.tld, .chunk_bytes = zone.chunk_bytes};
 
         // Timed from here: the worker's own work span, not fleet launch
-        // or artifact-mapping skew.
+        // or engine-construction skew.
         util::Stopwatch work_watch;
         // A zone without a path is generated on the fly from the engine's
         // own database; its core is built once and shared by every slice

@@ -23,8 +23,8 @@
 //     verify_against_rebuild proving the accumulated state identical to a
 //     from-scratch rebuild;
 //   * run_fleet — the multi-TLD measurement fleet: one detect::Engine per
-//     TLD, every worker mapping the same build-db artifact
-//     (Engine::from_db_file — the page cache shares the physical pages),
+//     TLD, all over one load of the build-db artifact
+//     (Engine::from_db_artifact — every engine reads the same mapping),
 //     streaming its zone as steady load and reporting per-TLD throughput
 //     plus process RSS. bench/scale_run persists the result as
 //     BENCH_scale.json.
@@ -286,8 +286,9 @@ struct FleetZone {
 };
 
 struct FleetOptions {
-  /// build-db artifact every worker maps (Engine::from_db_file). Its
-  /// embedded reference list is the fleet's reference list.
+  /// build-db artifact, loaded once; every worker's engine adopts views
+  /// over that one mapping (Engine::from_db_artifact). Its embedded
+  /// reference list is the fleet's reference list.
   std::string db_file;
   std::vector<FleetZone> zones;
   std::size_t batch_size = 4096;
@@ -310,7 +311,7 @@ struct FleetZoneResult {
   ZoneStreamStats stream;            // totals over all passes
   std::size_t matches = 0;           // canonical verdict count (one pass)
   std::uint64_t verdict_fingerprint = 0;
-  double setup_seconds = 0.0;        // artifact map + engine construction
+  double setup_seconds = 0.0;        // engine construction over the loaded artifact
   double seconds = 0.0;              // this worker's own work span
   double domains_per_second = 0.0;
   std::size_t rss_peak_kib = 0;      // max VmRSS sampled during the run

@@ -134,9 +134,9 @@ class SimCharDb {
 };
 
 /// Step I output in the kernels' word-major shape: the rendered repertoire
-/// as one GlyphPanel (column i = cps[i]), with per-glyph ink counts. This
-/// is what the DB artifact serializes so future incremental updates (and
-/// the batched ∆ kernels) can read glyph rows straight from the mapping.
+/// as one GlyphPanel (column i = cps[i]), with per-glyph ink counts. The
+/// DB artifact no longer carries it; only perfbench still renders it, and
+/// ROADMAP.md's "For the next change to the benchmark" list deletes it.
 struct RepertoirePanel {
   std::vector<unicode::CodePoint> cps;  // font coverage order
   std::vector<std::int32_t> popcounts;

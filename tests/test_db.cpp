@@ -1,7 +1,7 @@
 // The DB artifact (db/format.hpp, db/artifact.hpp): write -> mmap ->
-// adopt round trips, loader hardening against corrupt input, in-place
-// glyph-panel adoption for the SIMD kernels, and copy-on-write when an
-// adopted structure is mutated.
+// adopt round trips, loader hardening against corrupt input, the
+// publish-by-rename contract, artifacts written by earlier writers, and
+// copy-on-write when an adopted structure is mutated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -85,16 +87,23 @@ std::string temp_path(const std::string& name) {
   return test::temp_path("sham_" + name + ".artifact");
 }
 
-/// Write the small databases (plus a reference skeleton index) to a fresh
-/// artifact file and return its path.
+/// Write the small databases (plus a reference skeleton index, and the
+/// panel fields when `panel` is set) to a fresh artifact file and return
+/// its path.
 std::string write_small_artifact(const std::string& name,
                                  const simchar::SimCharDb& sim,
                                  const homoglyph::HomoglyphDb& db,
-                                 std::span<const std::string> refs) {
+                                 std::span<const std::string> refs,
+                                 const simchar::RepertoirePanel* panel = nullptr) {
   const auto path = temp_path(name);
   db::WriteRequest request;
   request.simchar = &sim;
   request.homoglyph = &db;
+  if (panel != nullptr) {
+    request.panel = &panel->panel;
+    request.glyph_cps = panel->cps;
+    request.glyph_popcounts = panel->popcounts;
+  }
   db::SkeletonFlat skeleton;
   if (!refs.empty()) {
     const detect::SkeletonIndex index{db, refs};
@@ -115,6 +124,19 @@ std::vector<char> slurp(const std::string& path) {
 void spit(const std::string& path, const std::vector<char>& bytes) {
   std::ofstream out{path, std::ios::binary | std::ios::trunc};
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Index of the section-table entry carrying `tag` in artifact `bytes`.
+std::optional<std::uint32_t> section_index(const std::vector<char>& bytes,
+                                           std::uint32_t tag) {
+  std::uint32_t section_count = 0;
+  std::memcpy(&section_count, bytes.data() + 32, 4);
+  for (std::uint32_t s = 0; s < section_count; ++s) {
+    std::uint32_t t = 0;
+    std::memcpy(&t, bytes.data() + 64 + s * sizeof(db::SectionEntry), 4);
+    if (t == tag) return s;
+  }
+  return std::nullopt;
 }
 
 // --- Format basics --------------------------------------------------------
@@ -294,63 +316,28 @@ TEST(DbArtifact, EngineCacheIsPreSeededWithTheArtifactSkeleton) {
   std::remove(path.c_str());
 }
 
-// --- Glyph panel: mapped rows feed the kernels directly -------------------
+// --- Writer: no glyph panel ------------------------------------------------
 
-TEST(DbArtifact, GlyphPanelRowsAreAlignedInPlaceAndKernelReadable) {
+// Nothing reads a glyph panel, so the writer no longer emits one: a request
+// that still fills the panel fields writes exactly the bytes of the same
+// request without them.
+TEST(DbArtifact, WriterIgnoresThePanelFields) {
   font::SyntheticFontBuilder b{515};
-  b.cover_range(0x0430, 0x0450, 60);
   b.plant_cluster('o', {{0x043E, 1}, {0x0585, 3}});
-  const auto font = b.build();
-  const auto rendered = simchar::render_repertoire_panel(*font);
+  const auto rendered = simchar::render_repertoire_panel(*b.build());
   ASSERT_GT(rendered.cps.size(), 0u);
 
   const auto sim = small_simchar();
   const auto db = small_db();
-  const auto path = temp_path("panel_rt");
-  {
-    db::WriteRequest request;
-    request.simchar = &sim;
-    request.homoglyph = &db;
-    request.panel = &rendered.panel;
-    request.glyph_cps = rendered.cps;
-    request.glyph_popcounts = rendered.popcounts;
-    db::write_db_file(path, request);
-  }
-  const auto artifact = db::DbArtifact::load(path);
-  ASSERT_TRUE(artifact.has_glyph_panel());
-  const auto mapped = artifact.glyph_panel();
-  EXPECT_TRUE(mapped.is_view());
-  EXPECT_EQ(mapped.size(), rendered.panel.size());
-  EXPECT_EQ(mapped.stride(), rendered.panel.stride());
-  EXPECT_TRUE(std::ranges::equal(artifact.glyph_cps(), rendered.cps));
-  EXPECT_TRUE(std::ranges::equal(artifact.glyph_popcounts(), rendered.popcounts));
-  // The whole point of the GPAN layout: every mapped word row sits on a
-  // cache line, bytes identical to the in-memory panel (pad included).
-  for (std::size_t row = 0; row < kernels::kGlyphWords; ++row) {
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(mapped.word_row(row)) %
-                  kernels::kPanelAlign,
-              0u);
-    EXPECT_EQ(std::memcmp(mapped.word_row(row), rendered.panel.word_row(row),
-                          mapped.stride() * sizeof(std::uint64_t)),
-              0);
-  }
-  // The batched ∆ kernel streams the mapped rows directly, at every
-  // dispatch level the host supports.
-  alignas(64) std::uint64_t query[kernels::kGlyphWords];
-  for (std::size_t w = 0; w < kernels::kGlyphWords; ++w) {
-    query[w] = mapped.word_row(w)[0];
-  }
-  std::vector<std::int32_t> from_mapped(mapped.size());
-  std::vector<std::int32_t> from_owned(mapped.size());
-  for (const auto level : kernels::supported_levels()) {
-    const kernels::ScopedKernelLevel pin{level};
-    kernels::delta_batch_u1024(query, mapped, 0, mapped.size(), from_mapped.data());
-    kernels::delta_batch_u1024(query, rendered.panel, 0, rendered.panel.size(),
-                               from_owned.data());
-    EXPECT_EQ(from_mapped, from_owned) << kernels::level_name(level);
-    EXPECT_EQ(from_mapped[0], 0);
-  }
-  std::remove(path.c_str());
+  const std::vector<std::string> refs{"google", "mail", "ok"};
+  const auto plain = write_small_artifact("panel_unset", sim, db, refs);
+  const auto with_panel = write_small_artifact("panel_set", sim, db, refs, &rendered);
+  const auto plain_bytes = slurp(plain);
+  ASSERT_FALSE(plain_bytes.empty());
+  EXPECT_EQ(slurp(with_panel), plain_bytes);
+  EXPECT_FALSE(section_index(plain_bytes, db::kSecGlyphPanel).has_value());
+  std::remove(plain.c_str());
+  std::remove(with_panel.c_str());
 }
 
 // --- Copy-on-write on mutation --------------------------------------------
@@ -471,6 +458,59 @@ TEST(DbArtifact, RenamePublishNeverDisturbsALiveReader) {
   std::remove(path.c_str());
 }
 
+TEST(DbArtifact, ConcurrentWritersToOnePathEachPublishAWholeArtifact) {
+  // Each writer stages its bytes in a file of its own, so two writers
+  // racing on one path both succeed, the published file is always one of
+  // the two artifacts whole, and no staging file outlives its write.
+  const auto sim = small_simchar();
+  const auto db = small_db();
+  const auto w = small_workload(47);
+  const std::vector<std::string> refs_a{w.refs.begin(), w.refs.begin() + 20};
+  const std::vector<std::string> refs_b{w.refs.begin() + 20, w.refs.end()};
+  const auto expected_a = slurp(write_small_artifact("racer_a", sim, db, refs_a));
+  const auto expected_b = slurp(write_small_artifact("racer_b", sim, db, refs_b));
+  ASSERT_NE(expected_a, expected_b);
+
+  const std::string name = "racers";
+  const auto path = temp_path(name);
+  const auto file_name = std::filesystem::path{path}.filename().string();
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<int> ready{0};
+    std::string errors[2];
+    const auto writer = [&](int id, const std::vector<std::string>& refs) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      try {
+        (void)write_small_artifact(name, sim, db, refs);
+      } catch (const std::exception& e) {
+        errors[id] = e.what();
+      }
+    };
+    std::thread a{writer, 0, std::cref(refs_a)};
+    std::thread b{writer, 1, std::cref(refs_b)};
+    a.join();
+    b.join();
+    EXPECT_EQ(errors[0], "") << "round " << round;
+    EXPECT_EQ(errors[1], "") << "round " << round;
+    try {
+      (void)db::DbArtifact::load(path);
+    } catch (const std::runtime_error& e) {
+      ADD_FAILURE() << "round " << round << ": " << e.what();
+    }
+    const auto published = slurp(path);
+    EXPECT_TRUE(published == expected_a || published == expected_b) << "round " << round;
+    for (const auto& entry :
+         std::filesystem::directory_iterator{std::filesystem::path{path}.parent_path()}) {
+      const auto entry_name = entry.path().filename().string();
+      EXPECT_FALSE(entry_name.starts_with(file_name) && entry_name != file_name)
+          << "round " << round << ": staging file left behind: " << entry_name;
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(temp_path("racer_a").c_str());
+  std::remove(temp_path("racer_b").c_str());
+}
+
 // --- Loader hardening ------------------------------------------------------
 
 class DbCorruption : public ::testing::Test {
@@ -517,16 +557,12 @@ class DbCorruption : public ::testing::Test {
 
   /// Byte offset of the section-table entry carrying `tag`.
   std::size_t entry_offset(std::uint32_t tag) const {
-    std::uint32_t section_count = 0;
-    std::memcpy(&section_count, bytes_.data() + 32, 4);
-    for (std::uint32_t s = 0; s < section_count; ++s) {
-      const auto at = 64 + s * sizeof(db::SectionEntry);
-      std::uint32_t t = 0;
-      std::memcpy(&t, bytes_.data() + at, 4);
-      if (t == tag) return at;
+    const auto s = section_index(bytes_, tag);
+    if (!s.has_value()) {
+      ADD_FAILURE() << "section tag not present in the fixture artifact";
+      return 0;
     }
-    ADD_FAILURE() << "section tag not present in the fixture artifact";
-    return 0;
+    return 64 + *s * sizeof(db::SectionEntry);
   }
 
   /// Recompute the section-table and header checksums after a patch, so the
@@ -808,6 +844,66 @@ TEST(DbArtifactCompat, SplitBucketV1ArtifactStillLoads) {
       {.references = refs, .idns = idns, .strategy = detect::Strategy::kSerial});
   EXPECT_EQ(seeded.matches, serial.matches);
   EXPECT_FALSE(serial.matches.empty());
+}
+
+// tests/data/panel_v1.artifact was written by the last writer that
+// appended a glyph-panel (GPAN) section: small_simchar(), small_db() (UC
+// off), the WriterOutputUnchanged references with a default skeleton
+// index, and the panel of a 5-glyph SyntheticFontBuilder{515} font with
+// clusters planted at 'o' and 'a'. The reader verifies the GPAN checksum
+// and skips the section.
+TEST(DbArtifactCompat, PanelV1ArtifactStillLoads) {
+  const auto fixture = std::string{SHAM_TEST_DATA_DIR} + "/panel_v1.artifact";
+  const auto artifact =
+      std::make_shared<const db::DbArtifact>(db::DbArtifact::load(fixture));
+  const auto db = small_db();
+  EXPECT_EQ(artifact->simchar().serialize(), small_simchar().serialize());
+  EXPECT_EQ(artifact->homoglyph().serialize(), db.serialize());
+  const auto& refs = artifact->references();
+  ASSERT_EQ(refs.size(), 8u);
+
+  // Each reference with every substitutable character swapped, plus one
+  // label that spoofs nothing.
+  std::vector<detect::IdnEntry> idns;
+  for (const auto& ref : refs) {
+    U32String label{ref.begin(), ref.end()};
+    for (auto& c : label) {
+      const auto subs = db.homoglyphs_of(c);
+      if (!subs.empty()) c = subs.front();
+    }
+    idns.push_back({"", label});
+  }
+  idns.push_back({"", {'c', 0x0430, 't'}});
+  const auto engine = detect::Engine::from_db_artifact(artifact, {.threads = 1});
+  const auto mapped = engine.detect({.references = refs, .idns = idns});
+  EXPECT_EQ(mapped.stats.index_cache_hits, 1u);
+  const detect::Engine in_process{db};
+  const auto expected = in_process.detect(
+      {.references = refs, .idns = idns, .strategy = detect::Strategy::kSerial});
+  EXPECT_FALSE(expected.matches.empty());
+  EXPECT_EQ(mapped.matches, expected.matches);
+
+  // The skipped section is still checksummed: one flipped payload byte
+  // rejects the file.
+  auto bytes = slurp(fixture);
+  const auto gpan = section_index(bytes, db::kSecGlyphPanel);
+  ASSERT_TRUE(gpan.has_value());
+  db::SectionEntry entry;
+  std::memcpy(&entry, bytes.data() + 64 + *gpan * sizeof(entry), sizeof(entry));
+  ASSERT_GT(entry.size, 0u);
+  bytes[entry.offset + entry.size / 2] ^= 0x01;
+  const auto flipped = temp_path("panel_v1_flipped");
+  spit(flipped, bytes);
+  try {
+    (void)db::DbArtifact::load(flipped);
+    ADD_FAILURE() << "flipped GPAN payload accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("section " + std::to_string(*gpan) +
+                                         " checksum mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(flipped.c_str());
 }
 
 // tests/data/small_v1.artifact was written by the hash-map implementation

@@ -4,9 +4,9 @@
 # plus corruption fuzzing), then drive the CLI the way a user would —
 # usage errors that must exit 2 without writing anything (bad numbers,
 # unknown or valueless flags, stray positional arguments and --help on
-# every command among them, caught before any database is built), build-db,
-# check --db-file vs the font-built path, and a corrupt-artifact
-# rejection probe.
+# every command among them, caught before any database is built), build-db
+# (whose artifact carries no glyph-panel section), check --db-file vs the
+# font-built path, and a corrupt-artifact rejection probe.
 #
 #   $ tools/check_db.sh                 # uses ./build (configures if absent)
 #   $ BUILD_DIR=build-asan tools/check_db.sh
@@ -56,6 +56,7 @@ expect_usage_error "$CLI" build-db --help
 expect_usage_error "$CLI" build-db -h
 expect_usage_error "$CLI" build-db out.artifact --help
 expect_usage_error "$CLI" build-db -out.artifact --refs google
+expect_usage_error "$CLI" build-db out.artifact --no-panel
 expect_usage_error "$CLI" check xn--ggle-0nda.com --refs google --strategy parallel
 expect_usage_error "$CLI" scale-run --db-file x --domains 10 --strategy indexed
 
@@ -123,6 +124,11 @@ done
 echo "=== CLI: build-db -> check --db-file vs font-built check ==="
 "$CLI" build-db "$ARTIFACT" \
   --refs google,amazon,facebook,wikipedia,paypal
+# The retired glyph-panel section must not come back.
+if grep -q GPAN "$ARTIFACT"; then
+  echo "build-db wrote a GPAN section"
+  exit 1
+fi
 
 # The two paths must agree verdict-for-verdict (stdout carries the
 # warnings; stderr the build/load chatter). `check` exits 1 on a detected
