@@ -1,5 +1,5 @@
-// Kernel dispatch-level sweep: throughput of the batched ∆, block-hash,
-// and FNV kernels at every level the host can run, speedups vs the scalar
+// Kernel dispatch-level sweep: throughput of the batched ∆ and FNV
+// kernels at every level the host can run, speedups vs the scalar
 // reference, and the ≥4x batched-∆ criterion (hardware_skipped on hosts
 // with no vector level). Merges a "delta_kernel" section into
 // BENCH_simchar.json next to the Step II grid those kernels accelerate.
@@ -78,26 +78,6 @@ double time_delta(const Workload& w, std::int64_t& sink) {
   return best;
 }
 
-/// Seconds for the θ=4 pigeonhole table keys (5 word-block spans over the
-/// whole panel), best of kReps.
-double time_block_hash(const Workload& w, std::int64_t& sink) {
-  std::vector<std::uint64_t> keys(kPanelGlyphs);
-  double best = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    util::Stopwatch watch;
-    for (int b = 0; b < 5; ++b) {
-      const auto first = static_cast<unsigned>(b * 16 / 5);
-      const auto last = static_cast<unsigned>((b + 1) * 16 / 5);
-      for (int pass = 0; pass < 8; ++pass) {
-        kernels::block_hash_batch(w.panel, first, last, keys.data());
-        sink += static_cast<std::int64_t>(keys[0] ^ keys[kPanelGlyphs - 1]);
-      }
-    }
-    best = std::min(best, watch.seconds());
-  }
-  return best;
-}
-
 /// Seconds for hashing every stream group through fnv1a_batch4, best of
 /// kReps.
 double time_fnv(const Workload& w, std::int64_t& sink) {
@@ -138,7 +118,6 @@ int run_smoke() {
   // Scalar baselines.
   std::vector<std::vector<std::int32_t>> delta_truth(kQueries,
                                                      std::vector<std::int32_t>(kPanelGlyphs));
-  std::vector<std::uint64_t> hash_truth(kPanelGlyphs);
   std::uint64_t fnv_truth[4];
   {
     kernels::ScopedKernelLevel pin{Level::kScalar};
@@ -147,7 +126,6 @@ int run_smoke() {
       kernels::delta_batch_u1024(w.queries[q].data(), w.panel, 0, kPanelGlyphs,
                                  delta_truth[q].data());
     }
-    kernels::block_hash_batch(w.panel, 3, 7, hash_truth.data());
     const std::uint32_t* ptrs[4];
     std::size_t lens[4];
     std::uint64_t seeds[4] = {1, 2, 3, 4};
@@ -171,9 +149,6 @@ int run_smoke() {
       same = kernels::delta_u1024(w.queries[0].data(), w.glyphs[i].data()) ==
              delta_truth[0][i];
     }
-    std::vector<std::uint64_t> keys(kPanelGlyphs);
-    kernels::block_hash_batch(w.panel, 3, 7, keys.data());
-    same = same && keys == hash_truth;
     const std::uint32_t* ptrs[4];
     std::size_t lens[4];
     std::uint64_t seeds[4] = {1, 2, 3, 4};
@@ -237,15 +212,12 @@ int main(int argc, char** argv) {
   const double deltas_per_pass =
       static_cast<double>(kPanelGlyphs) * static_cast<double>(kQueries);
 
-  util::TextTable t{{"level", "∆ batch s", "M∆/s", "∆ speedup", "blockhash s",
-                     "speedup", "fnv4 s", "speedup"},
+  util::TextTable t{{"level", "∆ batch s", "M∆/s", "∆ speedup", "fnv4 s", "speedup"},
                     {util::Align::kLeft, util::Align::kRight, util::Align::kRight,
-                     util::Align::kRight, util::Align::kRight, util::Align::kRight,
-                     util::Align::kRight, util::Align::kRight}};
+                     util::Align::kRight, util::Align::kRight, util::Align::kRight}};
 
   std::int64_t sink = 0;
   double scalar_delta = 0.0;
-  double scalar_hash = 0.0;
   double scalar_fnv = 0.0;
   double best_delta_speedup = 1.0;
   std::string level_json;
@@ -253,31 +225,27 @@ int main(int argc, char** argv) {
     kernels::ScopedKernelLevel pin{level};
     if (!pin.forced()) continue;
     const double delta_s = time_delta(w, sink);
-    const double hash_s = time_block_hash(w, sink);
     const double fnv_s = time_fnv(w, sink);
     if (level == Level::kScalar) {
       scalar_delta = delta_s;
-      scalar_hash = hash_s;
       scalar_fnv = fnv_s;
     }
     const double delta_speedup = scalar_delta / delta_s;
-    const double hash_speedup = scalar_hash / hash_s;
     const double fnv_speedup = scalar_fnv / fnv_s;
     if (level != Level::kScalar) {
       best_delta_speedup = std::max(best_delta_speedup, delta_speedup);
     }
     t.add_row({std::string{kernels::level_name(level)}, util::fixed(delta_s, 4),
                util::fixed(deltas_per_pass / delta_s / 1e6, 1),
-               util::fixed(delta_speedup, 2) + "x", util::fixed(hash_s, 4),
-               util::fixed(hash_speedup, 2) + "x", util::fixed(fnv_s, 4),
+               util::fixed(delta_speedup, 2) + "x", util::fixed(fnv_s, 4),
                util::fixed(fnv_speedup, 2) + "x"});
     char buf[256];
     std::snprintf(buf, sizeof buf,
                   "%s\"%s\": {\"delta_seconds\": %.6f, \"delta_speedup\": %.2f, "
-                  "\"block_hash_speedup\": %.2f, \"fnv1a4_speedup\": %.2f}",
+                  "\"fnv1a4_speedup\": %.2f}",
                   level_json.empty() ? "" : ", ",
                   std::string{kernels::level_name(level)}.c_str(), delta_s,
-                  delta_speedup, hash_speedup, fnv_speedup);
+                  delta_speedup, fnv_speedup);
     level_json += buf;
   }
   std::printf("%s\n", t.str().c_str());

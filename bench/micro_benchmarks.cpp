@@ -1,6 +1,7 @@
 // Google-benchmark micro benches for the hot paths: the ∆ metric (the
-// inner loop of SimChar's 1.4-billion-pair Step II), Punycode transcoding,
-// homoglyph-DB lookups, Algorithm 1's per-pair matcher, and zone parsing.
+// inner loop of SimChar's 1.4-billion-pair Step II), the glyph store and
+// block index under Steps I–II, Punycode transcoding, homoglyph-DB
+// lookups, Algorithm 1's per-pair matcher, and zone parsing.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,8 +17,10 @@
 #include "idna/punycode.hpp"
 #include "measure/environment.hpp"
 #include "simchar/simchar.hpp"
+#include "unicode/idna_properties.hpp"
 #include "unicode/utf8.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -101,6 +104,45 @@ BENCHMARK(BM_SimCharBuild)
     ->Args({50, 1})
     ->Args({25, 0})
     ->Unit(benchmark::kMillisecond);
+
+/// The default (scale 1.0) paper font: 13,028 glyphs, built once.
+const font::PaperFont& paper_font() {
+  static const auto instance = font::make_paper_font({});
+  return instance;
+}
+
+/// Step I's font reads: coverage() plus every covered glyph().
+void BM_FontCoverageAndGlyphs(benchmark::State& state) {
+  const auto& font = *paper_font().font;
+  std::size_t glyphs = 0;
+  for (auto _ : state) {
+    const auto coverage = font.coverage();
+    std::uint64_t ink = 0;
+    for (const auto cp : coverage) ink += font.glyph(cp)->words()[8];
+    benchmark::DoNotOptimize(ink);
+    glyphs = coverage.size();
+  }
+  state.counters["glyphs"] = static_cast<double>(glyphs);
+}
+BENCHMARK(BM_FontCoverageAndGlyphs)->Unit(benchmark::kMillisecond);
+
+/// Step II's index build: the PairMiner constructor (θ + 1 = 5 block
+/// tables) over the rendered repertoire of the same font.
+void BM_PairMinerBuild(benchmark::State& state) {
+  const auto& font = *paper_font().font;
+  std::vector<simchar::MinerGlyph> glyphs;
+  for (const auto cp : font.coverage()) {
+    if (!unicode::is_idna_permitted(cp)) continue;
+    if (const auto g = font.glyph(cp)) glyphs.push_back({cp, *g, g->popcount()});
+  }
+  util::ThreadPool pool;
+  for (auto _ : state) {
+    const simchar::PairMiner miner{glyphs, 4, simchar::PairStrategy::kBlockIndex, pool};
+    benchmark::DoNotOptimize(&miner);
+  }
+  state.counters["glyphs"] = static_cast<double>(glyphs.size());
+}
+BENCHMARK(BM_PairMinerBuild)->Unit(benchmark::kMillisecond);
 
 void BM_PunycodeEncode(benchmark::State& state) {
   const unicode::U32String label{0x963F, 0x91CC, 0x5DF4, 0x5DF4};

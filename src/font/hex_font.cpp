@@ -34,6 +34,10 @@ HexFont HexFont::parse(std::string_view text, std::string name) {
                                   ": missing ':'"};
     }
     const auto cp = util::parse_hex_codepoint(line.substr(0, colon));
+    if (cp > unicode::kMaxCodePoint) {
+      throw std::invalid_argument{".hex line " + std::to_string(line_no) +
+                                  ": code point above U+10FFFF"};
+    }
     const auto bits = line.substr(colon + 1);
 
     Cell cell;
@@ -75,6 +79,9 @@ HexFont HexFont::load(const std::string& path) {
 
 void HexFont::add_glyph(unicode::CodePoint cp, bool wide,
                         const std::vector<std::uint32_t>& rows) {
+  if (cp > unicode::kMaxCodePoint) {
+    throw std::invalid_argument{"HexFont::add_glyph: code point above U+10FFFF"};
+  }
   if (rows.size() != 16) {
     throw std::invalid_argument{"HexFont::add_glyph: expected 16 rows"};
   }

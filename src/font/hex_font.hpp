@@ -15,8 +15,9 @@ namespace sham::font {
 
 class HexFont final : public FontSource {
  public:
-  /// Parse .hex text. Malformed lines throw std::invalid_argument with the
-  /// line number; blank lines and '#' comments are skipped.
+  /// Parse .hex text. Malformed lines, and code points above U+10FFFF,
+  /// throw std::invalid_argument with the line number; blank lines and '#'
+  /// comments are skipped.
   static HexFont parse(std::string_view text, std::string name = "unifont.hex");
 
   /// Load a .hex file from disk; throws std::runtime_error if unreadable.
@@ -26,7 +27,8 @@ class HexFont final : public FontSource {
 
   /// Add/replace one glyph from its raw cell rows. `wide` selects the
   /// 16x16 cell (otherwise 8x16); rows are the raw row bit patterns,
-  /// MSB = leftmost pixel.
+  /// MSB = leftmost pixel. Throws std::invalid_argument on a code point
+  /// above U+10FFFF or a malformed row set.
   void add_glyph(unicode::CodePoint cp, bool wide,
                  const std::vector<std::uint32_t>& rows);
 

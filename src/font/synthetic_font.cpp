@@ -1,5 +1,6 @@
 #include "font/synthetic_font.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "unicode/idna_properties.hpp"
@@ -7,22 +8,15 @@
 namespace sham::font {
 
 std::optional<GlyphBitmap> SyntheticFont::glyph(unicode::CodePoint cp) const {
-  const auto it = glyphs_.find(cp);
-  if (it == glyphs_.end()) return std::nullopt;
-  return it->second;
+  const auto it = std::lower_bound(cps_.begin(), cps_.end(), cp);
+  if (it == cps_.end() || *it != cp) return std::nullopt;
+  return glyphs_[static_cast<std::size_t>(it - cps_.begin())];
 }
 
-std::vector<unicode::CodePoint> SyntheticFont::coverage() const {
-  std::vector<unicode::CodePoint> out;
-  out.reserve(glyphs_.size());
-  for (const auto& [cp, g] : glyphs_) out.push_back(cp);
-  return out;
-}
+std::vector<unicode::CodePoint> SyntheticFont::coverage() const { return cps_; }
 
 SyntheticFontBuilder::SyntheticFontBuilder(std::uint64_t seed, std::string name)
-    : seed_{seed}, font_{std::make_shared<SyntheticFont>()} {
-  font_->name_ = std::move(name);
-}
+    : seed_{seed}, name_{std::move(name)} {}
 
 GlyphBitmap SyntheticFontBuilder::random_glyph(util::Rng& rng) const {
   // Draw inside a 2-pixel margin with ~22% ink, giving ~170 black pixels —
@@ -51,9 +45,9 @@ std::size_t SyntheticFontBuilder::cover_range(unicode::CodePoint first,
   const double step = static_cast<double>(candidates.size()) / static_cast<double>(take);
   for (std::size_t i = 0; i < take; ++i) {
     const auto cp = candidates[static_cast<std::size_t>(i * step)];
-    if (font_->glyphs_.contains(cp)) continue;
+    if (glyphs_.contains(cp)) continue;
     util::Rng rng{seed_ ^ (0x9e3779b97f4a7c15ULL * (cp + 1))};
-    font_->glyphs_[cp] = random_glyph(rng);
+    glyphs_[cp] = random_glyph(rng);
     ++added;
   }
   return added;
@@ -63,7 +57,7 @@ void SyntheticFontBuilder::plant_cluster(unicode::CodePoint base,
                                          const std::vector<PlantedMember>& members) {
   util::Rng rng{seed_ ^ (0xbf58476d1ce4e5b9ULL * (base + 1))};
   const GlyphBitmap base_glyph = random_glyph(rng);
-  font_->glyphs_[base] = base_glyph;
+  glyphs_[base] = base_glyph;
 
   PlantedCluster record;
   record.base = base;
@@ -81,7 +75,7 @@ void SyntheticFontBuilder::plant_cluster(unicode::CodePoint base,
       g.flip(x, y);
       ++flipped;
     }
-    font_->glyphs_[member.cp] = g;
+    glyphs_[member.cp] = g;
     record.members.push_back(member);
   }
   clusters_.push_back(std::move(record));
@@ -101,14 +95,20 @@ void SyntheticFontBuilder::plant_sparse(unicode::CodePoint cp, int pixels) {
     g.set(x, y);
     ++placed;
   }
-  font_->glyphs_[cp] = g;
+  glyphs_[cp] = g;
   sparse_.push_back(cp);
 }
 
 std::shared_ptr<SyntheticFont> SyntheticFontBuilder::build() const {
-  // Return a copy so the builder can keep being amended without mutating
-  // previously built fonts.
-  return std::make_shared<SyntheticFont>(*font_);
+  auto font = std::make_shared<SyntheticFont>();
+  font->name_ = name_;
+  font->cps_.reserve(glyphs_.size());
+  font->glyphs_.reserve(glyphs_.size());
+  for (const auto& [cp, g] : glyphs_) {
+    font->cps_.push_back(cp);
+    font->glyphs_.push_back(g);
+  }
+  return font;
 }
 
 }  // namespace sham::font

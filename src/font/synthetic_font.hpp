@@ -25,6 +25,11 @@
 
 namespace sham::font {
 
+/// An immutable snapshot of a builder's glyphs, stored as two parallel
+/// arrays sorted by code point: coverage() copies `cps_`, and glyph() is a
+/// binary search over contiguous memory. SimChar Step I calls both once
+/// per covered code point, so a node-based map here would cost more than
+/// the render itself.
 class SyntheticFont final : public FontSource {
  public:
   // FontSource:
@@ -32,11 +37,12 @@ class SyntheticFont final : public FontSource {
   [[nodiscard]] std::vector<unicode::CodePoint> coverage() const override;
   [[nodiscard]] std::string name() const override { return name_; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return glyphs_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return cps_.size(); }
 
  private:
   friend class SyntheticFontBuilder;
-  std::map<unicode::CodePoint, GlyphBitmap> glyphs_;
+  std::vector<unicode::CodePoint> cps_;  // ascending
+  std::vector<GlyphBitmap> glyphs_;      // glyphs_[i] is the glyph of cps_[i]
   std::string name_ = "synthetic";
 };
 
@@ -82,13 +88,17 @@ class SyntheticFontBuilder {
     return sparse_;
   }
 
+  /// Snapshot the glyphs written so far. Later amendments to the builder
+  /// never change a font it already built.
   [[nodiscard]] std::shared_ptr<SyntheticFont> build() const;
 
  private:
   GlyphBitmap random_glyph(util::Rng& rng) const;
 
   std::uint64_t seed_;
-  std::shared_ptr<SyntheticFont> font_;
+  std::string name_;
+  /// The glyphs written so far; writing a code point again replaces it.
+  std::map<unicode::CodePoint, GlyphBitmap> glyphs_;
   std::vector<PlantedCluster> clusters_;
   std::vector<unicode::CodePoint> sparse_;
 };

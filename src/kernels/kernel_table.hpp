@@ -18,9 +18,6 @@ struct KernelTable {
                       std::size_t stride, std::size_t begin, std::size_t end,
                       std::int32_t* out);
   int (*delta_one)(const std::uint64_t* a, const std::uint64_t* b);
-  void (*block_hash)(const std::uint64_t* rows, std::size_t stride,
-                     std::size_t count, unsigned first_word,
-                     unsigned last_word, std::uint64_t* out);
   std::uint64_t (*fnv1a)(std::uint64_t seed, const std::uint32_t* values,
                          std::size_t n);
   void (*fnv1a4)(const std::uint32_t* const values[4],
@@ -34,23 +31,11 @@ void delta_batch_scalar(const std::uint64_t* query, const std::uint64_t* rows,
                         std::size_t stride, std::size_t begin, std::size_t end,
                         std::int32_t* out);
 int delta_one_scalar(const std::uint64_t* a, const std::uint64_t* b);
-void block_hash_scalar(const std::uint64_t* rows, std::size_t stride,
-                       std::size_t count, unsigned first_word,
-                       unsigned last_word, std::uint64_t* out);
 std::uint64_t fnv1a_scalar(std::uint64_t seed, const std::uint32_t* values,
                            std::size_t n);
 void fnv1a4_scalar(const std::uint32_t* const values[4],
                    const std::size_t lengths[4], const std::uint64_t seeds[4],
                    std::uint64_t out[4]);
-
-/// splitmix64 — the block-key mixing step; arch TUs replicate it in
-/// vector form and the differential suite pins them together.
-constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 

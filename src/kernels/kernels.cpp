@@ -1,7 +1,7 @@
 // Scalar reference kernels + the runtime dispatch state. The scalar
 // variants are the semantics: every arch table is tested bit-exact
-// against them (tests/test_kernels.cpp), and the probe-side helpers
-// (block_hash_u1024, fnv1a_span fallback) pin the hash definitions.
+// against them (tests/test_kernels.cpp). block_hash_u1024 is not
+// dispatched at all: it defines PairMiner's block keys.
 #include "kernels/kernels.hpp"
 
 #include <atomic>
@@ -39,18 +39,6 @@ int delta_one_scalar(const std::uint64_t* a, const std::uint64_t* b) {
   return sum;
 }
 
-void block_hash_scalar(const std::uint64_t* rows, std::size_t stride,
-                       std::size_t count, unsigned first_word,
-                       unsigned last_word, std::uint64_t* out) {
-  for (std::size_t g = 0; g < count; ++g) out[g] = kBlockHashSeed;
-  for (unsigned w = first_word; w < last_word; ++w) {
-    const std::uint64_t* row = rows + w * stride;
-    for (std::size_t g = 0; g < count; ++g) {
-      out[g] = splitmix64(out[g] ^ row[g]);
-    }
-  }
-}
-
 std::uint64_t fnv1a_scalar(std::uint64_t seed, const std::uint32_t* values,
                            std::size_t n) {
   std::uint64_t h = seed;
@@ -75,9 +63,17 @@ void fnv1a4_scalar(const std::uint32_t* const values[4],
 namespace {
 
 constexpr KernelTable kScalarTable{
-    Level::kScalar,      delta_batch_scalar, delta_one_scalar,
-    block_hash_scalar,   fnv1a_scalar,       fnv1a4_scalar,
+    Level::kScalar, delta_batch_scalar, delta_one_scalar,
+    fnv1a_scalar,   fnv1a4_scalar,
 };
+
+/// splitmix64 — the block-key mixing step.
+constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 const KernelTable* table_for(Level level) noexcept {
   switch (level) {
@@ -182,14 +178,6 @@ void delta_batch_u1024(const std::uint64_t* query, const GlyphPanel& panel,
 
 int delta_u1024(const std::uint64_t* a, const std::uint64_t* b) noexcept {
   return detail::active().delta_one(a, b);
-}
-
-void block_hash_batch(const GlyphPanel& panel, unsigned first_word,
-                      unsigned last_word, std::uint64_t* out) noexcept {
-  assert(first_word <= last_word && last_word <= kGlyphWords);
-  if (panel.size() == 0) return;
-  detail::active().block_hash(panel.word_row(0), panel.stride(), panel.size(),
-                              first_word, last_word, out);
 }
 
 std::uint64_t block_hash_u1024(const std::uint64_t* words, unsigned first_word,

@@ -1,20 +1,25 @@
 // sham_kernels: vectorized kernels for the bit-parallel hot paths, with
 // runtime CPU dispatch (ROADMAP "SIMD kernels" item).
 //
-// Three primitives dominate SimChar Step II and skeleton hashing:
+// Two primitives dominate SimChar Step II and skeleton hashing:
 //
 //   delta_batch_u1024  ∆ = popcount(A XOR B) of one query bitmap against a
 //                      contiguous column range of a GlyphPanel (the Step II
-//                      inner loop, Suzuki et al. §3.3/§4.2);
-//   block_hash_batch   PairMiner's pigeonhole block keys — a splitmix64
-//                      chain over a word span of every panel column;
+//                      inner loop, Suzuki et al. §3.3/§4.2), and its
+//                      single-pair form delta_u1024;
 //   fnv1a_span         length-prefixed FNV-1a over u32 streams (the
 //                      skeleton-index hash), plus fnv1a_batch4, which runs
 //                      four independent chains at once (index build).
 //
-// Every kernel has a scalar reference implementation plus AVX2 and NEON
-// variants, compiled in arch-specific TUs and selected ONCE at startup
-// into a function-pointer table: x86 probes cpuid (via
+// block_hash_u1024, PairMiner's pigeonhole block key (a splitmix64 chain
+// over a few words of one glyph), is a plain function: the miner hashes
+// each glyph's blocks straight from its words, a few nanoseconds a key,
+// so a batched kernel would need a panel that costs more to fill than the
+// hashing it speeds up.
+//
+// Every dispatched kernel has a scalar reference implementation plus AVX2
+// and NEON variants, compiled in arch-specific TUs and selected ONCE at
+// startup into a function-pointer table: x86 probes cpuid (via
 // __builtin_cpu_supports), aarch64 always has ASIMD. Tests pin the table
 // with force_level() — or the SHAM_KERNEL_LEVEL environment variable
 // (scalar | avx2 | neon | auto), read at startup — and assert bit-exact
@@ -99,17 +104,10 @@ void delta_batch_u1024(const std::uint64_t* query, const GlyphPanel& panel,
 [[nodiscard]] int delta_u1024(const std::uint64_t* a,
                               const std::uint64_t* b) noexcept;
 
-/// out[g] = splitmix64 chain over words [first_word, last_word) of panel
-/// glyph g, seeded with kBlockHashSeed — one key per column, g < size().
-/// Bit-identical to block_hash_u1024 on every level. PairMiner computes
-/// every block key with this kernel, over a panel whose rows it permutes
-/// so each strided block is one contiguous word span.
-void block_hash_batch(const GlyphPanel& panel, unsigned first_word,
-                      unsigned last_word, std::uint64_t* out) noexcept;
-
-/// Scalar reference for one block key, which the differential tests pin
-/// block_hash_batch against. Deliberately not dispatched: it defines the
-/// hash.
+/// One block key: the splitmix64 chain over words [first_word, last_word)
+/// of `words`, seeded with kBlockHashSeed. PairMiner gathers each strided
+/// block's words b, b + (θ + 1), … into one contiguous span and hashes
+/// it. Deliberately not dispatched: it defines the hash.
 [[nodiscard]] std::uint64_t block_hash_u1024(const std::uint64_t* words,
                                              unsigned first_word,
                                              unsigned last_word) noexcept;

@@ -7,12 +7,11 @@
 //                the classic nibble-LUT pshufb, horizontal-summed with
 //                psadbw into 4 u64 lanes. Byte accumulators are safe: 16
 //                words x <= 8 set bits per byte = 128 < 256.
-//   block_hash   4 independent splitmix64 chains in the 4 u64 lanes; the
+//   fnv1a4       4 independent FNV-1a chains in the 4 u64 lanes; the
 //                64x64 multiply is emulated with _mm256_mul_epu32
 //                (lo*lo + ((lo*hi + hi*lo) << 32), exact mod 2^64).
-//   fnv1a4       4 independent FNV-1a chains in the 4 u64 lanes with the
-//                same multiply emulation; chains longer than the shortest
-//                input finish on the scalar reference.
+//                Chains longer than the shortest input finish on the
+//                scalar reference.
 //   fnv1a        single chain — inherently serial (see kernels.hpp), so
 //                this table reuses the scalar reference.
 #include <immintrin.h>
@@ -99,40 +98,6 @@ int delta_one_avx2(const std::uint64_t* a, const std::uint64_t* b) {
   return static_cast<int>(lane[0] + lane[1] + lane[2] + lane[3]);
 }
 
-/// Vector splitmix64, bit-exact per 64-bit lane.
-inline __m256i splitmix64_vec(__m256i x) noexcept {
-  x = _mm256_add_epi64(x, _mm256_set1_epi64x(0x9e3779b97f4a7c15LL));
-  x = mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)),
-            _mm256_set1_epi64x(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
-  x = mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)),
-            _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebULL)));
-  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-}
-
-void block_hash_avx2(const std::uint64_t* rows, std::size_t stride,
-                     std::size_t count, unsigned first_word,
-                     unsigned last_word, std::uint64_t* out) {
-  const __m256i seed =
-      _mm256_set1_epi64x(static_cast<long long>(kBlockHashSeed));
-  std::size_t g = 0;
-  for (; g + 4 <= count; g += 4) {
-    __m256i h = seed;
-    for (unsigned w = first_word; w < last_word; ++w) {
-      const __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(rows + w * stride + g));
-      h = splitmix64_vec(_mm256_xor_si256(h, v));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + g), h);
-  }
-  for (; g < count; ++g) {
-    std::uint64_t h = kBlockHashSeed;
-    for (unsigned w = first_word; w < last_word; ++w) {
-      h = splitmix64(h ^ rows[w * stride + g]);
-    }
-    out[g] = h;
-  }
-}
-
 void fnv1a4_avx2(const std::uint32_t* const values[4],
                  const std::size_t lengths[4], const std::uint64_t seeds[4],
                  std::uint64_t out[4]) {
@@ -160,8 +125,8 @@ void fnv1a4_avx2(const std::uint32_t* const values[4],
 }
 
 constexpr KernelTable kAvx2Table{
-    Level::kAvx2,    delta_batch_avx2, delta_one_avx2,
-    block_hash_avx2, fnv1a_scalar,     fnv1a4_avx2,
+    Level::kAvx2, delta_batch_avx2, delta_one_avx2,
+    fnv1a_scalar, fnv1a4_avx2,
 };
 
 }  // namespace

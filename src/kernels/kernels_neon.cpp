@@ -1,7 +1,7 @@
 // NEON (aarch64 ASIMD) kernel variants. Only the ∆ kernels are
 // vectorized: vcntq_u8 gives a native per-byte popcount, but NEON has no
-// 64-bit lane multiply, so the splitmix64/FNV hash kernels stay on the
-// scalar reference (see the honesty notes in kernels.hpp).
+// 64-bit lane multiply, so the FNV hash kernels stay on the scalar
+// reference (see the honesty notes in kernels.hpp).
 #include "kernels/kernel_table.hpp"
 
 #if defined(SHAM_KERNELS_HAVE_NEON) && defined(__aarch64__)
@@ -62,8 +62,8 @@ int delta_one_neon(const std::uint64_t* a, const std::uint64_t* b) {
 }
 
 constexpr KernelTable kNeonTable{
-    Level::kNeon,      delta_batch_neon, delta_one_neon,
-    block_hash_scalar, fnv1a_scalar,     fnv1a4_scalar,
+    Level::kNeon, delta_batch_neon, delta_one_neon,
+    fnv1a_scalar, fnv1a4_scalar,
 };
 
 }  // namespace

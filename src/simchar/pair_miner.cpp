@@ -125,45 +125,30 @@ void PairMiner::build_block_tables() {
   const std::size_t blocks = static_cast<std::size_t>(threshold_) + 1;
   // Strided layout: word w goes to block w mod (θ + 1). Real glyphs are
   // blank in their top and bottom rows, so contiguous blocks would give
-  // almost every pair one shared all-blank block. The permuted panel lays
-  // each block out as one contiguous span of rows for block_hash_batch;
-  // ∆ ignores word order, so verification reads the unpermuted glyphs.
-  std::array<std::size_t, kWords> order{};
-  std::vector<std::pair<unsigned, unsigned>> spans(blocks);
-  std::size_t k = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    spans[b].first = static_cast<unsigned>(k);
-    for (std::size_t w = b; w < kWords; w += blocks) order[k++] = w;
-    spans[b].second = static_cast<unsigned>(k);
-  }
-  kernels::GlyphPanel panel{n};
-  std::array<std::uint64_t, kWords> permuted{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& words = glyphs_[i].glyph.words();
-    for (std::size_t x = 0; x < kWords; ++x) permuted[x] = words[order[x]];
-    panel.set_glyph(i, permuted.data());
-  }
-
-  // A key is the high half of the kernel's 64-bit block hash: 32 bits
-  // keep hash collisions rare, and collisions only add candidates.
+  // almost every pair one shared all-blank block. Block b's key is the
+  // high half of the 64-bit hash of words b, b + (θ + 1), …, gathered in
+  // that order straight from the glyph: 32 bits keep hash collisions
+  // rare, and collisions only add candidates.
   keys_.resize(blocks * n);
-  tables_.resize(blocks);
+  tables_.assign(blocks, std::vector<std::uint64_t>(n));
+  pool_->parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
+    std::array<std::uint64_t, kWords> block{};
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& words = glyphs_[i].glyph.words();
+      for (std::size_t b = 0; b < blocks; ++b) {
+        unsigned count = 0;
+        for (std::size_t w = b; w < kWords; w += blocks) block[count++] = words[w];
+        const auto key =
+            static_cast<std::uint32_t>(kernels::block_hash_u1024(block.data(), 0, count) >> 32);
+        keys_[b * n + i] = key;
+        tables_[b][i] = entry(key, static_cast<std::uint32_t>(i));
+      }
+    }
+  });
   pool_->parallel_for(
       0, blocks,
       [&](std::size_t begin, std::size_t end) {
-        std::vector<std::uint64_t> hashes(n);
-        for (std::size_t b = begin; b < end; ++b) {
-          kernels::block_hash_batch(panel, spans[b].first, spans[b].second,
-                                    hashes.data());
-          auto& table = tables_[b];
-          table.resize(n);
-          for (std::uint32_t i = 0; i < n; ++i) {
-            const auto key = static_cast<std::uint32_t>(hashes[i] >> 32);
-            keys_[b * n + i] = key;
-            table[i] = entry(key, i);
-          }
-          sort_by_key(table);
-        }
+        for (std::size_t b = begin; b < end; ++b) sort_by_key(tables_[b]);
       },
       blocks);
 }
@@ -199,12 +184,11 @@ void PairMiner::verify(std::uint32_t i, std::uint32_t j, ChunkResult& out) const
 void PairMiner::fill_block_stats(MinerStats* stats) const {
   if (stats == nullptr) return;
   stats->block_tables = tables_.size();
-  constexpr std::size_t kSlots = 8;
-  stats->bucket_histogram.assign(kSlots, 0);
+  auto& histogram = stats->bucket_histogram;
   for (const auto& table : tables_) {
     for (std::size_t lo = 0, hi = 0; lo < table.size(); lo = hi) {
       hi = run_end(table, lo);
-      ++stats->bucket_histogram[std::min(hi - lo - 1, kSlots - 1)];
+      ++histogram[std::min(hi - lo - 1, histogram.size() - 1)];
     }
   }
 }

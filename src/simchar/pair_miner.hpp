@@ -27,6 +27,7 @@
 // chunk order (no mutex-ordered insertion), and the merged list is sorted.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <span>
@@ -86,8 +87,11 @@ struct MinerStats {
   std::uint64_t candidates_rejected = 0;   // ∆ > θ (bucket over-approximation)
   /// Aggregate bucket-occupancy histogram across all block tables: slot i
   /// counts buckets holding exactly i+1 glyphs, last slot aggregates the
-  /// tail (same convention as SkeletonIndex::occupancy_histogram).
-  std::vector<std::uint64_t> bucket_histogram;
+  /// tail (same convention as SkeletonIndex::occupancy_histogram). A fixed
+  /// array keeps MinerStats and BuildStats free of heap memory: callers
+  /// keep one per build, and a small block that outlives each build
+  /// fragments the heap under the build's multi-megabyte buffers.
+  std::array<std::uint64_t, 8> bucket_histogram{};
 };
 
 /// Candidate generator over a fixed glyph set. Construction builds the
@@ -139,9 +143,10 @@ class PairMiner {
   util::ThreadPool* pool_;
 
   /// kAllPairs: SoA copy of the glyph bitmaps for the batched ∆ kernel,
-  /// column k = glyph k.
+  /// column k = glyph k. kBlockIndex builds no panel.
   kernels::GlyphPanel panel_;
-  /// kBlockIndex: keys_[t · n + g] is glyph g's block key in table t, and
+  /// kBlockIndex: keys_[t · n + g] is glyph g's block key in table t,
+  /// hashed straight from the glyph's words t, t + (θ + 1), …, and
   /// tables_[t] holds every glyph's packed (key, glyph) entry, sorted, so
   /// glyphs whose block words hash alike form one run. Hash collisions
   /// between distinct block contents only add candidates; verification

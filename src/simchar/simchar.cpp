@@ -16,35 +16,45 @@ namespace {
 
 /// Step I: render every IDNA-permitted (when requested) code point the
 /// font covers. Shared verbatim by the full build and the incremental
-/// update — the font is the repertoire authority for both.
+/// update — the font is the repertoire authority for both. The PVALID
+/// filter runs inside the parallel render loop, one state per coverage
+/// slot, and one serial pass counts the repertoire and compacts.
 std::vector<MinerGlyph> render_repertoire(const font::FontSource& font,
                                           const BuildOptions& options,
                                           util::ThreadPool& pool,
                                           BuildStats& stats) {
+  enum State : char { kFiltered, kUncovered, kRendered };
   const auto coverage = font.coverage();
-  std::vector<unicode::CodePoint> repertoire;
-  repertoire.reserve(coverage.size());
-  for (const auto cp : coverage) {
-    if (!options.idna_only || unicode::is_idna_permitted(cp)) repertoire.push_back(cp);
-  }
-  stats.repertoire_size = repertoire.size();
-
-  std::vector<MinerGlyph> glyphs(repertoire.size());
-  std::vector<char> covered(repertoire.size(), 0);
-  pool.parallel_for(0, repertoire.size(), [&](std::size_t begin, std::size_t end) {
+  std::vector<MinerGlyph> glyphs(coverage.size());
+  std::vector<State> state(coverage.size());
+  pool.parallel_for(0, coverage.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const auto g = font.glyph(repertoire[i]);
-      if (!g) continue;
-      glyphs[i] = MinerGlyph{repertoire[i], *g, g->popcount()};
-      covered[i] = 1;
+      const auto cp = coverage[i];
+      if (options.idna_only && !unicode::is_idna_permitted(cp)) {
+        state[i] = kFiltered;
+        continue;
+      }
+      const auto g = font.glyph(cp);
+      if (!g) {
+        state[i] = kUncovered;
+        continue;
+      }
+      glyphs[i] = MinerGlyph{cp, *g, g->popcount()};
+      state[i] = kRendered;
     }
   });
-  // Compact the covered glyphs to the front, in repertoire order.
+  // Compact the rendered glyphs to the front, in coverage order.
+  std::size_t repertoire = 0;
   std::size_t kept = 0;
   for (std::size_t i = 0; i < glyphs.size(); ++i) {
-    if (covered[i]) glyphs[kept++] = glyphs[i];
+    if (state[i] == kFiltered) continue;
+    ++repertoire;
+    if (state[i] == kUncovered) continue;
+    if (kept != i) glyphs[kept] = glyphs[i];
+    ++kept;
   }
   glyphs.resize(kept);
+  stats.repertoire_size = repertoire;
   stats.glyphs_rendered = kept;
   return glyphs;
 }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "font/freetype_font.hpp"
 #include "font/hex_font.hpp"
 #include "font/metrics.hpp"
@@ -52,6 +57,17 @@ TEST(HexFont, RejectsMalformedLines) {
                std::invalid_argument);
   EXPECT_THROW(HexFont::parse("zz:FF000000000000000000000000000000\n"),
                std::invalid_argument);
+  // Code points above U+10FFFF are rejected with the offending line.
+  const std::string full(32, 'F');
+  for (const std::string cp : {"110000", "FFFFFFFF"}) {
+    try {
+      (void)HexFont::parse("0041:" + full + "\n" + cp + ":" + full + "\n");
+      ADD_FAILURE() << cp << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), ".hex line 2: code point above U+10FFFF");
+    }
+  }
+  EXPECT_EQ(HexFont::parse("10FFFF:" + full + "\n").size(), 1u);
 }
 
 TEST(HexFont, SerializeParseRoundtrip) {
@@ -76,6 +92,12 @@ TEST(HexFont, AddGlyphValidation) {
   EXPECT_THROW(font.add_glyph('a', false, {}), std::invalid_argument);
   std::vector<std::uint32_t> rows(16, 0x1FF);  // too wide for 8-bit cell
   EXPECT_THROW(font.add_glyph('a', false, rows), std::invalid_argument);
+  const std::vector<std::uint32_t> valid(16, 0xFF);
+  EXPECT_THROW(font.add_glyph(0x110000, false, valid), std::invalid_argument);
+  EXPECT_THROW(font.add_glyph(0xFFFFFFFF, false, valid), std::invalid_argument);
+  EXPECT_EQ(font.size(), 0u);
+  font.add_glyph(0x10FFFF, false, valid);
+  EXPECT_EQ(font.coverage(), std::vector<unicode::CodePoint>{0x10FFFF});
 }
 
 TEST(HexFont, CoverageSorted) {
@@ -157,6 +179,66 @@ TEST(SyntheticFont, SparseGlyphs) {
   EXPECT_EQ(font->glyph(0x0E47)->popcount(), 6);
   EXPECT_THROW(b.plant_sparse(0x0E48, 10), std::invalid_argument);
   EXPECT_THROW(b.plant_sparse(0x0E48, -1), std::invalid_argument);
+}
+
+TEST(SyntheticFont, BuiltFontIsAnIndependentSortedSnapshot) {
+  constexpr std::uint64_t kSeed = 23;
+  SyntheticFontBuilder b{kSeed};
+  ASSERT_EQ(b.cover_range(0x0430, 0x044F), 32u);  // Cyrillic а–я
+  ASSERT_EQ(b.cover_range(0x4E00, 0x4E0F), 16u);  // CJK
+  // The members overwrite covered Cyrillic glyphs; re-planting the
+  // cluster overwrites 0x043E a second time.
+  b.plant_cluster('o', {{0x043E, 2}, {0x0441, 3}});
+  b.plant_cluster('o', {{0x043E, 5}});
+  b.plant_sparse(0x0E47, 6);
+  const auto font = b.build();
+
+  // Coverage: exactly the code points written, strictly ascending.
+  std::vector<unicode::CodePoint> expected{'o'};
+  for (unicode::CodePoint cp = 0x0430; cp <= 0x044F; ++cp) expected.push_back(cp);
+  expected.push_back(0x0E47);
+  for (unicode::CodePoint cp = 0x4E00; cp <= 0x4E0F; ++cp) expected.push_back(cp);
+  EXPECT_EQ(font->coverage(), expected);
+  EXPECT_EQ(font->size(), expected.size());
+  const auto cov = font->coverage();
+  EXPECT_EQ(std::adjacent_find(cov.begin(), cov.end(), std::greater_equal<>{}), cov.end());
+
+  // Each glyph is the last bitmap written to its code point: untouched
+  // covered glyphs equal a builder that only covered the ranges, and the
+  // overwritten ones carry the planted ∆ and ink.
+  SyntheticFontBuilder ranges_only{kSeed};
+  ranges_only.cover_range(0x0430, 0x044F);
+  ranges_only.cover_range(0x4E00, 0x4E0F);
+  const auto reference = ranges_only.build();
+  for (const auto cp : reference->coverage()) {
+    if (cp == 0x043E || cp == 0x0441) continue;
+    EXPECT_EQ(font->glyph(cp), reference->glyph(cp)) << cp;
+  }
+  const auto base = font->glyph('o');
+  ASSERT_TRUE(base.has_value());
+  EXPECT_EQ(delta(*base, *font->glyph(0x043E)), 5);
+  EXPECT_EQ(delta(*base, *font->glyph(0x0441)), 3);
+  EXPECT_GT(delta(*base, *reference->glyph(0x0441)), 50);
+  EXPECT_EQ(font->glyph(0x0E47)->popcount(), 6);
+  EXPECT_GT(font->glyph(0x4E0F)->popcount(), 50);
+
+  // Outside the coverage: below, in a gap, one past the end, the maximum.
+  for (const unicode::CodePoint cp : {0x0000u, 0x0500u, 0x4E10u, 0x10FFFFu}) {
+    EXPECT_FALSE(font->glyph(cp).has_value()) << cp;
+  }
+
+  // Amending the builder leaves the font it already built unchanged.
+  b.plant_cluster('o', {{0x043E, 1}});
+  b.cover_range(0x4E10, 0x4E1F);
+  b.plant_sparse(0x0E48, 3);
+  EXPECT_EQ(font->coverage(), expected);
+  EXPECT_EQ(delta(*base, *font->glyph(0x043E)), 5);
+  EXPECT_FALSE(font->glyph(0x4E10).has_value());
+  EXPECT_FALSE(font->glyph(0x0E48).has_value());
+  const auto amended = b.build();
+  EXPECT_EQ(amended->size(), expected.size() + 17);
+  EXPECT_EQ(delta(*base, *amended->glyph(0x043E)), 1);
+  EXPECT_EQ(amended->glyph(0x0E48)->popcount(), 3);
 }
 
 TEST(SyntheticFont, BuilderRecordsGroundTruth) {

@@ -272,33 +272,32 @@ TEST_P(KernelLevels, DeltaBatchMatchesNaiveOnPaperFontPanel) {
   }
 }
 
-// --- Differential: block-hash kernels -----------------------------------
+// --- Block keys ---------------------------------------------------------
 
+// block_hash_u1024 is not dispatched; running it under every pinned level
+// checks that the keys the miner stores do not depend on the level.
 TEST_P(KernelLevels, BlockHashBatchMatchesNaiveAndScalarProbe) {
   const auto glyphs = glyph_corpus(19, 30);
-  const auto panel = panel_of(glyphs);
-  std::vector<std::uint64_t> keys(glyphs.size());
-  // Every span the miner can produce (θ + 1 strided blocks, each laid out
-  // as one contiguous span of its permuted panel, θ = 0..15), plus
-  // degenerate spans.
-  std::vector<std::pair<unsigned, unsigned>> spans{{0, 0}, {5, 5}, {0, 16}};
-  for (unsigned blocks = 1; blocks <= 16; ++blocks) {
-    unsigned first = 0;
-    for (unsigned b = 0; b < blocks; ++b) {
-      const unsigned words = (16 - b + blocks - 1) / blocks;  // w ≡ b mod blocks
-      spans.emplace_back(first, first + words);
-      first += words;
+  for (const auto& g : glyphs) {
+    // Degenerate and whole-bitmap spans.
+    for (const auto& [first, last] : {std::pair{0u, 0u}, {5u, 5u}, {0u, 16u}}) {
+      ASSERT_EQ(block_hash_u1024(g.data(), first, last),
+                naive_block_hash(g, first, last));
     }
-  }
-  for (const auto& [first, last] : spans) {
-    block_hash_batch(panel, first, last, keys.data());
-    for (std::size_t g = 0; g < glyphs.size(); ++g) {
-      const auto expected = naive_block_hash(glyphs[g], first, last);
-      ASSERT_EQ(keys[g], expected)
-          << "span [" << first << "," << last << ") g=" << g;
-      // The batch kernel must reproduce the scalar reference, which
-      // defines the hash, at every level.
-      ASSERT_EQ(block_hash_u1024(glyphs[g].data(), first, last), expected);
+    // Every block the miner hashes: for θ = 0..15, block b holds words
+    // b, b + (θ + 1), …, gathered in that order into one contiguous span.
+    for (unsigned blocks = 1; blocks <= 16; ++blocks) {
+      for (unsigned b = 0; b < blocks; ++b) {
+        Words strided{};
+        unsigned count = 0;
+        std::uint64_t expected = kBlockHashSeed;
+        for (unsigned w = b; w < kGlyphWords; w += blocks) {
+          strided[count++] = g[w];
+          expected = naive_splitmix64(expected ^ g[w]);
+        }
+        ASSERT_EQ(block_hash_u1024(strided.data(), 0, count), expected)
+            << "blocks " << blocks << " block " << b;
+      }
     }
   }
 }

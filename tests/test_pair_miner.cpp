@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -240,6 +241,37 @@ TEST(PairMiner, BlockIndexStatsFunnelIsConsistent) {
   EXPECT_GT(buckets, 0u);
 }
 
+/// Step I as SimCharDb::build runs it: the IDNA-permitted glyphs the font
+/// covers.
+std::vector<MinerGlyph> render(const font::FontSource& font) {
+  std::vector<MinerGlyph> glyphs;
+  for (const auto cp : font.coverage()) {
+    if (!unicode::is_idna_permitted(cp)) continue;
+    if (const auto g = font.glyph(cp)) push(glyphs, cp, *g);
+  }
+  return glyphs;
+}
+
+TEST(PairMiner, BlockIndexFunnelIsPinned) {
+  // A changed block layout or key hash still mines the same pairs, so the
+  // pair-equality gates cannot see it; the candidate funnel and bucket
+  // histogram of the default paper font at θ = 4 can.
+  const auto paper = font::make_paper_font({});
+  const auto glyphs = render(*paper.font);
+  util::ThreadPool pool{2};
+  const PairMiner miner{glyphs, 4, PairStrategy::kBlockIndex, pool};
+  MinerStats stats;
+  (void)miner.mine_all(&stats);
+  EXPECT_EQ(stats.delta_evaluations, 7'636u);
+  EXPECT_EQ(stats.candidates_emitted, 14'186u);
+  EXPECT_EQ(stats.candidates_deduped, 8'488u);
+  EXPECT_EQ(stats.candidates_pruned, 852u);
+  EXPECT_EQ(stats.candidates_verified, 2'128u);
+  EXPECT_EQ(stats.candidates_rejected, 5'508u);
+  EXPECT_EQ(stats.bucket_histogram,
+            (std::array<std::uint64_t, 8>{58'913, 1'119, 802, 5, 1, 10, 10, 105}));
+}
+
 TEST(PairMiner, OversizedThresholdFallsBackToAllPairs) {
   util::ThreadPool pool{2};
   const auto glyphs = random_repertoire(kSeeds[2]);
@@ -299,17 +331,6 @@ std::vector<HomoglyphPair> within(std::span<const HomoglyphPair> oracle, int the
     if (p.delta <= theta) out.push_back(p);
   }
   return out;
-}
-
-/// Step I as SimCharDb::build runs it: the IDNA-permitted glyphs the font
-/// covers.
-std::vector<MinerGlyph> render(const font::FontSource& font) {
-  std::vector<MinerGlyph> glyphs;
-  for (const auto cp : font.coverage()) {
-    if (!unicode::is_idna_permitted(cp)) continue;
-    if (const auto g = font.glyph(cp)) push(glyphs, cp, *g);
-  }
-  return glyphs;
 }
 
 /// For θ = 0..8: the default build equals the filtered all-pairs build,

@@ -509,7 +509,7 @@ INSTANTIATE_TEST_SUITE_P(Thetas, SerializationSweep, ::testing::Values(0, 2, 4, 
 // --- Kernel-level equivalence -------------------------------------------
 //
 // Randomized differential property: for every dispatch level the host can
-// run, the three kernels agree bit-exact with the scalar reference on
+// run, the ∆ and FNV kernels agree bit-exact with the scalar reference on
 // randomized panels/streams. Complements the adversarial fixed cases in
 // test_kernels.cpp with seed-parameterized fuzzing.
 
@@ -545,41 +545,6 @@ TEST_P(KernelEquivalence, DeltaBatchAgreesWithScalarOnRandomPanels) {
                 expected[i])
           << kernels::level_name(level) << " i=" << i;
     }
-  }
-}
-
-TEST_P(KernelEquivalence, BlockHashAgreesWithScalarOnRandomPanels) {
-  util::Rng rng{GetParam() ^ 0xb10cULL};
-  const std::size_t n = 1 + rng.below(50);
-  kernels::GlyphPanel panel(n);
-  std::vector<std::array<std::uint64_t, kernels::kGlyphWords>> glyphs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (auto& w : glyphs[i]) w = rng.next();
-    panel.set_glyph(i, glyphs[i].data());
-  }
-  const unsigned first = static_cast<unsigned>(rng.below(17));
-  const unsigned last =
-      first + static_cast<unsigned>(rng.below(17 - first));
-
-  std::vector<std::uint64_t> expected(n);
-  {
-    kernels::ScopedKernelLevel pin{kernels::Level::kScalar};
-    ASSERT_TRUE(pin.forced());
-    kernels::block_hash_batch(panel, first, last, expected.data());
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    // The undispatched scalar reference defines the hash the batch kernel
-    // computes for the pigeonhole tables.
-    ASSERT_EQ(kernels::block_hash_u1024(glyphs[i].data(), first, last),
-              expected[i]);
-  }
-  for (const auto level : kernels::supported_levels()) {
-    kernels::ScopedKernelLevel pin{level};
-    ASSERT_TRUE(pin.forced());
-    std::vector<std::uint64_t> out(n);
-    kernels::block_hash_batch(panel, first, last, out.data());
-    EXPECT_EQ(out, expected)
-        << kernels::level_name(level) << " span [" << first << "," << last << ")";
   }
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "font/synthetic_font.hpp"
 #include "simchar/simchar.hpp"
@@ -153,6 +155,29 @@ TEST(SimCharBuild, SingleThreadMatchesParallel) {
                                  SimCharDb::build(*font, many).pairs()));
 }
 
+/// A font whose coverage() also lists code points it renders no glyph
+/// for: the repertoire counts them, the render skips them.
+class CoverageWithoutGlyphs final : public font::FontSource {
+ public:
+  CoverageWithoutGlyphs(font::FontSourcePtr inner, std::vector<CodePoint> blank)
+      : inner_{std::move(inner)}, blank_{std::move(blank)} {}
+
+  std::optional<font::GlyphBitmap> glyph(CodePoint cp) const override {
+    return inner_->glyph(cp);
+  }
+  std::vector<CodePoint> coverage() const override {
+    auto out = inner_->coverage();
+    out.insert(out.end(), blank_.begin(), blank_.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  std::string name() const override { return "coverage-without-glyphs"; }
+
+ private:
+  font::FontSourcePtr inner_;
+  std::vector<CodePoint> blank_;
+};
+
 TEST(SimCharBuild, IdnaOnlyFilters) {
   font::SyntheticFontBuilder b{3};
   b.cover_range('A', 'Z', SIZE_MAX, /*idna_only=*/false);  // DISALLOWED chars
@@ -169,6 +194,34 @@ TEST(SimCharBuild, IdnaOnlyFilters) {
   BuildStats stats_all;
   SimCharDb::build(*font, all, &stats_all);
   EXPECT_EQ(stats_all.repertoire_size, 28u);
+
+  // 'b' is PVALID and '!' DISALLOWED; the font lists both without a glyph.
+  const CoverageWithoutGlyphs stub{font, {'b', '!'}};
+  for (const bool idna_only : {true, false}) {
+    std::vector<BuildStats> by_threads;
+    std::vector<std::vector<HomoglyphPair>> pairs_by_threads;
+    for (const std::size_t threads : {1u, 4u}) {
+      BuildOptions options;
+      options.idna_only = idna_only;
+      options.threads = threads;
+      BuildStats s;
+      const auto built = SimCharDb::build(stub, options, &s);
+      by_threads.push_back(s);
+      pairs_by_threads.emplace_back(built.pairs().begin(), built.pairs().end());
+    }
+    const auto& s = by_threads[0];
+    EXPECT_EQ(s.repertoire_size, idna_only ? 3u : 30u) << idna_only;
+    EXPECT_EQ(s.glyphs_rendered, idna_only ? 2u : 28u) << idna_only;
+    EXPECT_EQ(pairs_by_threads[0], (std::vector<HomoglyphPair>{{'a', 0x0430, 1}}));
+    const auto& t = by_threads[1];
+    EXPECT_EQ(t.repertoire_size, s.repertoire_size);
+    EXPECT_EQ(t.glyphs_rendered, s.glyphs_rendered);
+    EXPECT_EQ(t.pairs_compared, s.pairs_compared);
+    EXPECT_EQ(t.pairs_found, s.pairs_found);
+    EXPECT_EQ(t.pairs_after_sparse, s.pairs_after_sparse);
+    EXPECT_EQ(t.mining.bucket_histogram, s.mining.bucket_histogram);
+    EXPECT_EQ(pairs_by_threads[1], pairs_by_threads[0]) << idna_only;
+  }
 }
 
 TEST(SimCharBuild, StatsTimingsPopulated) {
