@@ -1,12 +1,11 @@
-// Kernel dispatch-level sweep: throughput of the batched ∆ and FNV
-// kernels at every level the host can run, speedups vs the scalar
-// reference, and the ≥4x batched-∆ criterion (hardware_skipped on hosts
-// with no vector level). Merges a "delta_kernel" section into
-// BENCH_simchar.json next to the Step II grid those kernels accelerate.
+// Kernel dispatch-level sweep: throughput of the batched ∆ kernel at
+// every level the host can run, speedups vs the scalar reference, and the
+// ≥4x batched-∆ criterion (hardware_skipped on hosts with no vector
+// level). Merges a "delta_kernel" section into BENCH_simchar.json next to
+// the Step II grid that kernel accelerates.
 //
 //   $ ./bench/kernel_sweep            # full sweep + JSON merge
 //   $ ./bench/kernel_sweep --smoke    # cross-level equivalence only
-//   $ ./bench/kernel_sweep --levels   # print runnable levels, one per line
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -37,8 +36,6 @@ struct Workload {
   GlyphPanel panel;
   std::vector<std::array<std::uint64_t, kGlyphWords>> glyphs;
   std::vector<std::array<std::uint64_t, kGlyphWords>> queries;
-  // FNV: groups of 4 independent 64-value streams.
-  std::vector<std::vector<std::uint32_t>> streams;
 };
 
 Workload make_workload(std::uint64_t seed) {
@@ -53,11 +50,6 @@ Workload make_workload(std::uint64_t seed) {
   w.queries.resize(kQueries);
   for (auto& q : w.queries) {
     for (auto& word : q) word = rng.next();
-  }
-  w.streams.resize(256);
-  for (auto& s : w.streams) {
-    s.resize(64);
-    for (auto& v : s) v = static_cast<std::uint32_t>(rng.next());
   }
   return w;
 }
@@ -78,39 +70,6 @@ double time_delta(const Workload& w, std::int64_t& sink) {
   return best;
 }
 
-/// Seconds for hashing every stream group through fnv1a_batch4, best of
-/// kReps.
-double time_fnv(const Workload& w, std::int64_t& sink) {
-  double best = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    util::Stopwatch watch;
-    for (int pass = 0; pass < 16; ++pass) {
-      for (std::size_t g = 0; g + 4 <= w.streams.size(); g += 4) {
-        const std::uint32_t* ptrs[4];
-        std::size_t lens[4];
-        std::uint64_t seeds[4];
-        for (int c = 0; c < 4; ++c) {
-          ptrs[c] = w.streams[g + c].data();
-          lens[c] = w.streams[g + c].size();
-          seeds[c] = 0xcbf29ce484222325ULL + c;
-        }
-        std::uint64_t out[4];
-        kernels::fnv1a_batch4(ptrs, lens, seeds, out);
-        sink += static_cast<std::int64_t>(out[0] ^ out[3]);
-      }
-    }
-    best = std::min(best, watch.seconds());
-  }
-  return best;
-}
-
-int run_levels() {
-  for (const auto level : kernels::supported_levels()) {
-    std::printf("%s\n", std::string{kernels::level_name(level)}.c_str());
-  }
-  return 0;
-}
-
 int run_smoke() {
   const auto w = make_workload(20260808);
   bool ok = true;
@@ -118,7 +77,6 @@ int run_smoke() {
   // Scalar baselines.
   std::vector<std::vector<std::int32_t>> delta_truth(kQueries,
                                                      std::vector<std::int32_t>(kPanelGlyphs));
-  std::uint64_t fnv_truth[4];
   {
     kernels::ScopedKernelLevel pin{Level::kScalar};
     ok = ok && pin.forced();
@@ -126,14 +84,6 @@ int run_smoke() {
       kernels::delta_batch_u1024(w.queries[q].data(), w.panel, 0, kPanelGlyphs,
                                  delta_truth[q].data());
     }
-    const std::uint32_t* ptrs[4];
-    std::size_t lens[4];
-    std::uint64_t seeds[4] = {1, 2, 3, 4};
-    for (int c = 0; c < 4; ++c) {
-      ptrs[c] = w.streams[c].data();
-      lens[c] = w.streams[c].size();
-    }
-    kernels::fnv1a_batch4(ptrs, lens, seeds, fnv_truth);
   }
 
   for (const auto level : kernels::supported_levels()) {
@@ -149,16 +99,6 @@ int run_smoke() {
       same = kernels::delta_u1024(w.queries[0].data(), w.glyphs[i].data()) ==
              delta_truth[0][i];
     }
-    const std::uint32_t* ptrs[4];
-    std::size_t lens[4];
-    std::uint64_t seeds[4] = {1, 2, 3, 4};
-    for (int c = 0; c < 4; ++c) {
-      ptrs[c] = w.streams[c].data();
-      lens[c] = w.streams[c].size();
-    }
-    std::uint64_t out4[4];
-    kernels::fnv1a_batch4(ptrs, lens, seeds, out4);
-    same = same && std::equal(out4, out4 + 4, fnv_truth);
     std::printf("  kernel level %-6s %s\n",
                 std::string{kernels::level_name(level)}.c_str(),
                 same ? "identical" : "MISMATCH");
@@ -202,7 +142,6 @@ void merge_into_bench_json(const std::string& section) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--levels") == 0) return run_levels();
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return run_smoke();
 
   bench::header("SIMD kernel layer: dispatch-level sweep");
@@ -212,40 +151,32 @@ int main(int argc, char** argv) {
   const double deltas_per_pass =
       static_cast<double>(kPanelGlyphs) * static_cast<double>(kQueries);
 
-  util::TextTable t{{"level", "∆ batch s", "M∆/s", "∆ speedup", "fnv4 s", "speedup"},
+  util::TextTable t{{"level", "∆ batch s", "M∆/s", "∆ speedup"},
                     {util::Align::kLeft, util::Align::kRight, util::Align::kRight,
-                     util::Align::kRight, util::Align::kRight, util::Align::kRight}};
+                     util::Align::kRight}};
 
   std::int64_t sink = 0;
   double scalar_delta = 0.0;
-  double scalar_fnv = 0.0;
   double best_delta_speedup = 1.0;
   std::string level_json;
   for (const auto level : levels) {
     kernels::ScopedKernelLevel pin{level};
     if (!pin.forced()) continue;
     const double delta_s = time_delta(w, sink);
-    const double fnv_s = time_fnv(w, sink);
-    if (level == Level::kScalar) {
-      scalar_delta = delta_s;
-      scalar_fnv = fnv_s;
-    }
+    if (level == Level::kScalar) scalar_delta = delta_s;
     const double delta_speedup = scalar_delta / delta_s;
-    const double fnv_speedup = scalar_fnv / fnv_s;
     if (level != Level::kScalar) {
       best_delta_speedup = std::max(best_delta_speedup, delta_speedup);
     }
     t.add_row({std::string{kernels::level_name(level)}, util::fixed(delta_s, 4),
                util::fixed(deltas_per_pass / delta_s / 1e6, 1),
-               util::fixed(delta_speedup, 2) + "x", util::fixed(fnv_s, 4),
-               util::fixed(fnv_speedup, 2) + "x"});
+               util::fixed(delta_speedup, 2) + "x"});
     char buf[256];
     std::snprintf(buf, sizeof buf,
-                  "%s\"%s\": {\"delta_seconds\": %.6f, \"delta_speedup\": %.2f, "
-                  "\"fnv1a4_speedup\": %.2f}",
+                  "%s\"%s\": {\"delta_seconds\": %.6f, \"delta_speedup\": %.2f}",
                   level_json.empty() ? "" : ", ",
                   std::string{kernels::level_name(level)}.c_str(), delta_s,
-                  delta_speedup, fnv_speedup);
+                  delta_speedup);
     level_json += buf;
   }
   std::printf("%s\n", t.str().c_str());

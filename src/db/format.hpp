@@ -98,8 +98,9 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 32);
 
-/// Byte-wise FNV-1a64 (the artifact checksum; independent of the kernels'
-/// u32-stream fnv1a_span so the two can never be confused).
+/// Byte-wise FNV-1a64 (the artifact checksum; independent of the skeleton
+/// hash the SKEL section stores, a length-prefixed u32 stream defined in
+/// detect/skeleton_index.cpp, so the two can never be confused).
 [[nodiscard]] inline std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = 0xcbf29ce484222325ULL;

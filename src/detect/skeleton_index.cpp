@@ -1,18 +1,13 @@
 #include "detect/skeleton_index.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 
-#include "kernels/kernels.hpp"
-
 namespace sham::detect {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
 template <typename Char>
 constexpr unicode::CodePoint to_cp(Char c) noexcept {
@@ -25,16 +20,23 @@ const unicode::U32String& label_of(const IdnEntry& entry) { return entry.unicode
 const std::string& label_of(const std::string& label) { return label; }
 const unicode::U32String& label_of(const unicode::U32String& label) { return label; }
 
-/// Materialize the u32 stream the skeleton hash consumes: [length,
-/// canonical(c)...]. The length prefix is just the first stream value, so
-/// feeding this to fnv1a_span reproduces the historical hash bit-exactly.
+/// The skeleton hash. It is a data format — the artifact's SKEL section
+/// stores it — and this is its only definition: FNV-1a 64 over the u32
+/// stream [length, canonical(c)...], each value fed as its four bytes,
+/// low byte first. The length prefix makes equal-hash buckets (length,
+/// skeleton) buckets up to genuine FNV collisions, which verification
+/// absorbs.
 template <typename String>
-void canonical_stream(const homoglyph::HomoglyphDb& db, const String& label,
-                    std::vector<std::uint32_t>& out) {
-  out.clear();
-  out.reserve(label.size() + 1);
-  out.push_back(static_cast<std::uint32_t>(label.size()));
-  for (const auto c : label) out.push_back(db.canonical(to_cp(c)));
+std::uint64_t skeleton_hash(const homoglyph::HomoglyphDb& db, const String& label) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto feed = [&h](std::uint32_t value) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      h = (h ^ ((value >> shift) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  feed(static_cast<std::uint32_t>(label.size()));
+  for (const auto c : label) feed(db.canonical(to_cp(c)));
+  return h;
 }
 
 constexpr std::uint64_t hash_mask_of(const SkeletonIndexOptions& options) noexcept {
@@ -45,55 +47,17 @@ constexpr std::uint64_t hash_mask_of(const SkeletonIndexOptions& options) noexce
 
 template <typename String>
 std::uint64_t SkeletonIndex::hash_impl(const String& label) const {
-  // Length-prefixed so equal-hash buckets are (length, skeleton) buckets up
-  // to genuine FNV collisions (which verification absorbs). The canonical
-  // stream flows through the kernel in stack-buffer chunks — the chain
-  // resumes from the previous flush's value, so chunking is exact (and the
-  // path stays allocation-free and thread-safe for concurrent hash_of).
-  std::array<std::uint32_t, 64> buf;
-  std::size_t fill = 0;
-  std::uint64_t h = kFnvOffset;
-  buf[fill++] = static_cast<std::uint32_t>(label.size());
-  for (const auto c : label) {
-    if (fill == buf.size()) {
-      h = kernels::fnv1a_span(h, buf.data(), fill);
-      fill = 0;
-    }
-    buf[fill++] = db_->canonical(to_cp(c));
-  }
-  h = kernels::fnv1a_span(h, buf.data(), fill);
-  return h & arrays_.hash_mask;
+  return skeleton_hash(*db_, label) & arrays_.hash_mask;
 }
 
 template <typename Label>
 void SkeletonIndex::build(std::span<const Label> labels) {
-  const std::size_t n = labels.size();
   auto flat = std::make_shared<db::SkeletonFlat>();
   flat->hash_mask = arrays_.hash_mask;
-  auto& hashes = flat->entry_hashes;
-  hashes.resize(n);
-
-  // Hash four labels per kernel call — four independent FNV chains, which
-  // the dispatch table runs in SIMD lanes where available. Remainder
-  // entries (< 4) go through the single-chain path; both produce the
-  // identical historical hash.
-  std::array<std::vector<std::uint32_t>, 4> streams;
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    const std::uint32_t* ptrs[4];
-    std::size_t lens[4];
-    std::uint64_t seeds[4];
-    std::uint64_t out[4];
-    for (int c = 0; c < 4; ++c) {
-      canonical_stream(*db_, label_of(labels[x + c]), streams[c]);
-      ptrs[c] = streams[c].data();
-      lens[c] = streams[c].size();
-      seeds[c] = kFnvOffset;
-    }
-    kernels::fnv1a_batch4(ptrs, lens, seeds, out);
-    for (int c = 0; c < 4; ++c) hashes[x + c] = out[c] & flat->hash_mask;
+  flat->entry_hashes.reserve(labels.size());
+  for (const auto& label : labels) {
+    flat->entry_hashes.push_back(hash_impl(label_of(label)));
   }
-  for (; x < n; ++x) hashes[x] = hash_impl(label_of(labels[x]));
   attach_buckets(std::move(flat));
 }
 

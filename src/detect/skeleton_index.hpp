@@ -3,8 +3,9 @@
 // UTS#39-style skeletonization turns Algorithm 1's pairwise scan into a
 // hash join: every code point is replaced by its confusable-closure
 // representative (HomoglyphDb::canonical), the canonicalized label is
-// hashed (FNV-1a over representatives, length-prefixed), and labels are
-// bucketed by that hash. A probe then costs one skeleton computation
+// hashed (FNV-1a over representatives, length-prefixed; the artifact's
+// SKEL section stores the hash, and skeleton_index.cpp holds its one
+// definition), and labels are bucketed by that hash. A probe then costs one skeleton computation
 // plus one bucket lookup instead of a scan over every same-length label.
 //
 // The index can be built over either side of the join: IDN entries (the

@@ -28,16 +28,18 @@ HexFont HexFont::parse(std::string_view text, std::string name) {
     const auto line = util::trim(raw_line);
     if (line.empty() || line.front() == '#') continue;
 
+    const auto error = [&](const std::string& why) {
+      return std::invalid_argument{".hex line " + std::to_string(line_no) + ": " + why};
+    };
     const auto colon = line.find(':');
-    if (colon == std::string_view::npos) {
-      throw std::invalid_argument{".hex line " + std::to_string(line_no) +
-                                  ": missing ':'"};
+    if (colon == std::string_view::npos) throw error("missing ':'");
+    unicode::CodePoint cp = 0;
+    try {
+      cp = util::parse_hex_codepoint(line.substr(0, colon));
+    } catch (const std::invalid_argument& e) {
+      throw error(e.what());
     }
-    const auto cp = util::parse_hex_codepoint(line.substr(0, colon));
-    if (cp > unicode::kMaxCodePoint) {
-      throw std::invalid_argument{".hex line " + std::to_string(line_no) +
-                                  ": code point above U+10FFFF"};
-    }
+    if (cp > unicode::kMaxCodePoint) throw error("code point above U+10FFFF");
     const auto bits = line.substr(colon + 1);
 
     Cell cell;
@@ -46,19 +48,14 @@ HexFont HexFont::parse(std::string_view text, std::string name) {
     } else if (bits.size() == 64) {
       cell.wide = true;
     } else {
-      throw std::invalid_argument{".hex line " + std::to_string(line_no) +
-                                  ": expected 32 or 64 hex digits, got " +
-                                  std::to_string(bits.size())};
+      throw error("expected 32 or 64 hex digits, got " + std::to_string(bits.size()));
     }
     const std::size_t digits_per_row = cell.wide ? 4 : 2;
     for (std::size_t row = 0; row < 16; ++row) {
       std::uint16_t value = 0;
       for (std::size_t d = 0; d < digits_per_row; ++d) {
         const int v = hex_value(bits[row * digits_per_row + d]);
-        if (v < 0) {
-          throw std::invalid_argument{".hex line " + std::to_string(line_no) +
-                                      ": bad hex digit"};
-        }
+        if (v < 0) throw error("bad hex digit");
         value = static_cast<std::uint16_t>((value << 4) | v);
       }
       if (!cell.wide) value = static_cast<std::uint16_t>(value << 8);  // left-align

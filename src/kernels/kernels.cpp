@@ -1,26 +1,26 @@
 // Scalar reference kernels + the runtime dispatch state. The scalar
-// variants are the semantics: every arch table is tested bit-exact
-// against them (tests/test_kernels.cpp). block_hash_u1024 is not
-// dispatched at all: it defines PairMiner's block keys.
+// variants are the semantics: the AVX2 table is tested bit-exact against
+// them (tests/test_kernels.cpp). block_hash_u1024 is not dispatched at
+// all: it defines PairMiner's block keys.
 #include "kernels/kernels.hpp"
 
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 
 #include "kernels/kernel_table.hpp"
 
 namespace sham::kernels {
 
 namespace detail {
+namespace {
 
 void delta_batch_scalar(const std::uint64_t* query, const std::uint64_t* rows,
                         std::size_t stride, std::size_t begin, std::size_t end,
                         std::int32_t* out) {
   const std::size_t n = end - begin;
   for (std::size_t k = 0; k < n; ++k) out[k] = 0;
-  // Word-major like the SIMD variants: each row is one linear stream, the
+  // Word-major like the SIMD variant: each row is one linear stream, the
   // query word stays in a register.
   for (std::size_t w = 0; w < kGlyphWords; ++w) {
     const std::uint64_t qw = query[w];
@@ -39,33 +39,8 @@ int delta_one_scalar(const std::uint64_t* a, const std::uint64_t* b) {
   return sum;
 }
 
-std::uint64_t fnv1a_scalar(std::uint64_t seed, const std::uint32_t* values,
-                           std::size_t n) {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t v = values[i];
-    h = (h ^ (v & 0xFF)) * kFnvPrime;
-    h = (h ^ ((v >> 8) & 0xFF)) * kFnvPrime;
-    h = (h ^ ((v >> 16) & 0xFF)) * kFnvPrime;
-    h = (h ^ ((v >> 24) & 0xFF)) * kFnvPrime;
-  }
-  return h;
-}
-
-void fnv1a4_scalar(const std::uint32_t* const values[4],
-                   const std::size_t lengths[4], const std::uint64_t seeds[4],
-                   std::uint64_t out[4]) {
-  for (int c = 0; c < 4; ++c) {
-    out[c] = fnv1a_scalar(seeds[c], values[c], lengths[c]);
-  }
-}
-
-namespace {
-
-constexpr KernelTable kScalarTable{
-    Level::kScalar, delta_batch_scalar, delta_one_scalar,
-    fnv1a_scalar,   fnv1a4_scalar,
-};
+constexpr KernelTable kScalarTable{Level::kScalar, delta_batch_scalar,
+                                   delta_one_scalar};
 
 /// splitmix64 — the block-key mixing step.
 constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
@@ -84,27 +59,13 @@ const KernelTable* table_for(Level level) noexcept {
 #else
       return nullptr;
 #endif
-    case Level::kNeon:
-#if defined(SHAM_KERNELS_HAVE_NEON)
-      return neon_table();
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
 
-/// Startup pick: SHAM_KERNEL_LEVEL when set and runnable (auto/unknown/
-/// unsupported values fall through), else the best level the host runs.
+/// Startup pick: AVX2 when cpuid reports it, else the scalar reference.
 const KernelTable* startup_table() noexcept {
-  if (const char* env = std::getenv("SHAM_KERNEL_LEVEL")) {
-    if (const auto level = parse_level(env)) {
-      if (const auto* table = table_for(*level)) return table;
-    }
-  }
-  for (const Level level : {Level::kAvx2, Level::kNeon}) {
-    if (const auto* table = table_for(level)) return table;
-  }
+  if (const auto* table = table_for(Level::kAvx2)) return table;
   return &kScalarTable;
 }
 
@@ -134,23 +95,13 @@ std::string_view level_name(Level level) noexcept {
   switch (level) {
     case Level::kScalar: return "scalar";
     case Level::kAvx2: return "avx2";
-    case Level::kNeon: return "neon";
   }
   return "unknown";
 }
 
-std::optional<Level> parse_level(std::string_view name) noexcept {
-  if (name == "scalar") return Level::kScalar;
-  if (name == "avx2") return Level::kAvx2;
-  if (name == "neon") return Level::kNeon;
-  return std::nullopt;
-}
-
 std::vector<Level> supported_levels() {
   std::vector<Level> levels{Level::kScalar};
-  for (const Level level : {Level::kAvx2, Level::kNeon}) {
-    if (detail::table_for(level) != nullptr) levels.push_back(level);
-  }
+  if (detail::table_for(Level::kAvx2) != nullptr) levels.push_back(Level::kAvx2);
   return levels;
 }
 
@@ -161,10 +112,6 @@ bool force_level(Level level) noexcept {
   if (table == nullptr) return false;
   detail::g_active.store(table, std::memory_order_release);
   return true;
-}
-
-void reset_level() noexcept {
-  detail::g_active.store(detail::startup_table(), std::memory_order_release);
 }
 
 void delta_batch_u1024(const std::uint64_t* query, const GlyphPanel& panel,
@@ -187,17 +134,6 @@ std::uint64_t block_hash_u1024(const std::uint64_t* words, unsigned first_word,
     h = detail::splitmix64(h ^ words[w]);
   }
   return h;
-}
-
-std::uint64_t fnv1a_span(std::uint64_t seed, const std::uint32_t* values,
-                         std::size_t n) noexcept {
-  return detail::active().fnv1a(seed, values, n);
-}
-
-void fnv1a_batch4(const std::uint32_t* const values[4],
-                  const std::size_t lengths[4], const std::uint64_t seeds[4],
-                  std::uint64_t out[4]) noexcept {
-  detail::active().fnv1a4(values, lengths, seeds, out);
 }
 
 }  // namespace sham::kernels

@@ -1,49 +1,32 @@
-// sham_kernels: vectorized kernels for the bit-parallel hot paths, with
-// runtime CPU dispatch (ROADMAP "SIMD kernels" item).
-//
-// Two primitives dominate SimChar Step II and skeleton hashing:
+// sham_kernels: the Step II primitives of SimChar (Suzuki et al. §3.3/§4.2)
+// with runtime CPU dispatch.
 //
 //   delta_batch_u1024  ∆ = popcount(A XOR B) of one query bitmap against a
-//                      contiguous column range of a GlyphPanel (the Step II
-//                      inner loop, Suzuki et al. §3.3/§4.2), and its
-//                      single-pair form delta_u1024;
-//   fnv1a_span         length-prefixed FNV-1a over u32 streams (the
-//                      skeleton-index hash), plus fnv1a_batch4, which runs
-//                      four independent chains at once (index build).
+//                      contiguous column range of a GlyphPanel (the
+//                      all-pairs inner loop), and its single-pair form
+//                      delta_u1024;
+//   block_hash_u1024   PairMiner's pigeonhole block key, a splitmix64 chain
+//                      over a few words of one glyph.
 //
-// block_hash_u1024, PairMiner's pigeonhole block key (a splitmix64 chain
-// over a few words of one glyph), is a plain function: the miner hashes
-// each glyph's blocks straight from its words, a few nanoseconds a key,
-// so a batched kernel would need a panel that costs more to fill than the
-// hashing it speeds up.
+// Only the ∆ kernels are dispatched: a scalar reference plus an AVX2
+// variant, compiled in its own TU and selected ONCE, at first use, into a
+// function-pointer table when cpuid (__builtin_cpu_supports) reports AVX2.
+// Tests pin the table with ScopedKernelLevel / force_level() and assert
+// bit-exact agreement with the scalar reference on every level the host
+// runs (tests/test_kernels.cpp), so pair sets are identical under every
+// level by construction.
 //
-// Every dispatched kernel has a scalar reference implementation plus AVX2
-// and NEON variants, compiled in arch-specific TUs and selected ONCE at
-// startup into a function-pointer table: x86 probes cpuid (via
-// __builtin_cpu_supports), aarch64 always has ASIMD. Tests pin the table
-// with force_level() — or the SHAM_KERNEL_LEVEL environment variable
-// (scalar | avx2 | neon | auto), read at startup — and assert bit-exact
-// agreement with the scalar reference on every reachable level
-// (tests/test_kernels.cpp); pair sets, skeleton buckets, and detect()
-// output are byte-identical under every level by construction.
+// block_hash_u1024 is a plain function: it defines the block key, and the
+// miner hashes each glyph's blocks straight from its words, a few
+// nanoseconds a key, so a batched kernel would need a panel that costs
+// more to fill than the hashing it speeds up.
 //
-// Honesty notes, so the dispatch table is never mistaken for magic:
-//   * fnv1a_span is a strict hash chain (h = (h ^ byte) * p); the value at
-//     step k depends on step k-1, so a single chain cannot be vectorized
-//     without changing the hash. Every level therefore runs the same
-//     scalar chain for fnv1a_span; the SIMD win is fnv1a_batch4, which
-//     puts four *independent* chains in four 64-bit lanes.
-//   * NEON has no 64-bit lane multiply, so the NEON table vectorizes the
-//     ∆ kernels (vcntq_u8) and keeps the multiply-bound hash kernels on
-//     the scalar reference.
-//
-// The library depends on nothing but the standard library: font, simchar,
-// and detect layer on top of it, never the other way around.
+// The library depends on nothing but the standard library: font, simchar
+// and db layer on top of it, never the other way around.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -55,12 +38,10 @@ namespace sham::kernels {
 
 enum class Level {
   kScalar = 0,  // portable reference; always available
-  kAvx2 = 1,    // x86-64 with AVX2 (checked via cpuid at startup)
-  kNeon = 2,    // aarch64 ASIMD
+  kAvx2 = 1,    // x86-64 with AVX2 (checked via cpuid at first use)
 };
 
 [[nodiscard]] std::string_view level_name(Level level) noexcept;
-[[nodiscard]] std::optional<Level> parse_level(std::string_view name) noexcept;
 
 /// Levels the host can actually run, scalar first, ascending.
 [[nodiscard]] std::vector<Level> supported_levels();
@@ -71,10 +52,6 @@ enum class Level {
 /// Pin the dispatch table to `level` (for differential testing). Returns
 /// false — leaving the table untouched — if the host cannot run it.
 bool force_level(Level level) noexcept;
-
-/// Undo force_level(): back to the startup pick (SHAM_KERNEL_LEVEL when
-/// set to a runnable level, otherwise the best level the host supports).
-void reset_level() noexcept;
 
 /// RAII pin for tests: forces `level` if runnable, restores on scope exit.
 class ScopedKernelLevel {
@@ -113,18 +90,5 @@ void delta_batch_u1024(const std::uint64_t* query, const GlyphPanel& panel,
                                              unsigned last_word) noexcept;
 
 inline constexpr std::uint64_t kBlockHashSeed = 0x9ae16a3b2f90404fULL;
-
-/// FNV-1a over `n` u32 values (4 bytes each, little-endian order), chained
-/// from `seed`. The skeleton index feeds [length, canonical stream].
-[[nodiscard]] std::uint64_t fnv1a_span(std::uint64_t seed,
-                                       const std::uint32_t* values,
-                                       std::size_t n) noexcept;
-
-/// Four independent fnv1a_span chains at once: out[c] =
-/// fnv1a_span(seeds[c], values[c], lengths[c]). The AVX2 variant runs the
-/// four chains in the four 64-bit lanes of one vector register.
-void fnv1a_batch4(const std::uint32_t* const values[4],
-                  const std::size_t lengths[4], const std::uint64_t seeds[4],
-                  std::uint64_t out[4]) noexcept;
 
 }  // namespace sham::kernels

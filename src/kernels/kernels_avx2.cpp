@@ -7,16 +7,8 @@
 //                the classic nibble-LUT pshufb, horizontal-summed with
 //                psadbw into 4 u64 lanes. Byte accumulators are safe: 16
 //                words x <= 8 set bits per byte = 128 < 256.
-//   fnv1a4       4 independent FNV-1a chains in the 4 u64 lanes; the
-//                64x64 multiply is emulated with _mm256_mul_epu32
-//                (lo*lo + ((lo*hi + hi*lo) << 32), exact mod 2^64).
-//                Chains longer than the shortest input finish on the
-//                scalar reference.
-//   fnv1a        single chain — inherently serial (see kernels.hpp), so
-//                this table reuses the scalar reference.
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -25,16 +17,6 @@
 namespace sham::kernels::detail {
 
 namespace {
-
-/// Exact 64-bit lane multiply (AVX2 has no _mm256_mullo_epi64).
-inline __m256i mul64(__m256i a, __m256i b) noexcept {
-  const __m256i lo_lo = _mm256_mul_epu32(a, b);
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, b),
-                                         _mm256_mul_epu32(a, b_hi));
-  return _mm256_add_epi64(lo_lo, _mm256_slli_epi64(cross, 32));
-}
 
 /// Per-byte popcount of a 256-bit register (nibble lookup).
 inline __m256i popcount_bytes(__m256i v) noexcept {
@@ -98,36 +80,8 @@ int delta_one_avx2(const std::uint64_t* a, const std::uint64_t* b) {
   return static_cast<int>(lane[0] + lane[1] + lane[2] + lane[3]);
 }
 
-void fnv1a4_avx2(const std::uint32_t* const values[4],
-                 const std::size_t lengths[4], const std::uint64_t seeds[4],
-                 std::uint64_t out[4]) {
-  const std::size_t common =
-      std::min(std::min(lengths[0], lengths[1]), std::min(lengths[2], lengths[3]));
-  __m256i h = _mm256_set_epi64x(
-      static_cast<long long>(seeds[3]), static_cast<long long>(seeds[2]),
-      static_cast<long long>(seeds[1]), static_cast<long long>(seeds[0]));
-  const __m256i prime = _mm256_set1_epi64x(static_cast<long long>(kFnvPrime));
-  const __m256i byte_mask = _mm256_set1_epi64x(0xFF);
-  for (std::size_t i = 0; i < common; ++i) {
-    const __m256i v = _mm256_set_epi64x(values[3][i], values[2][i],
-                                        values[1][i], values[0][i]);
-    for (int shift = 0; shift < 32; shift += 8) {
-      const __m256i b =
-          _mm256_and_si256(_mm256_srli_epi64(v, shift), byte_mask);
-      h = mul64(_mm256_xor_si256(h, b), prime);
-    }
-  }
-  alignas(32) std::uint64_t lane[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), h);
-  for (int c = 0; c < 4; ++c) {
-    out[c] = fnv1a_scalar(lane[c], values[c] + common, lengths[c] - common);
-  }
-}
-
-constexpr KernelTable kAvx2Table{
-    Level::kAvx2, delta_batch_avx2, delta_one_avx2,
-    fnv1a_scalar, fnv1a4_avx2,
-};
+constexpr KernelTable kAvx2Table{Level::kAvx2, delta_batch_avx2,
+                                 delta_one_avx2};
 
 }  // namespace
 

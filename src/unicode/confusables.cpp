@@ -109,19 +109,25 @@ ConfusablesDb ConfusablesDb::parse(std::string_view text) {
     body = util::trim(body);
     if (body.empty()) continue;
 
+    const auto error = [&](const std::string& why) {
+      return std::invalid_argument{"confusables.txt line " + std::to_string(line_no) +
+                                   ": " + why};
+    };
     const auto fields = util::split(body, ';');
-    if (fields.size() < 2) {
-      throw std::invalid_argument{"confusables.txt line " + std::to_string(line_no) +
-                                  ": expected ';'-separated fields"};
-    }
+    if (fields.size() < 2) throw error("expected ';'-separated fields");
     ConfusableEntry e;
-    e.source = util::parse_hex_codepoint(util::trim(fields[0]));
-    for (const auto token : util::split_ws(util::trim(fields[1]))) {
-      e.skeleton.push_back(util::parse_hex_codepoint(token));
+    try {
+      e.source = util::parse_hex_codepoint(util::trim(fields[0]));
+      for (const auto token : util::split_ws(util::trim(fields[1]))) {
+        e.skeleton.push_back(util::parse_hex_codepoint(token));
+      }
+    } catch (const std::invalid_argument& bad) {
+      throw error(bad.what());
     }
-    if (e.skeleton.empty()) {
-      throw std::invalid_argument{"confusables.txt line " + std::to_string(line_no) +
-                                  ": empty target"};
+    if (e.skeleton.empty()) throw error("empty target");
+    if (e.source > kMaxCodePoint ||
+        std::ranges::any_of(e.skeleton, [](CodePoint cp) { return cp > kMaxCodePoint; })) {
+      throw error("code point above U+10FFFF");
     }
     entries.push_back(std::move(e));
   }

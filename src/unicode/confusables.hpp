@@ -28,7 +28,8 @@ class ConfusablesDb {
   static const ConfusablesDb& embedded();
 
   /// Parse confusables.txt content ("XXXX ; YYYY ZZZZ ; MA # comment").
-  /// Unparseable lines throw std::invalid_argument with a line number.
+  /// Unparseable lines, and code points above U+10FFFF, throw
+  /// std::invalid_argument with a line number.
   static ConfusablesDb parse(std::string_view text);
 
   ConfusablesDb() = default;

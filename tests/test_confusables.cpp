@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "unicode/confusables.hpp"
 #include "unicode/idna_properties.hpp"
 
@@ -99,6 +102,25 @@ TEST(Confusables, ParseRejectsGarbage) {
   EXPECT_THROW(ConfusablesDb::parse("0430 0061\n"), std::invalid_argument);
   EXPECT_THROW(ConfusablesDb::parse("zzzz ; 0061 ;\n"), std::invalid_argument);
   EXPECT_THROW(ConfusablesDb::parse("0430 ;  ; MA\n"), std::invalid_argument);
+  // Bad hex and code points above U+10FFFF, in the source or in any target
+  // character, are rejected with the offending line.
+  const std::pair<std::string, std::string> cases[] = {
+      {"zzzz ; 0061 ; MA", "parse_hex_codepoint: bad hex: 'zzzz'"},
+      {"0430 ; 00zz ; MA", "parse_hex_codepoint: bad hex: '00zz'"},
+      {"123456789AB ; 0061 ; MA", "parse_hex_codepoint: bad hex: '123456789AB'"},
+      {"110000 ; 0061 ; MA", "code point above U+10FFFF"},
+      {"0430 ; FFFFFFFF ; MA", "code point above U+10FFFF"},
+      {"FB01 ; 0066 110000 ; MA", "code point above U+10FFFF"},
+  };
+  for (const auto& [line, why] : cases) {
+    try {
+      (void)ConfusablesDb::parse("0455 ; 0073 ; MA\n" + line + "\n");
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()}, "confusables.txt line 2: " + why);
+    }
+  }
+  EXPECT_EQ(ConfusablesDb::parse("10FFFF ; 0061 ; MA\n").entry_count(), 1u);
 }
 
 TEST(Confusables, ParseTolleratesMissingTypeField) {

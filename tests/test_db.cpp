@@ -23,7 +23,6 @@
 #include "detect/engine.hpp"
 #include "detect/skeleton_index.hpp"
 #include "font/synthetic_font.hpp"
-#include "kernels/kernels.hpp"
 #include "simchar/simchar.hpp"
 #include "util/rng.hpp"
 #include "temp_dir.hpp"
@@ -259,7 +258,7 @@ TEST(DbArtifact, AdoptedSkeletonProbesIdenticallyToFreshBuild) {
   std::remove(path.c_str());
 }
 
-// --- Round trip: detect() across strategies, levels, cache states ---------
+// --- Round trip: detect() across strategies and cache states -------------
 
 TEST(DbArtifact, DetectByteIdenticalAcrossStrategiesLevelsAndCacheStates) {
   const auto db = small_db();
@@ -274,20 +273,15 @@ TEST(DbArtifact, DetectByteIdenticalAcrossStrategiesLevelsAndCacheStates) {
 
   const detect::Strategy strategies[] = {detect::Strategy::kSerial,
                                          detect::Strategy::kSkeleton};
-  for (const auto level : kernels::supported_levels()) {
-    const kernels::ScopedKernelLevel pin{level};
-    ASSERT_TRUE(pin.forced());
-    const auto engine = detect::Engine::from_db_file(path);
-    for (const auto strategy : strategies) {
-      // Cold then warm: the response memo and cached indexes must not
-      // change the bytes.
-      for (int pass = 0; pass < 2; ++pass) {
-        const auto r = engine.detect(
-            {.references = w.refs, .idns = w.idns, .strategy = strategy});
-        EXPECT_EQ(r.matches, baseline.matches)
-            << "level=" << kernels::level_name(level)
-            << " strategy=" << detect::strategy_name(strategy) << " pass=" << pass;
-      }
+  const auto engine = detect::Engine::from_db_file(path);
+  for (const auto strategy : strategies) {
+    // Cold then warm: the response memo and cached indexes must not
+    // change the bytes.
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto r = engine.detect(
+          {.references = w.refs, .idns = w.idns, .strategy = strategy});
+      EXPECT_EQ(r.matches, baseline.matches)
+          << "strategy=" << detect::strategy_name(strategy) << " pass=" << pass;
     }
   }
   std::remove(path.c_str());

@@ -478,6 +478,69 @@ TEST(SkeletonIndex, OccupancyHistogramAggregatesTail) {
   EXPECT_EQ(histogram[0] + histogram[1] + histogram[2], 0u);
 }
 
+/// Test-local skeleton hash: FNV-1a 64 over [length, canonical(c)...],
+/// each value fed as its four bytes, low byte first.
+std::uint64_t naive_skeleton_hash(const homoglyph::HomoglyphDb& db, const U32String& label) {
+  std::vector<std::uint32_t> stream{static_cast<std::uint32_t>(label.size())};
+  for (const auto c : label) stream.push_back(db.canonical(c));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto value : stream) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      h = (h ^ ((value >> shift) & 0xFF)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(SkeletonIndex, HashIsLengthPrefixedFnv1aOverTheCanonicalStream) {
+  // The artifact's SKEL section stores these hashes, so they are pinned
+  // bit for bit, on a database whose canonical() moves ASCII and
+  // non-ASCII characters alike.
+  const simchar::SimCharDb sim{{
+      {'o', 0x043E, 0}, {'0', 'o', 1}, {'1', 'l', 1}, {'l', 0x0131, 2}, {'a', 0x0430, 1},
+  }};
+  homoglyph::DbConfig config;
+  config.use_uc = false;
+  const homoglyph::HomoglyphDb db{sim, unicode::ConfusablesDb::embedded(), config};
+  ASSERT_EQ(db.canonical('o'), CodePoint{'0'});
+  ASSERT_EQ(db.canonical(0x0131), CodePoint{'1'});
+
+  // Lengths on both sides of 64 code points, plus empty, single and long.
+  const std::string ascii_alphabet = "o0l1ab-9";
+  const U32String unicode_alphabet{0x043E, 'o', 0x0131, 0x0430, 0x4E2D, 'z', 0x0585};
+  std::vector<std::string> ascii;
+  std::vector<U32String> unicode;
+  std::vector<IdnEntry> idns;
+  for (const std::size_t length : {0u, 1u, 62u, 63u, 64u, 65u, 200u}) {
+    std::string a;
+    U32String u;
+    for (std::size_t i = 0; i < length; ++i) {
+      a += ascii_alphabet[(i * 5 + length) % ascii_alphabet.size()];
+      u.push_back(unicode_alphabet[(i * 3 + length) % unicode_alphabet.size()]);
+    }
+    ascii.push_back(a);
+    unicode.push_back(u);
+    idns.push_back({"", u});
+  }
+
+  for (const unsigned bits : {64u, 5u}) {
+    const std::uint64_t mask = bits >= 64 ? ~0ULL : (1ULL << bits) - 1;
+    const SkeletonIndex by_ascii{db, std::span<const std::string>{ascii}, {.hash_bits = bits}};
+    const SkeletonIndex by_unicode{db, std::span<const U32String>{unicode}, {.hash_bits = bits}};
+    const SkeletonIndex by_idn{db, idns, {.hash_bits = bits}};
+    for (std::size_t i = 0; i < ascii.size(); ++i) {
+      const auto ascii_hash =
+          naive_skeleton_hash(db, U32String(ascii[i].begin(), ascii[i].end())) & mask;
+      EXPECT_EQ(by_ascii.hash_of(ascii[i]), ascii_hash) << "bits " << bits << " i " << i;
+      EXPECT_EQ(by_ascii.entry_hash(i), ascii_hash) << "bits " << bits << " i " << i;
+      const auto unicode_hash = naive_skeleton_hash(db, unicode[i]) & mask;
+      EXPECT_EQ(by_unicode.hash_of(unicode[i]), unicode_hash) << "bits " << bits << " i " << i;
+      EXPECT_EQ(by_unicode.entry_hash(i), unicode_hash) << "bits " << bits << " i " << i;
+      EXPECT_EQ(by_idn.entry_hash(i), unicode_hash) << "bits " << bits << " i " << i;
+    }
+  }
+}
+
 TEST(Engine, SkeletonEmptyInputs) {
   const auto db = test_db();
   const Engine engine{db, {.strategy = Strategy::kSkeleton}};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "font/freetype_font.hpp"
@@ -57,14 +58,21 @@ TEST(HexFont, RejectsMalformedLines) {
                std::invalid_argument);
   EXPECT_THROW(HexFont::parse("zz:FF000000000000000000000000000000\n"),
                std::invalid_argument);
-  // Code points above U+10FFFF are rejected with the offending line.
+  // Malformed code points and code points above U+10FFFF are rejected
+  // with the offending line.
   const std::string full(32, 'F');
-  for (const std::string cp : {"110000", "FFFFFFFF"}) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"110000", "code point above U+10FFFF"},
+      {"FFFFFFFF", "code point above U+10FFFF"},
+      {"zz", "parse_hex_codepoint: bad hex: 'zz'"},
+      {"123456789AB", "parse_hex_codepoint: bad hex: '123456789AB'"},
+  };
+  for (const auto& [cp, why] : cases) {
     try {
       (void)HexFont::parse("0041:" + full + "\n" + cp + ":" + full + "\n");
       ADD_FAILURE() << cp << " was accepted";
     } catch (const std::invalid_argument& e) {
-      EXPECT_STREQ(e.what(), ".hex line 2: code point above U+10FFFF");
+      EXPECT_EQ(std::string{e.what()}, ".hex line 2: " + why);
     }
   }
   EXPECT_EQ(HexFont::parse("10FFFF:" + full + "\n").size(), 1u);

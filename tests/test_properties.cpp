@@ -331,9 +331,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheInvalidationProperty,
 // --- DB-artifact round trip on randomized databases -------------------------
 
 /// build -> serialize -> mmap-load -> detect() must be byte-identical to
-/// the in-process serial baseline under every strategy, every kernel
-/// dispatch level the host supports, and both cache states (cold and
-/// warm), on randomized pair graphs and workloads.
+/// the in-process serial baseline under every strategy and both cache
+/// states (cold and warm), on randomized pair graphs and workloads.
 class DbRoundTripProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DbRoundTripProperty, MappedDetectTracksSerialBaselineEverywhere) {
@@ -358,20 +357,15 @@ TEST_P(DbRoundTripProperty, MappedDetectTracksSerialBaselineEverywhere) {
 
   const detect::Strategy strategies[] = {detect::Strategy::kSerial,
                                          detect::Strategy::kSkeleton};
-  for (const auto level : kernels::supported_levels()) {
-    const kernels::ScopedKernelLevel pin{level};
-    ASSERT_TRUE(pin.forced());
-    const auto engine = detect::Engine::from_db_file(path);
-    EXPECT_EQ(engine.artifact()->references(), w.refs);
-    for (const auto strategy : strategies) {
-      for (int pass = 0; pass < 2; ++pass) {  // cold, then warm caches
-        const auto r = engine.detect(
-            {.references = w.refs, .idns = w.idns, .strategy = strategy});
-        EXPECT_EQ(r.matches, baseline.matches)
-            << "seed=" << GetParam() << " level=" << kernels::level_name(level)
-            << " strategy=" << detect::strategy_name(strategy)
-            << " pass=" << pass;
-      }
+  const auto engine = detect::Engine::from_db_file(path);
+  EXPECT_EQ(engine.artifact()->references(), w.refs);
+  for (const auto strategy : strategies) {
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then warm caches
+      const auto r = engine.detect(
+          {.references = w.refs, .idns = w.idns, .strategy = strategy});
+      EXPECT_EQ(r.matches, baseline.matches)
+          << "seed=" << GetParam() << " strategy=" << detect::strategy_name(strategy)
+          << " pass=" << pass;
     }
   }
   std::remove(path.c_str());
@@ -509,15 +503,15 @@ INSTANTIATE_TEST_SUITE_P(Thetas, SerializationSweep, ::testing::Values(0, 2, 4, 
 // --- Kernel-level equivalence -------------------------------------------
 //
 // Randomized differential property: for every dispatch level the host can
-// run, the ∆ and FNV kernels agree bit-exact with the scalar reference on
-// randomized panels/streams. Complements the adversarial fixed cases in
+// run, the ∆ kernels agree bit-exact with the scalar reference on
+// randomized panels. Complements the adversarial fixed cases in
 // test_kernels.cpp with seed-parameterized fuzzing.
 
 class KernelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KernelEquivalence, DeltaBatchAgreesWithScalarOnRandomPanels) {
   util::Rng rng{GetParam()};
-  // Sizes straddle the 2- and 4-lane widths and their tails.
+  // Sizes straddle the 4-lane width and its tails.
   const std::size_t n = 1 + rng.below(70);
   std::vector<std::array<std::uint64_t, kernels::kGlyphWords>> glyphs(n);
   kernels::GlyphPanel panel(n);
@@ -544,48 +538,6 @@ TEST_P(KernelEquivalence, DeltaBatchAgreesWithScalarOnRandomPanels) {
       ASSERT_EQ(kernels::delta_u1024(query.data(), glyphs[i].data()),
                 expected[i])
           << kernels::level_name(level) << " i=" << i;
-    }
-  }
-}
-
-TEST_P(KernelEquivalence, FnvKernelsAgreeWithScalarOnRandomStreams) {
-  util::Rng rng{GetParam() ^ 0xf2f2ULL};
-  std::array<std::vector<std::uint32_t>, 4> streams;
-  const std::uint32_t* ptrs[4];
-  std::size_t lens[4];
-  std::uint64_t seeds[4];
-  for (int c = 0; c < 4; ++c) {
-    streams[c].resize(rng.below(130));
-    for (auto& v : streams[c]) v = static_cast<std::uint32_t>(rng.next());
-    ptrs[c] = streams[c].data();
-    lens[c] = streams[c].size();
-    seeds[c] = rng.next();
-  }
-
-  std::uint64_t expected_span[4];
-  std::uint64_t expected_batch[4];
-  {
-    kernels::ScopedKernelLevel pin{kernels::Level::kScalar};
-    ASSERT_TRUE(pin.forced());
-    for (int c = 0; c < 4; ++c) {
-      expected_span[c] = kernels::fnv1a_span(seeds[c], ptrs[c], lens[c]);
-    }
-    kernels::fnv1a_batch4(ptrs, lens, seeds, expected_batch);
-  }
-  // batch4 == 4 independent spans, by definition.
-  for (int c = 0; c < 4; ++c) EXPECT_EQ(expected_batch[c], expected_span[c]);
-
-  for (const auto level : kernels::supported_levels()) {
-    kernels::ScopedKernelLevel pin{level};
-    ASSERT_TRUE(pin.forced());
-    std::uint64_t out[4];
-    kernels::fnv1a_batch4(ptrs, lens, seeds, out);
-    for (int c = 0; c < 4; ++c) {
-      EXPECT_EQ(out[c], expected_span[c])
-          << kernels::level_name(level) << " chain " << c;
-      EXPECT_EQ(kernels::fnv1a_span(seeds[c], ptrs[c], lens[c]),
-                expected_span[c])
-          << kernels::level_name(level) << " chain " << c;
     }
   }
 }
