@@ -5,7 +5,8 @@
 // host can run — scalar always, AVX2 when supported — over randomized,
 // adversarial (all-zero, all-one, single-bit, tail-partial panel sizes),
 // and real paper-font bitmaps. The end-to-end section then pins the
-// consumer: SimChar pair sets must be byte-identical across levels.
+// consumer: SimChar pair sets must be byte-identical across levels. The
+// stored skeleton hash reads no kernel, and one case per level pins that.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,12 +15,15 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "detect/skeleton_index.hpp"
 #include "font/glyph.hpp"
 #include "font/paper_font.hpp"
+#include "homoglyph/homoglyph_db.hpp"
 #include "kernels/kernels.hpp"
 #include "simchar/simchar.hpp"
 #include "util/rng.hpp"
@@ -50,6 +54,17 @@ std::uint64_t naive_splitmix64(std::uint64_t x) {
 std::uint64_t naive_block_hash(const Words& words, unsigned first, unsigned last) {
   std::uint64_t h = kBlockHashSeed;
   for (unsigned w = first; w < last; ++w) h = naive_splitmix64(h ^ words[w]);
+  return h;
+}
+
+/// FNV-1a 64 from `seed`, each value fed as its four bytes, low byte first.
+std::uint64_t naive_fnv1a(std::uint64_t seed, std::span<const std::uint32_t> values) {
+  std::uint64_t h = seed;
+  for (const auto x : values) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      h = (h ^ ((x >> shift) & 0xFF)) * 0x100000001b3ULL;
+    }
+  }
   return h;
 }
 
@@ -275,6 +290,43 @@ TEST_P(KernelLevels, BlockHashBatchMatchesNaiveAndScalarProbe) {
         ASSERT_EQ(block_hash_u1024(strided.data(), 0, count), expected)
             << "blocks " << blocks << " block " << b;
       }
+    }
+  }
+}
+
+// --- The stored skeleton hash reads no kernel level ----------------------
+
+// The artifact's SKEL section stores SkeletonIndex's FNV-1a chain, so it
+// must come out the same whichever level is pinned. With no pairs,
+// canonical() is the identity and a label's stream is [length, label...].
+TEST_P(KernelLevels, Fnv1aSpanMatchesNaiveAndChunksExactly) {
+  const homoglyph::HomoglyphDb db;
+  util::Rng rng{23};
+  std::vector<unicode::U32String> labels;
+  for (const std::size_t len : {0u, 1u, 2u, 5u, 63u, 64u, 65u, 200u}) {
+    unicode::U32String label(len);
+    for (auto& c : label) {
+      c = static_cast<unicode::CodePoint>(rng.next() % (unicode::kMaxCodePoint + 1));
+    }
+    labels.push_back(std::move(label));
+  }
+  const std::span<const unicode::U32String> all{labels};
+  const detect::SkeletonIndex whole{db, all};
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    std::vector<std::uint32_t> stream{static_cast<std::uint32_t>(labels[i].size())};
+    stream.insert(stream.end(), labels[i].begin(), labels[i].end());
+    const auto expected = naive_fnv1a(0xcbf29ce484222325ULL, stream);
+    ASSERT_EQ(whole.hash_of(labels[i]), expected) << "label " << i;
+    ASSERT_EQ(whole.entry_hash(i), expected) << "label " << i;
+  }
+  // An entry's hash does not depend on its neighbours: the label list
+  // built as two chunks, cut anywhere, gives the whole build's hashes.
+  for (std::size_t cut = 0; cut <= labels.size(); ++cut) {
+    const detect::SkeletonIndex head{db, all.first(cut)};
+    const detect::SkeletonIndex tail{db, all.subspan(cut)};
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      const auto chunked = i < cut ? head.entry_hash(i) : tail.entry_hash(i - cut);
+      ASSERT_EQ(chunked, whole.entry_hash(i)) << "cut " << cut << " label " << i;
     }
   }
 }
