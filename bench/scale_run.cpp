@@ -288,7 +288,7 @@ bool verdict_identity(const detect::Engine& mapped, const detect::Engine& in_pro
     const measure::StreamOptions options{.tld = zone.tld, .batch_size = batch};
     const auto streamed =
         measure::detect_sharded(mapped, refs, detect::Strategy::kSkeleton,
-                                measure::zone_file_slices(zone.zone_path, 1, options));
+                                measure::zone_file_slices(zone.zone_path, 1, options, 1), 1);
     const bool same = streamed.verdicts == materialized.verdicts &&
                       streamed.fingerprint == materialized.fingerprint;
     if (print) {
@@ -414,7 +414,7 @@ int run_full() {
   const measure::StreamOptions stream_options{.tld = com.tld, .batch_size = 4096};
   const auto streamed = measure::detect_sharded(
       mapped, refs, detect::Strategy::kSkeleton,
-      measure::zone_file_slices(com.zone_path, 1, stream_options));
+      measure::zone_file_slices(com.zone_path, 1, stream_options, 1), 1);
   const std::size_t rss1 = measure::resident_kib();
   const std::size_t stream_delta = rss1 > rss0 ? rss1 - rss0 : 0;
   std::size_t materialize_delta = 0;

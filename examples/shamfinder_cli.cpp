@@ -151,8 +151,9 @@ int usage() {
                "        [--domains N]            synthesize N-domain zones on the fly\n"
                "        [--tlds com,net]         instead of reading --zone files\n"
                "        [--seed N]               (seeded generator)\n"
-               "        [--shards N]             slices per zone, each parsed and\n"
-               "                                 detected by its own thread\n"
+               "        [--shards N]             threads per zone, 1-256; N > 1\n"
+               "                                 threads take 8N slices per zone,\n"
+               "                                 in order\n"
                "        [--chunk-bytes N]        generator chunk size\n"
                "        [--progress N]           stderr progress line every N domains\n"
                "  --help or -h on any command prints this usage\n");
@@ -217,8 +218,8 @@ int cmd_build_db(const std::vector<std::string>& args) {
 /// [--batch N] [--passes N] [--strategy s] [--domains N] [--tlds a,b]
 /// [--seed N] [--shards N] [--chunk-bytes N] [--progress N]: the multi-TLD
 /// streaming fleet — one engine per zone, all over one mapping of the
-/// artifact, each zone cut into `--shards` slices that are parsed and
-/// detected in parallel, in bounded-memory batches. `--domains N`
+/// artifact, each zone parsed and detected on `--shards` threads (1-256)
+/// that take 8 slices each, in bounded-memory batches. `--domains N`
 /// replaces on-disk zones with seed-deterministic synthetic zones
 /// generated on the fly (never materialized); `--progress N` reports
 /// domains streamed and the current resident set every N owner names.
@@ -254,6 +255,11 @@ int cmd_scale_run(const std::vector<std::string>& args) {
       seed = parse_number<std::uint64_t>("--seed", args[++i]);
     } else if (args[i] == "--shards" && i + 1 < args.size()) {
       options.shards = parse_number<std::size_t>("--shards", args[++i]);
+      if (options.shards == 0 || options.shards > measure::kMaxShards) {
+        throw std::invalid_argument{"--shards needs 1-" +
+                                    std::to_string(measure::kMaxShards) + ", got '" +
+                                    args[i] + "'"};
+      }
     } else if (args[i] == "--chunk-bytes" && i + 1 < args.size()) {
       chunk_bytes = parse_number<std::size_t>("--chunk-bytes", args[++i]);
     } else if (args[i] == "--progress" && i + 1 < args.size()) {

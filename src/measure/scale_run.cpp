@@ -3,6 +3,7 @@
 #include <string.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -27,6 +28,11 @@
 namespace sham::measure {
 
 namespace {
+
+/// Slices per thread when run_fleet runs a zone on several threads: enough
+/// that a thread finishing early finds work while another finishes a slow
+/// slice, few enough that per-slice set-up stays small.
+constexpr std::size_t kSlicesPerWorker = 8;
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
@@ -92,6 +98,41 @@ void append_verdicts(std::vector<Verdict>& out, std::span<const detect::Match> m
     v.ace = idns[m.idn_index].ace;
     v.diffs = m.diffs;
     out.push_back(std::move(v));
+  }
+}
+
+/// Run task(0) .. task(count - 1) on `workers` threads, the calling thread
+/// among them: each takes the lowest-numbered task that has not started.
+/// A thread that has seen a task throw takes no further task; another
+/// thread may still take one while the failure is being raised. Every
+/// taken task runs to its end, and the earliest failed task's error is
+/// rethrown. The flag is checked before the take, never after, so a task is
+/// taken only to run; tasks are taken in order, so every task before a
+/// failed one has run: the error is the one a sequential run meets first.
+template <typename Task>
+void run_in_order(std::size_t count, std::size_t workers, const Task& task) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::exception_ptr> errors(count);
+  const auto work = [&] {
+    while (!failed) {
+      const std::size_t k = next++;
+      if (k >= count) return;
+      try {
+        task(k);
+      } catch (...) {
+        errors[k] = std::current_exception();
+        failed = true;
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> threads;  // joined on every exit path
+    for (std::size_t w = 1; w < std::min(workers, count); ++w) threads.emplace_back(work);
+    work();
+  }
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 
@@ -363,7 +404,8 @@ std::optional<FileLine> last_owner_line(const util::InputFile& file, std::size_t
 /// A zone file cut at line starts, with the directive state at each cut.
 class FileSlices {
  public:
-  FileSlices(const std::string& path, std::size_t slices, const StreamOptions& options)
+  FileSlices(const std::string& path, std::size_t slices, const StreamOptions& options,
+             std::size_t workers)
       : file_{path},
         shared_{options, slices},
         directives_(slices),
@@ -376,7 +418,7 @@ class FileSlices {
       cuts_.push_back(std::max(cuts_.back(), line_start_at_or_after(file_, target)));
     }
     cuts_.push_back(kToEnd);
-    if (slices > 1) prescan();
+    if (slices > 1) prescan(workers);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return start_.size(); }
@@ -408,26 +450,13 @@ class FileSlices {
   }
 
  private:
-  /// Collect every slice's directive lines in parallel (the last slice's
-  /// are never needed), then replay them in order for each cut's state.
-  void prescan() {
-    const std::size_t scanned = size() - 1;
-    std::vector<std::exception_ptr> errors(scanned);
-    const auto scan = [&](std::size_t k) {
-      try {
-        directives_[k] = scan_directives(file_, cuts_[k], cuts_[k + 1]);
-      } catch (...) {
-        errors[k] = std::current_exception();
-      }
-    };
-    {
-      std::vector<std::jthread> threads;  // joined on every exit path
-      for (std::size_t k = 1; k < scanned; ++k) threads.emplace_back(scan, k);
-      scan(0);
-    }
-    for (const auto& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
+  /// Collect every slice's directive lines on `workers` threads (the last
+  /// slice's are never needed), then replay them in order for each cut's
+  /// state.
+  void prescan(std::size_t workers) {
+    run_in_order(size() - 1, workers, [&](std::size_t k) {
+      directives_[k] = scan_directives(file_, cuts_[k], cuts_[k + 1]);
+    });
 
     dns::ZoneStreamReader replay{ignore_record};
     for (std::size_t k = 1; k < size(); ++k) {
@@ -499,9 +528,10 @@ std::size_t resident_kib() {
 }
 
 std::vector<BatchProducer> zone_file_slices(const std::string& path, std::size_t slices,
-                                            const StreamOptions& options) {
-  const auto plan =
-      std::make_shared<FileSlices>(path, std::max<std::size_t>(1, slices), options);
+                                            const StreamOptions& options,
+                                            std::size_t workers) {
+  const auto plan = std::make_shared<FileSlices>(path, std::max<std::size_t>(1, slices),
+                                                 options, workers);
   std::vector<BatchProducer> out;
   for (std::size_t k = 0; k < plan->size(); ++k) {
     out.emplace_back([plan, k](const BatchSink& sink) { return plan->run(k, sink); });
@@ -536,35 +566,23 @@ std::vector<BatchProducer> generated_slices(
 
 ZoneStreamStats stream_zone_idns(const std::string& path, const StreamOptions& options,
                                  const BatchSink& on_batch) {
-  return zone_file_slices(path, 1, options).front()(on_batch);
+  return zone_file_slices(path, 1, options, 1).front()(on_batch);
 }
 
 DetectionOutcome detect_sharded(const detect::Engine& engine,
                                 std::span<const std::string> references,
                                 detect::Strategy strategy,
-                                std::span<const BatchProducer> slices) {
+                                std::span<const BatchProducer> slices,
+                                std::size_t workers) {
   std::vector<std::vector<Verdict>> per_slice(slices.size());
   std::vector<ZoneStreamStats> stats(slices.size());
-  std::vector<std::exception_ptr> errors(slices.size());
-  const auto run = [&](std::size_t k) {
-    try {
-      stats[k] = slices[k]([&](std::span<const detect::IdnEntry> batch) {
-        const auto r = engine.detect(
-            {.references = references, .idns = batch, .strategy = strategy});
-        append_verdicts(per_slice[k], r.matches, batch);
-      });
-    } catch (...) {
-      errors[k] = std::current_exception();
-    }
-  };
-  {
-    std::vector<std::jthread> workers;  // joined on every exit path
-    for (std::size_t k = 1; k < slices.size(); ++k) workers.emplace_back(run, k);
-    if (!slices.empty()) run(0);
-  }
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  run_in_order(slices.size(), workers, [&](std::size_t k) {
+    stats[k] = slices[k]([&](std::span<const detect::IdnEntry> batch) {
+      const auto r =
+          engine.detect({.references = references, .idns = batch, .strategy = strategy});
+      append_verdicts(per_slice[k], r.matches, batch);
+    });
+  });
 
   std::vector<Verdict> verdicts;
   ZoneStreamStats stream;
@@ -744,6 +762,10 @@ std::string FleetReport::to_json(int indent) const {
 }
 
 FleetReport run_fleet(const FleetOptions& options) {
+  if (options.shards == 0 || options.shards > kMaxShards) {
+    throw std::invalid_argument{"run_fleet: shards must be 1-" + std::to_string(kMaxShards) +
+                                ", got " + std::to_string(options.shards)};
+  }
   FleetReport report;
   report.rss_before_kib = resident_kib();
   // One load (mapping plus checksum pass) serves every worker: each
@@ -757,7 +779,7 @@ FleetReport run_fleet(const FleetOptions& options) {
   report.artifact_bytes = artifact->file_size();
   report.references = artifact->references().size();
 
-  report.shards = std::max<std::size_t>(1, options.shards);
+  report.shards = options.shards;
   report.zones.resize(options.zones.size());
   const std::size_t passes = std::max<std::size_t>(1, options.passes);
   util::Stopwatch fleet_watch;
@@ -785,7 +807,9 @@ FleetReport run_fleet(const FleetOptions& options) {
           out.rss_peak_kib = std::max(out.rss_peak_kib, p.rss_kib);
           if (options.on_progress) options.on_progress(out.tld, p);
         };
-        const std::size_t slices = std::max<std::size_t>(1, options.shards);
+        // One thread keeps the zone whole, with no pre-scan.
+        const std::size_t threads = options.shards;
+        const std::size_t slices = threads == 1 ? 1 : kSlicesPerWorker * threads;
         const internet::ZoneGenOptions gen{
             .which = zone.which, .tld = zone.tld, .chunk_bytes = zone.chunk_bytes};
 
@@ -801,9 +825,11 @@ FleetReport run_fleet(const FleetOptions& options) {
               internet::build_scenario_core(engine.db(), zone.scenario));
         }
         for (std::size_t pass = 0; pass < passes; ++pass) {
-          const auto producers = core ? generated_slices(core, gen, slices, stream)
-                                      : zone_file_slices(zone.zone_path, slices, stream);
-          const auto outcome = detect_sharded(engine, refs, options.strategy, producers);
+          const auto producers =
+              core ? generated_slices(core, gen, slices, stream)
+                   : zone_file_slices(zone.zone_path, slices, stream, threads);
+          const auto outcome =
+              detect_sharded(engine, refs, options.strategy, producers, threads);
           out.stream.records += outcome.stream.records;
           out.stream.domains += outcome.stream.domains;
           out.stream.idns += outcome.stream.idns;

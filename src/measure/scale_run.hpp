@@ -10,12 +10,12 @@
 //     slices of one zone (line-aligned byte ranges of a file, or
 //     population-index ranges of a generated zone), each starting in the
 //     exact parser state a sequential pass has at its first line;
-//   * detect_sharded — Step 3: each slice parses, extracts and detects on
-//     its own worker against a fixed reference list, with the verdicts
-//     canonicalised (sorted by (reference, ACE) and fingerprinted) so the
-//     sliced path is provably byte-identical to detect_materialized, the
-//     materialise-then-detect oracle, regardless of batch boundaries or
-//     slice count;
+//   * detect_sharded — Step 3: a few workers take the slices in order, and
+//     each parses, extracts and detects its slice against a fixed reference
+//     list, with the verdicts canonicalised (sorted by (reference, ACE) and
+//     fingerprinted) so the sliced path is provably byte-identical to
+//     detect_materialized, the materialise-then-detect oracle, regardless
+//     of batch boundaries, slice count or worker count;
 //   * GenerationDiffPipeline — the Section 4.2 maintenance loop as a
 //     long-lived object: daily batches of new Unicode characters and new
 //     registrations are folded in through simchar/HomoglyphDb incremental
@@ -26,8 +26,8 @@
 //     TLD, all over one load of the build-db artifact
 //     (Engine::from_db_artifact — every engine reads the same mapping),
 //     streaming its zone as steady load and reporting per-TLD throughput
-//     plus process RSS. bench/scale_run persists the result as
-//     BENCH_scale.json.
+//     plus process RSS. `shards` threads share eight times as many slices
+//     of each zone. bench/scale_run persists the result as BENCH_scale.json.
 #pragma once
 
 #include <cstddef>
@@ -103,19 +103,20 @@ ZoneStreamStats stream_zone_idns(const std::string& path, const StreamOptions& o
 using BatchProducer = std::function<ZoneStreamStats(const BatchSink&)>;
 
 /// Cut the zone file at `path` into `slices` line-aligned byte ranges. A
-/// parallel pre-scan collects the $ORIGIN/$TTL lines, so each slice
-/// starts in the state a sequential parse has at its first byte: the
-/// directives in effect and the normalized owner of the last record
-/// before it (for continuation lines and the consecutive-owner dedup).
-/// Slice k's totals, IDNs and verdicts are then exactly its share of a
-/// sequential stream_zone_idns. Each slice reads its range with pread
-/// into its own 64 KiB buffer; the file is never mapped or loaded. A
-/// ZoneParseError carries the absolute line number. One slice is
-/// stream_zone_idns, with no pre-scan. The producers share the file and a
-/// copy of `options`, and may run concurrently.
+/// pre-scan on `workers` threads (the calling thread among them) collects
+/// the $ORIGIN/$TTL lines, so each slice starts in the state a sequential
+/// parse has at its first byte: the directives in effect and the
+/// normalized owner of the last record before it (for continuation lines
+/// and the consecutive-owner dedup). Slice k's totals, IDNs and verdicts
+/// are then exactly its share of a sequential stream_zone_idns. A running
+/// slice reads its range with pread into its own 64 KiB buffer; the file
+/// is never mapped or loaded. A ZoneParseError carries the absolute line
+/// number. One slice is stream_zone_idns, with no pre-scan. The producers
+/// share the file and a copy of `options`, and may run concurrently.
 [[nodiscard]] std::vector<BatchProducer> zone_file_slices(const std::string& path,
                                                           std::size_t slices,
-                                                          const StreamOptions& options);
+                                                          const StreamOptions& options,
+                                                          std::size_t workers);
 
 /// Cut a generated zone into `slices` population-index ranges over one
 /// core, built once and shared read-only. Slice k generates indexes
@@ -166,19 +167,25 @@ struct DetectionOutcome {
 
 // --- Slice-parallel detection ---------------------------------------------
 
-/// Run every slice on its own worker (the first on the calling thread)
-/// over a shared const engine: each slice parses, extracts and detects its
-/// own batches, calling detect() with the engine's default thread count.
-/// Per-slice verdicts merge through the canonical sort/dedup/fingerprint,
-/// so the outcome is identical at any slice count or batch size — the
+/// Run the slices on `workers` threads (the calling thread among them)
+/// over a shared const engine. Each worker takes the lowest-numbered slice
+/// that has not started, so slices start in order and a worker that
+/// finishes early takes the next one instead of waiting on a slow sibling.
+/// A slice parses, extracts and detects its own batches, calling detect()
+/// with the engine's default thread count. Per-slice verdicts merge
+/// through the canonical sort/dedup/fingerprint, so the outcome is
+/// identical at any worker count, slice count or batch size — the
 /// invariance tests/test_scale.cpp proves. Slices share no queue, so a
-/// failing slice never blocks another; once all have finished, the error
+/// failing slice never blocks another. A worker that has seen a slice fail
+/// takes no further slice, though another worker may still start one while
+/// the failure is being raised; every started slice finishes, and the error
 /// of the earliest failed slice is rethrown, which is the error a
 /// sequential pass would have hit first.
 [[nodiscard]] DetectionOutcome detect_sharded(const detect::Engine& engine,
                                               std::span<const std::string> references,
                                               detect::Strategy strategy,
-                                              std::span<const BatchProducer> slices);
+                                              std::span<const BatchProducer> slices,
+                                              std::size_t workers);
 
 // --- Generation-diff ingestion (Section 4.2 as a daily feed) --------------
 
@@ -275,6 +282,9 @@ struct DiffEquivalence {
 
 // --- Multi-TLD fleet ------------------------------------------------------
 
+/// The most threads run_fleet runs one zone on (FleetOptions::shards).
+inline constexpr std::size_t kMaxShards = 256;
+
 struct FleetZone {
   std::string tld;
   /// Zone file on disk; empty = synthetic (the worker generates the zone
@@ -295,8 +305,11 @@ struct FleetOptions {
   detect::Strategy strategy = detect::Strategy::kSkeleton;
   /// Steady-load repetitions of each zone per worker.
   std::size_t passes = 1;
-  /// Slices per zone: each is parsed, extracted and detected by its own
-  /// thread (zone_file_slices / generated_slices + detect_sharded).
+  /// Threads per zone, 1 to kMaxShards. One thread reads the zone as one
+  /// slice. N > 1 threads cut it into 8N slices, run the pre-scan and take
+  /// the slices in order, each parsing, extracting and detecting a slice at
+  /// a time (zone_file_slices / generated_slices + detect_sharded). Slicing
+  /// starts at most N threads per zone.
   std::size_t shards = 1;
   /// Ignored: slices share no batch queue.
   std::size_t queue_batches = 16;
@@ -335,9 +348,11 @@ struct FleetReport {
 };
 
 /// Run the fleet: one worker per zone, each with its own engine over the
-/// shared artifact, streaming its zone `passes` times on `shards` slice
-/// threads. Memory is bounded per zone by the generator head (generated
-/// zones) plus shards x (read buffer or chunk + batch), not the zone size.
+/// shared artifact, streaming its zone `passes` times on `shards` threads.
+/// Memory is bounded per zone by the generator head (generated zones) plus
+/// shards x (read buffer or chunk + batch), not the zone size. A `shards`
+/// of 0 or above kMaxShards throws std::invalid_argument before anything
+/// is loaded or any thread starts.
 [[nodiscard]] FleetReport run_fleet(const FleetOptions& options);
 
 }  // namespace sham::measure

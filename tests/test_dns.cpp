@@ -860,28 +860,55 @@ std::string name_of_size(std::size_t size) {
   return name;
 }
 
+/// A valid name of `size` <= 95 octets: mixed-case letters, with a '.' at
+/// octet 31 when the name runs past it.
+std::string letters_of_size(std::size_t size) {
+  std::string name(size, 'a');
+  for (std::size_t i = 0; i < size; ++i) {
+    name[i] = static_cast<char>((i % 3 == 0 ? 'A' : 'a') + i % 26);
+  }
+  if (size > 32) name[31] = '.';
+  return name;
+}
+
 // Property: normalize() agrees with the byte loop, in its result and in the
 // name it writes, with and without an origin: on random names, at the
-// 63/64-octet label limit and at the 253/254-octet name limit.
+// 63/64-octet label limit, at the 253/254-octet name limit, with every byte
+// at every octet of 1-70-octet names, and with dots, hyphens and
+// underscores on each side of every pair of adjacent octets, which covers
+// the 16-byte block edges (15|16, 31|32, 47|48) and the overlap of the last
+// two blocks. Each part is copied into an exact-size heap block, so
+// AddressSanitizer reports a block loaded past either part.
 TEST(NormalizeProperty, MatchesByteLoopOracle) {
   const std::vector<std::string> origins = {
       "", "com", "Ex-Ample.NET", "a.b.c", "-bad", "trailing.", std::string(63, 'o'),
       std::string(64, 'o')};
   std::size_t valid = 0;
-  const auto expect_same = [&](std::string_view name) {
-    for (const auto& origin : origins) {
-      std::string want;
-      std::string got = "stale";
-      const bool ok = reference_normalize(want, name, origin);
-      ASSERT_EQ(DomainName::normalize(got, name, origin), ok)
-          << "'" << name << "' + '" << origin << "'";
-      if (ok) {
-        EXPECT_EQ(got, want) << "'" << name << "' + '" << origin << "'";
-        ++valid;
-      }
+  const auto compare = [&](std::string_view name, std::string_view origin) {
+    const std::vector<char> name_block(name.begin(), name.end());
+    const std::vector<char> origin_block(origin.begin(), origin.end());
+    name = {name_block.data(), name_block.size()};
+    origin = {origin_block.data(), origin_block.size()};
+    std::string want;
+    std::string got = "stale";
+    const bool ok = reference_normalize(want, name, origin);
+    ASSERT_EQ(DomainName::normalize(got, name, origin), ok)
+        << "'" << name << "' + '" << origin << "'";
+    if (ok) {
+      EXPECT_EQ(got, want) << "'" << name << "' + '" << origin << "'";
+      ++valid;
     }
   };
-  for (const std::size_t label : {1, 62, 63, 64}) {
+  const auto expect_same = [&](std::string_view name) {
+    for (const auto& origin : origins) compare(name, origin);
+  };
+  // `part` as the name, without and with an origin, and as the origin.
+  const auto expect_same_as_each_part = [&](std::string_view part) {
+    compare(part, "");
+    compare(part, "Ex-Ample.NET");
+    compare("www", part);
+  };
+  for (const std::size_t label : {1, 15, 16, 17, 62, 63, 64, 65}) {
     expect_same(std::string(label, 'a'));
     expect_same(std::string(label, 'a') + ".com");
     expect_same("x." + std::string(label, 'B'));
@@ -893,8 +920,30 @@ TEST(NormalizeProperty, MatchesByteLoopOracle) {
     expect_same(edge);
   }
 
+  for (std::size_t size = 1; size <= 70; ++size) {
+    const std::string base = letters_of_size(size);
+    for (std::size_t at = 0; at < size; ++at) {
+      for (int byte = 0; byte < 256; ++byte) {
+        std::string name = base;
+        name[at] = static_cast<char>(byte);
+        expect_same_as_each_part(name);
+      }
+    }
+    const std::string_view marks = ".-_a";
+    for (std::size_t at = 0; at + 1 < size; ++at) {
+      for (const char left : marks) {
+        for (const char right : marks) {
+          std::string name = base;
+          name[at] = left;
+          name[at + 1] = right;
+          expect_same_as_each_part(name);
+        }
+      }
+    }
+  }
+
   const std::string alphabet = "abcXYZ09-_..-";
-  const std::string invalid = std::string{" @*/\x80\xff"} + '\0';
+  const std::string invalid = std::string{" @*/[`{:,^\x80\xff"} + '\0';
   util::Rng rng{253};
   for (int trial = 0; trial < 20000; ++trial) {
     std::string name;

@@ -226,7 +226,7 @@ TEST(StreamZone, DirectoryThrows) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find(dir), std::string::npos) << e.what();
   }
-  EXPECT_THROW((void)zone_file_slices(dir, 4, {}), std::runtime_error);
+  EXPECT_THROW((void)zone_file_slices(dir, 4, {}, 4), std::runtime_error);
 }
 
 TEST(MergeOutcomes, SortsAndDeduplicates) {
@@ -269,7 +269,7 @@ TEST(StreamVsMaterialized, ByteIdenticalAtEveryBatchSize) {
     for (const auto strategy : {detect::Strategy::kSerial, detect::Strategy::kSkeleton}) {
       const auto streamed = detect_sharded(
           engine, kRefs, strategy,
-          zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = batch}));
+          zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = batch}, 1), 1);
       EXPECT_EQ(streamed.verdicts, baseline.verdicts)
           << "batch " << batch << " strategy " << static_cast<int>(strategy);
       EXPECT_EQ(streamed.fingerprint, baseline.fingerprint);
@@ -371,7 +371,8 @@ TEST(DetectSharded, InvariantAcrossShardCountsAndBatchSizes) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
       const auto out = detect_sharded(
           rig.engine, kRefs, detect::Strategy::kSkeleton,
-          zone_file_slices(zone.path(), shards, {.tld = "com", .batch_size = batch}));
+          zone_file_slices(zone.path(), shards, {.tld = "com", .batch_size = batch}, shards),
+          shards);
       EXPECT_EQ(out.verdicts, baseline.verdicts)
           << "shards " << shards << " batch " << batch;
       EXPECT_EQ(out.fingerprint, baseline.fingerprint);
@@ -389,8 +390,31 @@ TEST(DetectSharded, ProducerExceptionPropagates) {
     throw std::runtime_error{"producer failed mid-stream"};
   };
   EXPECT_THROW(
-      (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton, slices),
+      (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton, slices, 4),
       std::runtime_error);
+}
+
+TEST(DetectSharded, FailedSliceStopsLaterSlices) {
+  // One worker takes the slices in order. Slice 2 throws: slices 0-2 run
+  // once each, no later slice starts, and slice 2's error comes out.
+  const ShardRig rig;
+  std::vector<int> starts(8, 0);
+  std::vector<BatchProducer> slices;
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    slices.emplace_back([&starts, k](const BatchSink&) -> ZoneStreamStats {
+      ++starts[k];
+      if (k == 2) throw std::runtime_error{"slice 2"};
+      if (k > 2) throw std::logic_error{"a slice after the failed one ran"};
+      return {};
+    });
+  }
+  try {
+    (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton, slices, 1);
+    ADD_FAILURE() << "no error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "slice 2");
+  }
+  EXPECT_EQ(starts, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
 }
 
 TEST(DetectSharded, WorkerExceptionUnblocksProducer) {
@@ -399,7 +423,7 @@ TEST(DetectSharded, WorkerExceptionUnblocksProducer) {
   // finish (a hang here fails via the test timeout), and the detect
   // error, not some secondary failure, must come out. A slice that waits
   // for all the others and then fails last proves no slice blocks on
-  // another.
+  // another; it needs one worker per slice.
   const ShardRig rig;
   util::Rng rng{7};
   const auto regs = make_registrations(rig.db, 40, rng, "com");
@@ -409,7 +433,7 @@ TEST(DetectSharded, WorkerExceptionUnblocksProducer) {
   EXPECT_THROW(
       (void)detect_sharded(
           rig.engine, bad_refs, detect::Strategy::kSkeleton,
-          zone_file_slices(zone.path(), 4, {.tld = "com", .batch_size = 1})),
+          zone_file_slices(zone.path(), 4, {.tld = "com", .batch_size = 1}, 4), 4),
       std::invalid_argument);
 
   std::atomic<int> finished{0};
@@ -422,7 +446,7 @@ TEST(DetectSharded, WorkerExceptionUnblocksProducer) {
     throw std::invalid_argument{"last slice to finish"};
   };
   EXPECT_THROW(
-      (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton, slices),
+      (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton, slices, 4),
       std::invalid_argument);
   EXPECT_EQ(finished.load(), 3);
 }
@@ -441,7 +465,7 @@ TEST(DetectGenerated, MatchesStreamedFileAtEveryShardCount) {
   const StreamOptions options{.tld = "com", .batch_size = 512};
   const auto baseline =
       detect_sharded(engine, scenario.references, detect::Strategy::kSkeleton,
-                     zone_file_slices(zone.path(), 1, options));
+                     zone_file_slices(zone.path(), 1, options, 1), 1);
   ASSERT_FALSE(baseline.verdicts.empty());
 
   const auto core = std::make_shared<const internet::ScenarioCore>(
@@ -450,7 +474,7 @@ TEST(DetectGenerated, MatchesStreamedFileAtEveryShardCount) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     const auto out =
         detect_sharded(engine, scenario.references, detect::Strategy::kSkeleton,
-                       generated_slices(core, gen, shards, options));
+                       generated_slices(core, gen, shards, options), shards);
     EXPECT_EQ(out.verdicts, baseline.verdicts) << "shards " << shards;
     EXPECT_EQ(out.fingerprint, baseline.fingerprint);
     EXPECT_EQ(out.stream.domains, baseline.stream.domains);
@@ -510,7 +534,7 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
   const TempZone zone{"test_scale_fleet.zone", text};
   const auto baseline = detect_sharded(
       in_process, scenario.references, detect::Strategy::kSkeleton,
-      zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = 512}));
+      zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = 512}, 1), 1);
   ASSERT_FALSE(baseline.verdicts.empty());
 
   std::vector<std::uint64_t> fingerprints;
@@ -560,6 +584,27 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
   EXPECT_EQ(fingerprints[0], baseline.fingerprint);
   EXPECT_EQ(fingerprints[1], fingerprints[0]);
   EXPECT_EQ(fingerprints[2], fingerprints[0]);
+}
+
+TEST(Fleet, ShardsOutOfRangeRejectedBeforeLoading) {
+  // The artifact does not exist, so a std::invalid_argument (the load
+  // would throw std::runtime_error) shows the check ran first.
+  FleetOptions options;
+  options.db_file = test::temp_path("test_scale_no_such.artifact");
+  options.zones = {
+      FleetZone{.tld = "com", .zone_path = test::temp_path("test_scale_no_such.zone")}};
+  for (const std::size_t shards : {std::size_t{0}, kMaxShards + 1, std::size_t{100'000}}) {
+    options.shards = shards;
+    try {
+      (void)run_fleet(options);
+      ADD_FAILURE() << "shards " << shards << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("shards must be 1-256, got " +
+                                           std::to_string(shards)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Fleet, DirectoryZoneFails) {
@@ -661,9 +706,10 @@ std::vector<std::string> idn_labels(const homoglyph::HomoglyphDb& db, util::Rng&
 
 class SliceProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-// At every slice count from 1 to 8, a sliced pass yields the records,
-// domains, IDNs and verdicts of a sequential one. The counts come from
-// an independent one-shot parse; the verdicts from detect_materialized.
+// At every slice count from 1 to 33, on 1 to 4 workers, a sliced pass
+// yields the records, domains, IDNs and verdicts of a sequential one. The
+// counts come from an independent one-shot parse; the verdicts from
+// detect_materialized.
 TEST_P(SliceProperty, SlicesMatchSequentialAtEveryCount) {
   const ShardRig rig;
   util::Rng rng{GetParam()};
@@ -690,25 +736,28 @@ TEST_P(SliceProperty, SlicesMatchSequentialAtEveryCount) {
       ASSERT_FALSE(baseline.verdicts.empty());
     }
 
-    for (std::size_t slices = 1; slices <= 8; ++slices) {
-      const StreamOptions options{.tld = "com", .batch_size = 1 + rng.below(8)};
-      const auto out = detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
-                                      zone_file_slices(zone.path(), slices, options));
-      EXPECT_EQ(out.stream.records, parsed.records.size())
-          << "owners " << owners << " slices " << slices;
-      EXPECT_EQ(out.stream.domains, domains.size())
-          << "owners " << owners << " slices " << slices;
-      EXPECT_EQ(out.stream.idns, idns.size()) << "owners " << owners << " slices " << slices;
-      EXPECT_EQ(out.verdicts, baseline.verdicts)
-          << "owners " << owners << " slices " << slices;
-      EXPECT_EQ(out.fingerprint, baseline.fingerprint);
+    for (std::size_t slices = 1; slices <= 33; ++slices) {
+      for (std::size_t workers = 1; workers <= 4; ++workers) {
+        const StreamOptions options{.tld = "com", .batch_size = 1 + rng.below(8)};
+        const auto out =
+            detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
+                           zone_file_slices(zone.path(), slices, options, workers), workers);
+        const auto where = ::testing::Message() << "owners " << owners << " slices "
+                                                << slices << " workers " << workers;
+        EXPECT_EQ(out.stream.records, parsed.records.size()) << where;
+        EXPECT_EQ(out.stream.domains, domains.size()) << where;
+        EXPECT_EQ(out.stream.idns, idns.size()) << where;
+        EXPECT_EQ(out.verdicts, baseline.verdicts) << where;
+        EXPECT_EQ(out.fingerprint, baseline.fingerprint) << where;
+      }
     }
   }
 }
 
-// A malformed line anywhere raises, at every slice count, the error a
-// sequential parse raises: the same absolute line and the same message.
-// A second malformed line after it must never win.
+// A malformed line anywhere raises, at every slice count from 1 to 33 on
+// 1 to 4 workers, the error a sequential parse raises: the same absolute
+// line and the same message. A second malformed line after it must never
+// win.
 TEST_P(SliceProperty, MalformedLineSameErrorAtEveryCount) {
   const ShardRig rig;
   util::Rng rng{GetParam() ^ 0xBADULL};
@@ -752,15 +801,19 @@ TEST_P(SliceProperty, MalformedLineSameErrorAtEveryCount) {
     }
     EXPECT_EQ(expected_line, first + 1);
 
-    for (std::size_t slices = 1; slices <= 8; ++slices) {
-      try {
-        (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
-                             zone_file_slices(zone.path(), slices, {.tld = "com"}));
-        ADD_FAILURE() << "no error at " << slices << " slices";
-      } catch (const dns::ZoneParseError& e) {
-        EXPECT_EQ(e.line(), expected_line) << "round " << round << " slices " << slices;
-        EXPECT_EQ(std::string{e.what()}, expected_what)
-            << "round " << round << " slices " << slices;
+    for (std::size_t slices = 1; slices <= 33; ++slices) {
+      for (std::size_t workers = 1; workers <= 4; ++workers) {
+        const auto where = ::testing::Message() << "round " << round << " slices " << slices
+                                                << " workers " << workers;
+        try {
+          (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
+                               zone_file_slices(zone.path(), slices, {.tld = "com"}, workers),
+                               workers);
+          ADD_FAILURE() << "no error; " << where;
+        } catch (const dns::ZoneParseError& e) {
+          EXPECT_EQ(e.line(), expected_line) << where;
+          EXPECT_EQ(std::string{e.what()}, expected_what) << where;
+        }
       }
     }
   }
@@ -791,10 +844,10 @@ TEST(Slices, ProgressIsSerializedAndMonotone) {
       inside = false;
     };
     const auto slices = generated ? generated_slices(core, {.which = 2}, 4, options)
-                                  : zone_file_slices(zone.path(), 4, options);
+                                  : zone_file_slices(zone.path(), 4, options, 4);
     const detect::Engine engine{env().db_union};
     const auto out = detect_sharded(engine, std::vector<std::string>{"google"},
-                                    detect::Strategy::kSkeleton, slices);
+                                    detect::Strategy::kSkeleton, slices, 4);
     EXPECT_EQ(out.stream.domains, sequential.domains) << "generated " << generated;
     ASSERT_GE(seen.size(), 4u) << "generated " << generated;
     for (std::size_t i = 1; i < seen.size(); ++i) {

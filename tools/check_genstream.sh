@@ -5,9 +5,9 @@
 # every chunk size and population range) and the slice-equivalence suite
 # (verdict fingerprints identical at 1/2/8 slices), then drive the CLI the
 # way a user would — build-db, a 1e6-domain synthetic scale-run at 1 and 4
-# slices whose domains, IDNs and fingerprints must agree, and a
-# bounded-RSS assertion on both runs (peak resident set within a fixed
-# slack of the pre-run baseline: the pipeline never materializes the
+# shards (1 and 32 slices) whose domains, IDNs and fingerprints must agree,
+# and a bounded-RSS assertion on both runs (peak resident set within a
+# fixed slack of the pre-run baseline: the pipeline never materializes the
 # zone).
 #
 #   $ tools/check_genstream.sh             # uses ./build (configures if absent)
@@ -32,7 +32,7 @@ echo "=== slice-equivalence suite (fingerprints at 1/2/8 slices) ==="
 "$BUILD_DIR"/tests/test_scale --gtest_brief=1 \
   --gtest_filter='DetectSharded.*:DetectGenerated.*:StreamGenerated.*:Fleet.*:Slices.*'
 
-echo "=== CLI: build-db -> synthetic 1e6-domain scale-run, 1 vs 4 slices ==="
+echo "=== CLI: build-db -> synthetic 1e6-domain scale-run, 1 vs 4 shards ==="
 TMP=$(mktemp -d /tmp/sham_check_genstream.XXXXXX)
 trap 'rm -rf "$TMP"' EXIT
 REFS=google,amazon,facebook,wikipedia,paypal
@@ -52,15 +52,15 @@ done
 for key in domains idns verdict_fingerprint; do
   one=$(grep -o "\"$key\": [0-9]*" "$TMP/report_1.json")
   four=$(grep -o "\"$key\": [0-9]*" "$TMP/report_4.json")
-  [ -n "$one" ] || { echo "no $key in the 1-slice report"; exit 1; }
+  [ -n "$one" ] || { echo "no $key in the 1-shard report"; exit 1; }
   if [ "$one" != "$four" ]; then
-    echo "slice count changed $key: $one vs $four"
+    echo "shard count changed $key: $one vs $four"
     exit 1
   fi
 done
 matches=$(grep -o '"total_matches": [0-9]*' "$TMP/report_1.json" | grep -o '[0-9]*')
 [ "$matches" -gt 0 ] || { echo "synthetic fleet found no homographs"; exit 1; }
-echo "    1e6 domains, $matches matches; domains, IDNs and fingerprints identical at 1 and 4 slices"
+echo "    1e6 domains, $matches matches; domains, IDNs and fingerprints identical at 1 and 4 shards"
 
 echo "=== bounded-RSS assertion on the streamed runs ==="
 for shards in 1 4; do
@@ -69,10 +69,10 @@ for shards in 1 4; do
   rss_peak=$(grep -o '"rss_peak_kib": [0-9]*' "$report" | grep -o '[0-9]*' | sort -n | tail -1)
   delta=$((rss_peak - rss_before))
   if [ "$delta" -gt "$RSS_SLACK_KIB" ]; then
-    echo "streamed 1e6-domain run at $shards slice(s) grew RSS by ${delta} KiB (> ${RSS_SLACK_KIB})"
+    echo "streamed 1e6-domain run at $shards shard(s) grew RSS by ${delta} KiB (> ${RSS_SLACK_KIB})"
     exit 1
   fi
-  echo "    $shards slice(s): peak RSS ${rss_peak} KiB, +${delta} KiB over baseline (slack ${RSS_SLACK_KIB})"
+  echo "    $shards shard(s): peak RSS ${rss_peak} KiB, +${delta} KiB over baseline (slack ${RSS_SLACK_KIB})"
 done
 
 echo "generated streaming pipeline end-to-end: PASS"

@@ -5,10 +5,11 @@
 # vs rebuild), then drive the CLI the way a user would — build-db, craft
 # two relabelled registry zones, and a scale-run fleet over the shared
 # artifact whose per-TLD verdict fingerprints must agree, a zone with
-# mid-file directives and continuation lines scanned as 1 and as 4 slices
-# with identical counts and fingerprint, and a directory given as a zone
-# rejected. Last, the whole tier-1 suite runs 20 times under ctest -j8 and
-# must pass every time.
+# mid-file directives and continuation lines scanned on 1, 2, 3 and 4
+# threads (1, 16, 24 and 32 slices) with identical counts and fingerprint,
+# a directory given as a zone rejected, and --shards 0 and 100000 rejected
+# as usage errors. Last, the whole tier-1 suite runs 20 times under
+# ctest -j8 and must pass every time.
 #
 #   $ tools/check_scale.sh                 # uses ./build (configures if absent)
 #   $ BUILD_DIR=build-asan tools/check_scale.sh
@@ -69,10 +70,11 @@ if [ "$fingerprints" -ne 1 ]; then
 fi
 echo "    2 workers, $matches matches, fingerprints identical"
 
-echo "=== CLI: 1 vs 4 slices over a zone with mid-file \$ORIGIN and continuations ==="
+echo "=== CLI: 1-4 threads over a zone with mid-file \$ORIGIN and continuations ==="
 # Slices start mid-file: each must inherit the $ORIGIN/$TTL in effect and
 # the owner a leading continuation line belongs to, so every count and
-# the fingerprint must match the single-slice run.
+# the fingerprint must match the single-slice run. N > 1 threads share 8N
+# slices, so at 3 threads 24 slices share 3 threads.
 {
   printf '$ORIGIN com.\n$TTL 300\n'
   i=0
@@ -88,23 +90,39 @@ echo "=== CLI: 1 vs 4 slices over a zone with mid-file \$ORIGIN and continuation
     if (i % 500 == 0) printf "$TTL %d\n$ORIGIN net.\nnet%d IN A 192.0.2.1\n$ORIGIN com.\n", 60 + i, i
   } }'
 } > "$TMP/sliced.zone"
-for shards in 1 4; do
+for shards in 1 2 3 4; do
   "$BUILD_DIR"/examples/shamfinder_cli scale-run --db-file "$TMP/db.artifact" \
     --zone "com:$TMP/sliced.zone" --shards "$shards" > "$TMP/sliced_$shards.json"
   grep -q '"ok": true' "$TMP/sliced_$shards.json" || {
     echo "sliced run not ok at $shards shard(s):"; cat "$TMP/sliced_$shards.json"; exit 1
   }
 done
-for key in records domains idns verdict_fingerprint; do
-  one=$(grep -o "\"$key\": [0-9]*" "$TMP/sliced_1.json")
-  four=$(grep -o "\"$key\": [0-9]*" "$TMP/sliced_4.json")
-  if [ -z "$one" ] || [ "$one" != "$four" ]; then
-    echo "1 vs 4 slices differ on $key: '$one' vs '$four'"; exit 1
-  fi
+for shards in 2 3 4; do
+  for key in records domains idns verdict_fingerprint; do
+    one=$(grep -o "\"$key\": [0-9]*" "$TMP/sliced_1.json")
+    many=$(grep -o "\"$key\": [0-9]*" "$TMP/sliced_$shards.json")
+    if [ -z "$one" ] || [ "$one" != "$many" ]; then
+      echo "1 vs $shards shards differ on $key: '$one' vs '$many'"; exit 1
+    fi
+  done
 done
 idns=$(grep -o '"idns": [0-9]*' "$TMP/sliced_1.json" | grep -o '[0-9]*')
 [ "$idns" -gt 0 ] || { echo "sliced zone decoded no IDNs"; exit 1; }
-echo "    records, domains, $idns IDNs and fingerprint identical at 1 and 4 slices"
+echo "    records, domains, $idns IDNs and fingerprint identical at 1, 2, 3 and 4 shards"
+
+echo "=== scale-run rejects --shards outside 1-256 as a usage error ==="
+# Both values are refused before the artifact is loaded or a thread starts.
+for shards in 0 100000; do
+  status=0
+  "$BUILD_DIR"/examples/shamfinder_cli scale-run --db-file "$TMP/db.artifact" \
+    --zone "com:$TMP/sliced.zone" --shards "$shards" >/dev/null 2>"$TMP/shards.err" ||
+    status=$?
+  [ "$status" -eq 2 ] || { echo "--shards $shards exited $status, not 2"; exit 1; }
+  grep -q -- '--shards' "$TMP/shards.err" || {
+    echo "--shards $shards: no diagnostic naming the flag:"; cat "$TMP/shards.err"; exit 1
+  }
+done
+echo "    --shards 0 and --shards 100000 exit 2 naming --shards"
 
 echo "=== scale-run fails on a zone path that is a directory ==="
 mkdir "$TMP/zonedir"
