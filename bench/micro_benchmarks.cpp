@@ -275,10 +275,13 @@ std::string generator_shaped_zone(std::size_t lines) {
   return zone;
 }
 
-// The per-record cost a zone slice pays: ZoneStreamReader::feed in 64 KiB
-// chunks, as feed_file reads. per_record is the time per record.
+// The per-record cost of ZoneStreamReader::feed, in two shapes: the whole
+// text in one feed (argument 0), as a zone slice feeds its mapped range,
+// and 64 KiB chunks, as perfbench's traced pass feeds the reader.
+// per_record is the time per record.
 void BM_ZoneStreamRecord(benchmark::State& state) {
   const std::string zone = generator_shaped_zone(20'000);
+  const auto chunk = state.range(0) == 0 ? zone.size() : static_cast<std::size_t>(state.range(0));
   std::size_t records = 0;
   for (auto _ : state) {
     dns::ZoneStreamReader reader{[&](const dns::ResourceRecord& r) {
@@ -286,7 +289,7 @@ void BM_ZoneStreamRecord(benchmark::State& state) {
       ++records;
     }};
     for (std::string_view rest = zone; !rest.empty();) {
-      const auto take = std::min<std::size_t>(64 * 1024, rest.size());
+      const auto take = std::min(chunk, rest.size());
       reader.feed(rest.substr(0, take));
       rest.remove_prefix(take);
     }
@@ -296,7 +299,7 @@ void BM_ZoneStreamRecord(benchmark::State& state) {
   state.counters["per_record"] = benchmark::Counter(
       static_cast<double>(records), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_ZoneStreamRecord)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ZoneStreamRecord)->Arg(0)->Arg(64 * 1024)->Unit(benchmark::kMillisecond);
 
 // One name through the zone reader's rule set (resolve already done):
 // generator-shaped owners and NS targets, mixed case. Time = ns/name.

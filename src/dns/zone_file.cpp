@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dns/zone_stream.hpp"
+#include "util/input_file.hpp"
 
 namespace sham::dns {
 
@@ -40,7 +41,8 @@ std::size_t parse_zone_file(const std::string& path,
                             const std::function<void(const ResourceRecord&)>& sink) {
   const util::InputFile file{path};
   ZoneStreamReader reader{sink};
-  feed_file(reader, file);
+  util::for_each_window(file, 0, file.size(),
+                        [&](std::string_view window) { reader.feed(window); });
   return reader.finish();
 }
 

@@ -66,10 +66,12 @@ void parse_zone_stream(std::string_view text,
 /// Serialize back to master-file text (round-trips with parse_zone).
 [[nodiscard]] std::string serialize_zone(const Zone& zone);
 
-/// Stream a zone file from disk line-by-line without loading it into
-/// memory (registry zones run to tens of GB; Section 5.2). Throws
-/// std::runtime_error naming the path if the file cannot be opened, is a
-/// directory, or a read fails; ZoneParseError on malformed records.
+/// Stream a zone file from disk without loading it into memory (registry
+/// zones run to tens of GB; Section 5.2): it is mapped and parsed in place
+/// one bounded window at a time (util::InputFile). Throws
+/// std::runtime_error naming the path if the file cannot be opened, is not
+/// a regular file, or cannot be read or mapped; ZoneParseError on
+/// malformed records. The file must not shrink while it is read.
 /// Returns the number of records delivered to `sink`.
 std::size_t parse_zone_file(const std::string& path,
                             const std::function<void(const ResourceRecord&)>& sink);

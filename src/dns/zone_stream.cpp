@@ -1,61 +1,17 @@
 #include "dns/zone_stream.hpp"
 
+#include <string.h>  // memrchr
+
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "dns/zone_tokens.hpp"
 
 namespace sham::dns {
-
-namespace detail {
-
-std::size_t split_tokens(std::string_view line, std::size_t readable, Tokens& out) noexcept {
-  std::size_t count = 0;
-  std::size_t start = 0;  // of the open token
-  bool open = false;      // a token has started and not yet ended
-  for (std::size_t base = 0; base < line.size(); base += 64) {
-    const std::size_t left = line.size() - base;
-    const char* window = line.data() + base;
-    char padded[64];
-    if (readable - base < 64) {
-      std::memset(padded, ' ', sizeof padded);
-      std::memcpy(padded, window, left);
-      window = padded;
-    }
-#if defined(__SSE2__)
-    const WindowMasks masks = window_masks_sse2(window);
-#else
-    const WindowMasks masks = window_masks_table(window);
-#endif
-    // Separators: whitespace, the first ';' and everything after it, and
-    // every position past the line's end.
-    std::uint64_t sep = masks.space | (0 - (masks.semicolon & (0 - masks.semicolon)));
-    if (left < 64) sep |= ~std::uint64_t{0} << left;
-    // A bit where sep differs from the byte before it: a token starts (a
-    // separator before a non-separator) or ends. Starts and ends alternate.
-    std::uint64_t edges = sep ^ ((sep << 1) | std::uint64_t{!open});
-    while (edges != 0) {
-      const std::size_t at = base + static_cast<std::size_t>(std::countr_zero(edges));
-      edges &= edges - 1;
-      if (open) {
-        out[count++] = std::string_view{line.data() + start, at - start};
-        if (count == kMaxTokens) return count;
-      } else {
-        start = at;
-      }
-      open = !open;
-    }
-    if (masks.semicolon != 0) return count;  // the rest is a comment
-  }
-  if (open) out[count++] = std::string_view{line.data() + start, line.size() - start};
-  return count;
-}
-
-}  // namespace detail
 
 namespace {
 
@@ -141,23 +97,34 @@ ZoneStreamReader::ZoneStreamReader(Sink sink, const ZoneReaderState& start)
 
 ZoneLineKind ZoneStreamReader::classify(std::string_view line) noexcept {
   Tokens tokens;
-  const std::size_t count = detail::split_tokens(line, line.size(), tokens);
-  return line_kind(line, tokens, count);
+  ZoneLineKind kind = ZoneLineKind::kEmpty;
+  detail::walk_lines(line.data(), line.size(), line.size(), tokens,
+                     [&](std::string_view walked, std::size_t count) {
+                       kind = line_kind(walked, tokens, count);
+                     });
+  return kind;
 }
 
 ZoneReaderState ZoneStreamReader::state() const {
   return {origin_, origin_seen_, default_ttl_, record_.owner.str()};
 }
 
-void ZoneStreamReader::process_line(std::string_view line, std::size_t readable) {
+void ZoneStreamReader::walk(const char* data, std::size_t size, std::size_t readable) {
+  static_assert(std::is_same_v<decltype(tokens_), Tokens>);
+  detail::walk_lines(data, size, readable, tokens_,
+                     [this](std::string_view line, std::size_t count) {
+                       process_line(line, count);
+                     });
+}
+
+void ZoneStreamReader::process_line(std::string_view line, std::size_t count) {
   ++line_no_;
   const std::size_t line_no = line_no_;
 
-  // A CR before the consumed LF is whitespace to the tokenizer, and the
-  // first ';' starts a comment (zone files quote TXT data; registry zones
-  // we model don't contain quoted semicolons).
-  Tokens tokens;
-  const std::size_t count = detail::split_tokens(line, readable, tokens);
+  // A CR before the consumed LF is whitespace to the walk, and the first
+  // ';' starts a comment (zone files quote TXT data; registry zones we
+  // model don't contain quoted semicolons).
+  const Tokens& tokens = tokens_;
   const ZoneLineKind kind = line_kind(line, tokens, count);
   if (kind == ZoneLineKind::kEmpty) return;
 
@@ -269,23 +236,29 @@ void ZoneStreamReader::feed(std::string_view chunk) {
   if (finished_) {
     throw std::logic_error{"ZoneStreamReader: feed() after finish()"};
   }
-  while (!chunk.empty()) {
-    const auto newline = chunk.find('\n');
-    if (newline == std::string_view::npos) {
+  if (chunk.empty()) return;
+  if (!pending_.empty()) {
+    // Complete the line carried over from the last chunk and walk it on
+    // its own.
+    const auto* newline =
+        static_cast<const char*>(std::memchr(chunk.data(), '\n', chunk.size()));
+    if (newline == nullptr) {
       pending_.append(chunk);
       return;
     }
-    if (pending_.empty()) {
-      // Complete line lives entirely inside this chunk — parse the view
-      // in place, no copy. The rest of the chunk is readable.
-      process_line(chunk.substr(0, newline), chunk.size());
-    } else {
-      pending_.append(chunk.substr(0, newline));
-      process_line(pending_, pending_.size());
-      pending_.clear();
-    }
-    chunk.remove_prefix(newline + 1);
+    const auto through = static_cast<std::size_t>(newline - chunk.data()) + 1;
+    pending_.append(chunk.data(), through);
+    walk(pending_.data(), pending_.size(), pending_.size());
+    pending_.clear();
+    chunk.remove_prefix(through);
   }
+  // Every complete line of the chunk in one walk, parsed in place; the rest
+  // of the chunk is readable. A partial last line waits for its newline.
+  const auto* last = static_cast<const char*>(memrchr(chunk.data(), '\n', chunk.size()));
+  const std::size_t complete =
+      last == nullptr ? 0 : static_cast<std::size_t>(last - chunk.data()) + 1;
+  walk(chunk.data(), complete, chunk.size());
+  pending_.append(chunk.data() + complete, chunk.size() - complete);
 }
 
 std::size_t ZoneStreamReader::finish() {
@@ -294,22 +267,10 @@ std::size_t ZoneStreamReader::finish() {
   }
   finished_ = true;
   if (!pending_.empty()) {
-    process_line(pending_, pending_.size());
+    walk(pending_.data(), pending_.size(), pending_.size());
     pending_.clear();
   }
   return records_;
-}
-
-void feed_file(ZoneStreamReader& reader, const util::InputFile& file,
-               std::size_t begin, std::size_t end) {
-  char buffer[64 * 1024];
-  while (begin < end) {
-    const std::size_t got =
-        file.read_at(buffer, std::min(sizeof buffer, end - begin), begin);
-    if (got == 0) return;  // end of file
-    reader.feed(std::string_view{buffer, got});
-    begin += got;
-  }
 }
 
 }  // namespace sham::dns

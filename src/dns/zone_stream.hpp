@@ -10,19 +10,21 @@
 // across chunk boundaries, so a stream cut into 1-byte chunks yields the
 // record sequence of a one-shot parse, byte for byte.
 //
-// Each line is read in one pass: 64-byte windows become separator masks
-// (whitespace, the comment from the first ';' on, the line's end) and the
-// tokens fall out of the masks (dns/zone_tokens.hpp), so every byte is
-// classified once. A window is loaded in place only when its 64 bytes lie
-// inside the chunk being fed; otherwise, as for a line carried over from an
-// earlier chunk, it is copied into a space-padded buffer, so the reader
-// never reads past what it was given.
+// Each chunk is read in one pass: its complete lines are walked in
+// consecutive 64-byte windows, each window becoming three masks
+// (whitespace, ';', '\n'), and line ends, tokens and comment cuts all fall
+// out of the masks (dns/zone_tokens.hpp), so every byte is classified once.
+// A window is loaded in place when its 64 bytes lie inside the chunk being
+// fed; otherwise (the chunk's last window, a line carried over from an
+// earlier chunk) it is copied into a padded buffer, so the reader never
+// reads past what it was given. Fed a whole mapped range at once, as a zone
+// slice feeds it, the reader copies nothing.
 //
 // The per-record path allocates nothing in steady state: every line is
 // parsed into one member ResourceRecord whose owner and target strings
-// keep their capacity, tokens land in a fixed array, and names are
-// resolved, lowercased and validated by one table-driven copy of each
-// octet (DomainName::normalize).
+// keep their capacity, tokens land in a fixed array the reader owns (filled
+// line by line, never cleared), and names are resolved, lowercased and
+// validated by one copy of each octet (DomainName::normalize).
 //
 // A reader can also start mid-file: given the state a sequential parse has
 // at a line boundary (ZoneReaderState), it parses the rest exactly as that
@@ -30,15 +32,14 @@
 // (measure/scale_run.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <string_view>
 
 #include "dns/records.hpp"
 #include "dns/zone_file.hpp"
-#include "util/input_file.hpp"
 
 namespace sham::dns {
 
@@ -108,9 +109,12 @@ class ZoneStreamReader {
   [[nodiscard]] ZoneReaderState state() const;
 
  private:
-  /// Parse one line (without its '\n'); `readable` >= line.size() bytes
-  /// from line.data() may be read.
-  void process_line(std::string_view line, std::size_t readable);
+  /// Parse every line of bytes [data, data + size), the last one ending
+  /// at `size` when it has no '\n'; `readable` >= size bytes may be read.
+  void walk(const char* data, std::size_t size, std::size_t readable);
+  /// Parse one line (without its '\n') whose first `count` tokens are in
+  /// tokens_.
+  void process_line(std::string_view line, std::size_t count);
 
   Sink sink_;
   std::string origin_;
@@ -119,17 +123,13 @@ class ZoneStreamReader {
   /// The record every line is parsed into. Its owner is also the previous
   /// owner a continuation line inherits (empty before the first record).
   ResourceRecord record_;
+  /// The current line's tokens (dns/zone_tokens.hpp's detail::Tokens).
+  std::array<std::string_view, 8> tokens_;
   /// Partial final line of the previous chunk, awaiting its newline.
   std::string pending_;
   std::size_t line_no_ = 0;
   std::size_t records_ = 0;
   bool finished_ = false;
 };
-
-/// Feed bytes [begin, end) of `file` to `reader` through one 64 KiB buffer
-/// (end past the file size: up to end of file). Does not call finish().
-void feed_file(ZoneStreamReader& reader, const util::InputFile& file,
-               std::size_t begin = 0,
-               std::size_t end = std::numeric_limits<std::size_t>::max());
 
 }  // namespace sham::dns

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -157,21 +158,21 @@ class SliceShared {
   [[nodiscard]] std::size_t report_every() const noexcept { return report_every_; }
 
   /// The callback runs under the lock: calls must never overlap, and
-  /// must see the totals in increasing order.
+  /// must see the totals in increasing order. The zone-wide sums move by
+  /// the slice's change since its last report, so a report costs the same
+  /// however many slices there are.
   void report(std::size_t slice, const ZoneStreamStats& so_far) {
     std::lock_guard lock{mutex_};
-    progress_[slice] = so_far;
-    StreamProgress total;
-    for (const auto& p : progress_) {
-      total.domains += p.domains;
-      total.idns += p.idns;
-      total.records += p.records;
-    }
-    if (total.domains < next_callback_) return;
+    auto& last = progress_[slice];
+    total_.domains += so_far.domains - last.domains;
+    total_.idns += so_far.idns - last.idns;
+    total_.records += so_far.records - last.records;
+    last = so_far;
+    if (total_.domains < next_callback_) return;
     const std::size_t interval = options_.progress_interval;
-    next_callback_ = (total.domains / interval + 1) * interval;
-    total.rss_kib = resident_kib();
-    options_.on_progress(total);
+    next_callback_ = (total_.domains / interval + 1) * interval;
+    total_.rss_kib = resident_kib();
+    options_.on_progress(total_);
   }
 
  private:
@@ -180,6 +181,7 @@ class SliceShared {
   std::mutex mutex_;
   std::size_t next_callback_;  // zone-wide domains that trigger the next callback
   std::vector<ZoneStreamStats> progress_;  // each slice's latest report
+  StreamProgress total_;  // the sums of progress_
 };
 
 /// Owner-name -> IdnEntry batching of one slice: consecutive-owner dedup
@@ -282,21 +284,6 @@ void ignore_record(const dns::ResourceRecord&) {}
 // --- File slices ------------------------------------------------------------
 
 constexpr std::size_t kWindow = 64 * 1024;
-constexpr std::size_t kToEnd = std::numeric_limits<std::size_t>::max();
-
-/// Read exactly `n` bytes at `offset`; a file that ends early is an error.
-void read_exact(const util::InputFile& file, char* out, std::size_t n,
-                std::size_t offset) {
-  while (n > 0) {
-    const std::size_t got = file.read_at(out, n, offset);
-    if (got == 0) {
-      throw std::runtime_error{"zone file " + file.path() + " shrank while read"};
-    }
-    out += got;
-    offset += got;
-    n -= got;
-  }
-}
 
 /// The first line start at or after `target`: 0, or just past a '\n'
 /// (the file size when no '\n' follows).
@@ -320,7 +307,7 @@ std::size_t lines_before(const util::InputFile& file, std::size_t end) {
   std::size_t lines = 0;
   for (std::size_t pos = 0; pos < end;) {
     const std::size_t n = std::min(window.size(), end - pos);
-    read_exact(file, window.data(), n, pos);
+    file.read_exact(window.data(), n, pos);
     lines += static_cast<std::size_t>(std::count(window.data(), window.data() + n, '\n'));
     pos += n;
   }
@@ -333,106 +320,157 @@ struct FileLine {
   std::string line;
 };
 
-/// The directive lines of the line-aligned range [begin, end), which lies
-/// within the file. A directive line's first token starts with '$', so
-/// only lines holding a '$' are classified, exactly as the parser would.
-std::vector<FileLine> scan_directives(const util::InputFile& file, std::size_t begin,
-                                       std::size_t end) {
-  std::vector<FileLine> out;
-  std::vector<char> buffer(kWindow);
-  for (std::size_t pos = begin; pos < end;) {
-    const std::size_t got = std::min(buffer.size(), end - pos);
-    read_exact(file, buffer.data(), got, pos);
-    const char* data = buffer.data();
-    // Scan whole lines only; a partial last line is read again next time.
-    std::size_t usable = got;
-    if (pos + got < end) {
-      const auto* nl = static_cast<const char*>(memrchr(data, '\n', got));
-      if (nl == nullptr) {  // one line longer than the buffer
-        buffer.resize(buffer.size() * 2);
-        continue;
+/// The directive lines of a line-aligned range fed in consecutive pieces. A
+/// directive line's first token starts with '$', so only lines holding a
+/// '$' are classified, exactly as the parser would. A line that runs from
+/// one piece into the next (only when a range is mapped in windows) is
+/// copied and classified whole.
+class DirectiveScan {
+ public:
+  /// `offset`: the file offset of the first byte fed.
+  explicit DirectiveScan(std::size_t offset) : offset_{offset} {}
+
+  void feed(std::string_view bytes) {
+    const char* data = bytes.data();
+    const std::size_t n = bytes.size();
+    std::size_t i = 0;  // always a line start
+    if (!carry_.empty()) {
+      const auto* nl = static_cast<const char*>(std::memchr(data, '\n', n));
+      if (nl == nullptr) {
+        carry_.append(bytes);
+        offset_ += n;
+        return;
       }
-      usable = static_cast<std::size_t>(nl - data) + 1;
+      i = static_cast<std::size_t>(nl - data) + 1;
+      carry_.append(data, i - 1);
+      check(carry_offset_, carry_);
     }
-    for (std::size_t i = 0; i < usable;) {  // i is always a line start
-      const auto* dollar = static_cast<const char*>(std::memchr(data + i, '$', usable - i));
+    const auto* last = static_cast<const char*>(memrchr(data + i, '\n', n - i));
+    const std::size_t whole = last == nullptr ? i : static_cast<std::size_t>(last - data) + 1;
+    while (i < whole) {
+      const auto* dollar = static_cast<const char*>(std::memchr(data + i, '$', whole - i));
       if (dollar == nullptr) break;
       const auto at = static_cast<std::size_t>(dollar - data);
       const auto* nl_before = static_cast<const char*>(memrchr(data + i, '\n', at - i));
       const std::size_t line_begin =
           nl_before == nullptr ? i : static_cast<std::size_t>(nl_before - data) + 1;
-      const auto* nl_after = static_cast<const char*>(std::memchr(dollar, '\n', usable - at));
-      const std::size_t line_end =
-          nl_after == nullptr ? usable : static_cast<std::size_t>(nl_after - data);
-      const std::string_view line{data + line_begin, line_end - line_begin};
-      if (dns::ZoneStreamReader::classify(line) == dns::ZoneLineKind::kDirective) {
-        out.push_back({pos + line_begin, std::string{line} + '\n'});
-      }
+      const auto line_end = static_cast<std::size_t>(
+          static_cast<const char*>(std::memchr(dollar, '\n', whole - at)) - data);
+      check(offset_ + line_begin, {data + line_begin, line_end - line_begin});
       i = line_end + 1;
     }
-    pos += usable;
+    carry_.assign(data + whole, n - whole);
+    carry_offset_ = offset_ + whole;
+    offset_ += n;
   }
-  return out;
-}
+
+  /// The directive lines in file order, once the whole range is fed.
+  std::vector<FileLine> finish() {
+    if (!carry_.empty()) check(carry_offset_, carry_);
+    return std::move(lines_);
+  }
+
+ private:
+  void check(std::size_t offset, std::string_view line) {
+    if (dns::ZoneStreamReader::classify(line) == dns::ZoneLineKind::kDirective) {
+      lines_.push_back({offset, std::string{line} + '\n'});
+    }
+  }
+
+  std::size_t offset_;
+  std::string carry_;  // the head of a line that continues in the next piece
+  std::size_t carry_offset_ = 0;
+  std::vector<FileLine> lines_;
+};
 
 /// The last line before the line start `cut` that names a record owner,
-/// with its offset; nullopt when there is none.
+/// with its offset; nullopt when there is none. Finds each line start with
+/// memrchr over 64 KiB windows, walking back, and reads that line once, so
+/// the walk is linear in the bytes it passes.
 std::optional<FileLine> last_owner_line(const util::InputFile& file, std::size_t cut) {
   if (cut == 0) return std::nullopt;
-  std::string text;          // bytes [low, cut - 1): the unscanned head
-  std::size_t low = cut - 1;  // drops the '\n' ending the last line
   std::vector<char> window(kWindow);
+  std::size_t low = cut - 1;  // the window holds bytes [low, the last read's end)
+  std::size_t line_end = cut - 1;  // drops the '\n' ending the last line
   while (true) {
-    const auto nl = text.rfind('\n');
-    if (nl == std::string::npos && low > 0) {
-      const std::size_t n = std::min(window.size(), low);
-      low -= n;
-      read_exact(file, window.data(), n, low);
-      text.insert(0, window.data(), n);
-      continue;
+    std::size_t line_begin = 0;
+    for (std::size_t pos = line_end;;) {  // no '\n' in [pos, line_end)
+      if (pos > low) {
+        if (const auto* nl = static_cast<const char*>(memrchr(window.data(), '\n', pos - low))) {
+          line_begin = low + static_cast<std::size_t>(nl - window.data()) + 1;
+          break;
+        }
+        pos = low;
+      }
+      if (pos == 0) break;
+      const std::size_t n = std::min(window.size(), pos);
+      low = pos - n;
+      file.read_exact(window.data(), n, low);
     }
-    const std::size_t line_begin = nl == std::string::npos ? 0 : nl + 1;
-    const std::string_view line = std::string_view{text}.substr(line_begin);
+    std::string line(line_end - line_begin, '\0');
+    file.read_exact(line.data(), line.size(), line_begin);
     if (dns::ZoneStreamReader::classify(line) == dns::ZoneLineKind::kOwner) {
-      return FileLine{low + line_begin, std::string{line} + '\n'};
+      line += '\n';
+      return FileLine{line_begin, std::move(line)};
     }
-    if (nl == std::string::npos) return std::nullopt;
-    text.resize(nl);
+    if (line_begin == 0) return std::nullopt;
+    line_end = line_begin - 1;
   }
 }
 
-/// A zone file cut at line starts, with the directive state at each cut.
+/// A zone file cut at line starts. Each slice maps its own range, collects
+/// its directive lines and publishes them; a slice's start state is every
+/// earlier slice's directives replayed in order, plus the owner of the last
+/// record before its cut.
 class FileSlices {
  public:
-  FileSlices(const std::string& path, std::size_t slices, const StreamOptions& options,
-             std::size_t workers)
+  FileSlices(const std::string& path, std::size_t slices, const StreamOptions& options)
       : file_{path},
-        shared_{options, slices},
-        directives_(slices),
-        start_(slices),
-        start_error_(slices) {
-    cuts_.push_back(0);
-    for (std::size_t k = 1; k < slices; ++k) {
-      const auto target = static_cast<std::size_t>(
-          static_cast<unsigned __int128>(file_.size()) * k / slices);
-      cuts_.push_back(std::max(cuts_.back(), line_start_at_or_after(file_, target)));
-    }
-    cuts_.push_back(kToEnd);
-    if (slices > 1) prescan(workers);
-  }
+        cuts_{cut(file_, slices)},
+        shared_{options, size()},
+        directives_(size()),
+        published_(size(), false),
+        start_(size()) {}
 
-  [[nodiscard]] std::size_t size() const noexcept { return start_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return cuts_.size() - 1; }
 
   ZoneStreamStats run(std::size_t k, const BatchSink& on_batch) {
     const std::size_t begin = cuts_[k];
     const std::size_t end = cuts_[k + 1];
-    if (begin == end) return {};
+    if (begin == end) {
+      publish(k, {}, false);
+      return {};
+    }
+    // The slice's bytes: one mapping, held from the scan to the end of the
+    // parse, unless the slice outgrows the cap; then windows, mapped in
+    // turn for the scan and again for the parse.
+    const bool one_mapping = end - begin <= util::kMaxMapBytes;
+    util::InputFile::Mapping mapping;
+    const auto for_each_piece = [&](const auto& visit) {
+      if (one_mapping) {
+        visit(mapping.bytes());
+      } else {
+        util::for_each_window(file_, begin, end, visit);
+      }
+    };
+    try {
+      if (one_mapping) mapping = file_.map(begin, end - begin);
+      std::vector<FileLine> directives;
+      if (k + 1 < size()) {  // the last slice's are never needed
+        DirectiveScan scan{begin};
+        for_each_piece([&](std::string_view piece) { scan.feed(piece); });
+        directives = scan.finish();
+      }
+      publish(k, std::move(directives), false);
+    } catch (...) {
+      publish(k, {}, true);  // a later slice must not wait for this one
+      throw;
+    }
     dns::ZoneReaderState start;
     if (k > 0) {
       // A failure here means a line before the cut is malformed, so an
       // earlier slice fails on it and its error is the one reported.
-      if (start_error_[k]) std::rethrow_exception(start_error_[k]);
-      start = start_[k];
+      start = state_at_cut(k);
       if (const auto owner_line = last_owner_line(file_, begin)) {
         dns::ZoneStreamReader reader{ignore_record, state_at(owner_line->offset)};
         reader.feed(owner_line->line);
@@ -440,42 +478,72 @@ class FileSlices {
       }
     }
     try {
-      return stream_slice(shared_, k, shared_.options().tld, start, on_batch,
-                          [&](dns::ZoneStreamReader& reader) {
-                            dns::feed_file(reader, file_, begin, end);
-                          });
+      return stream_slice(
+          shared_, k, shared_.options().tld, start, on_batch, [&](dns::ZoneStreamReader& reader) {
+            for_each_piece([&](std::string_view piece) { reader.feed(piece); });
+          });
     } catch (const dns::ZoneParseError& e) {
       throw dns::ZoneParseError{e.line() + lines_before(file_, begin), e.message()};
     }
   }
 
  private:
-  /// Collect every slice's directive lines on `workers` threads (the last
-  /// slice's are never needed), then replay them in order for each cut's
-  /// state.
-  void prescan(std::size_t workers) {
-    run_in_order(size() - 1, workers, [&](std::size_t k) {
-      directives_[k] = scan_directives(file_, cuts_[k], cuts_[k + 1]);
-    });
-
-    dns::ZoneStreamReader replay{ignore_record};
-    for (std::size_t k = 1; k < size(); ++k) {
-      try {
-        for (const auto& d : directives_[k - 1]) replay.feed(d.line);
-        start_[k] = replay.state();
-      } catch (...) {
-        for (std::size_t j = k; j < size(); ++j) start_error_[j] = std::current_exception();
-        return;
-      }
+  /// Line starts near k·size/slices. A search starts no earlier than the
+  /// cut before it, so targets inside one long line read it once.
+  static std::vector<std::size_t> cut(const util::InputFile& file, std::size_t slices) {
+    std::vector<std::size_t> cuts{0};
+    for (std::size_t k = 1; k < slices; ++k) {
+      const auto target = static_cast<std::size_t>(
+          static_cast<unsigned __int128>(file.size()) * k / slices);
+      cuts.push_back(line_start_at_or_after(file, std::max(target, cuts.back())));
     }
+    cuts.push_back(file.size());
+    return cuts;
   }
 
-  /// The directive state just before file offset `offset` (in a scanned
-  /// slice).
+  /// Make slice k's directive lines (none when its scan `failed`) visible
+  /// to the slices after it, and wake those that wait.
+  void publish(std::size_t k, std::vector<FileLine> lines, bool failed) {
+    {
+      std::lock_guard lock{mutex_};
+      if (published_[k]) return;
+      directives_[k] = std::move(lines);
+      published_[k] = true;
+      if (failed) first_failed_ = std::min(first_failed_, k);
+      while (prefix_ < size() && published_[prefix_]) ++prefix_;
+    }
+    published_cv_.notify_all();
+  }
+
+  /// The directive state at cut k. Waits until slices 0..k-1 have
+  /// published; slices start in order, so this waits at most for the scans
+  /// of the slices started just before. The directives are replayed
+  /// incrementally, each line once however many slices there are.
+  dns::ZoneReaderState state_at_cut(std::size_t k) {
+    std::unique_lock lock{mutex_};
+    published_cv_.wait(lock, [&] { return prefix_ >= k || first_failed_ < k; });
+    if (first_failed_ < k) {
+      throw std::runtime_error{"zone file " + file_.path() + ": slice " +
+                               std::to_string(first_failed_) + " failed"};
+    }
+    while (replayed_ < k && !replay_error_) {
+      try {
+        for (const auto& d : directives_[replayed_]) replay_.feed(d.line);
+        start_[replayed_ + 1] = replay_.state();
+        ++replayed_;
+      } catch (...) {
+        replay_error_ = std::current_exception();
+      }
+    }
+    if (replayed_ < k) std::rethrow_exception(replay_error_);
+    return start_[k];
+  }
+
+  /// The directive state just before file offset `offset`, which lies
+  /// before a cut that state_at_cut has reached.
   [[nodiscard]] dns::ZoneReaderState state_at(std::size_t offset) const {
     const auto k = static_cast<std::size_t>(
         std::upper_bound(cuts_.begin(), cuts_.end(), offset) - cuts_.begin() - 1);
-    if (start_error_[k]) std::rethrow_exception(start_error_[k]);
     dns::ZoneStreamReader reader{ignore_record, start_[k]};
     for (const auto& d : directives_[k]) {
       if (d.offset >= offset) break;
@@ -485,11 +553,22 @@ class FileSlices {
   }
 
   util::InputFile file_;
-  SliceShared shared_;
   std::vector<std::size_t> cuts_;  // size() + 1 offsets; slice k is [cuts_[k], cuts_[k + 1])
+  SliceShared shared_;
+
+  // The handshake, under mutex_. A slice's directive lines and a cut's
+  // start state are written once, before the slices that read them learn
+  // (under the lock) that they are there.
+  std::mutex mutex_;
+  std::condition_variable published_cv_;
   std::vector<std::vector<FileLine>> directives_;
-  std::vector<dns::ZoneReaderState> start_;        // directive state at each cut
-  std::vector<std::exception_ptr> start_error_;  // a malformed directive before the cut
+  std::vector<bool> published_;
+  std::size_t prefix_ = 0;  // slices 0..prefix_-1 have published
+  std::size_t first_failed_ = std::numeric_limits<std::size_t>::max();  // first failed scan
+  dns::ZoneStreamReader replay_{ignore_record};  // the state at cut replayed_
+  std::size_t replayed_ = 0;
+  std::exception_ptr replay_error_;  // a malformed directive before cut replayed_ + 1
+  std::vector<dns::ZoneReaderState> start_;  // directive state at each cut up to replayed_
 };
 
 // --- Generated slices -------------------------------------------------------
@@ -528,10 +607,9 @@ std::size_t resident_kib() {
 }
 
 std::vector<BatchProducer> zone_file_slices(const std::string& path, std::size_t slices,
-                                            const StreamOptions& options,
-                                            std::size_t workers) {
-  const auto plan = std::make_shared<FileSlices>(path, std::max<std::size_t>(1, slices),
-                                                 options, workers);
+                                            const StreamOptions& options) {
+  const auto plan =
+      std::make_shared<FileSlices>(path, std::max<std::size_t>(1, slices), options);
   std::vector<BatchProducer> out;
   for (std::size_t k = 0; k < plan->size(); ++k) {
     out.emplace_back([plan, k](const BatchSink& sink) { return plan->run(k, sink); });
@@ -566,7 +644,7 @@ std::vector<BatchProducer> generated_slices(
 
 ZoneStreamStats stream_zone_idns(const std::string& path, const StreamOptions& options,
                                  const BatchSink& on_batch) {
-  return zone_file_slices(path, 1, options, 1).front()(on_batch);
+  return zone_file_slices(path, 1, options).front()(on_batch);
 }
 
 DetectionOutcome detect_sharded(const detect::Engine& engine,
@@ -807,7 +885,7 @@ FleetReport run_fleet(const FleetOptions& options) {
           out.rss_peak_kib = std::max(out.rss_peak_kib, p.rss_kib);
           if (options.on_progress) options.on_progress(out.tld, p);
         };
-        // One thread keeps the zone whole, with no pre-scan.
+        // One thread keeps the zone one slice.
         const std::size_t threads = options.shards;
         const std::size_t slices = threads == 1 ? 1 : kSlicesPerWorker * threads;
         const internet::ZoneGenOptions gen{
@@ -827,7 +905,7 @@ FleetReport run_fleet(const FleetOptions& options) {
         for (std::size_t pass = 0; pass < passes; ++pass) {
           const auto producers =
               core ? generated_slices(core, gen, slices, stream)
-                   : zone_file_slices(zone.zone_path, slices, stream, threads);
+                   : zone_file_slices(zone.zone_path, slices, stream);
           const auto outcome =
               detect_sharded(engine, refs, options.strategy, producers, threads);
           out.stream.records += outcome.stream.records;

@@ -7,9 +7,10 @@
 //     detect::IdnEntry batches without ever materialising the zone or the
 //     domain list;
 //   * zone_file_slices / generated_slices — the same pass cut into N
-//     slices of one zone (line-aligned byte ranges of a file, or
-//     population-index ranges of a generated zone), each starting in the
-//     exact parser state a sequential pass has at its first line;
+//     slices of one zone (line-aligned byte ranges of a file, each mapped
+//     and parsed in place, or population-index ranges of a generated
+//     zone), each starting in the exact parser state a sequential pass has
+//     at its first line;
 //   * detect_sharded — Step 3: a few workers take the slices in order, and
 //     each parses, extracts and detects its slice against a fixed reference
 //     list, with the verdicts canonicalised (sorted by (reference, ACE) and
@@ -102,21 +103,40 @@ ZoneStreamStats stream_zone_idns(const std::string& path, const StreamOptions& o
 /// and returns the slice's totals.
 using BatchProducer = std::function<ZoneStreamStats(const BatchSink&)>;
 
-/// Cut the zone file at `path` into `slices` line-aligned byte ranges. A
-/// pre-scan on `workers` threads (the calling thread among them) collects
-/// the $ORIGIN/$TTL lines, so each slice starts in the state a sequential
-/// parse has at its first byte: the directives in effect and the
-/// normalized owner of the last record before it (for continuation lines
-/// and the consecutive-owner dedup). Slice k's totals, IDNs and verdicts
-/// are then exactly its share of a sequential stream_zone_idns. A running
-/// slice reads its range with pread into its own 64 KiB buffer; the file
-/// is never mapped or loaded. A ZoneParseError carries the absolute line
-/// number. One slice is stream_zone_idns, with no pre-scan. The producers
-/// share the file and a copy of `options`, and may run concurrently.
+/// Cut the zone file at `path` into `slices` line-aligned byte ranges. Each
+/// slice starts in the state a sequential parse has at its first byte: the
+/// $ORIGIN/$TTL directives in effect and the normalized owner of the last
+/// record before it (for continuation lines and the consecutive-owner
+/// dedup). Slice k's totals, IDNs and verdicts are then exactly its share of
+/// a sequential stream_zone_idns. A ZoneParseError carries the absolute
+/// line number. One slice is stream_zone_idns.
+///
+/// A running slice maps its range read-only once, finds its own directive
+/// lines in the mapping (only lines holding a '$') and publishes them, then
+/// waits until every earlier slice has published, starts from their
+/// directives replayed in order, and parses the mapping in place:
+///
+///   map -> scan '$' lines -> publish -> wait for slices 0..k-1 -> parse -> unmap
+///
+/// A slice publishes even when its scan fails, and a slice after a failed
+/// one fails too, so none waits forever; the earliest failed slice's error
+/// is the one detect_sharded reports. So producer k runs only once
+/// producers 0..k-1 have started: run them in order or concurrently, as
+/// detect_sharded does; producer k alone blocks. A thread maps one slice at
+/// a time, and no mapping exceeds util::kMaxMapBytes: a larger slice (a big
+/// zone, or one long line) is mapped in windows of at most that, once for
+/// its scan and again for its parse.
+///
+/// The zone is the file as large as it is at this call. Before it maps, a
+/// slice checks that the file still holds its range and otherwise throws
+/// std::runtime_error naming the path ("shrank while read"). A file
+/// truncated while a slice has it mapped kills the process with SIGBUS, as
+/// a truncated DB artifact does (db/artifact.hpp): replace a zone file by
+/// rename, never rewrite or truncate it in place while it is scanned. The
+/// producers share the file and a copy of `options`.
 [[nodiscard]] std::vector<BatchProducer> zone_file_slices(const std::string& path,
                                                           std::size_t slices,
-                                                          const StreamOptions& options,
-                                                          std::size_t workers);
+                                                          const StreamOptions& options);
 
 /// Cut a generated zone into `slices` population-index ranges over one
 /// core, built once and shared read-only. Slice k generates indexes
@@ -306,9 +326,9 @@ struct FleetOptions {
   /// Steady-load repetitions of each zone per worker.
   std::size_t passes = 1;
   /// Threads per zone, 1 to kMaxShards. One thread reads the zone as one
-  /// slice. N > 1 threads cut it into 8N slices, run the pre-scan and take
-  /// the slices in order, each parsing, extracting and detecting a slice at
-  /// a time (zone_file_slices / generated_slices + detect_sharded). Slicing
+  /// slice. N > 1 threads cut it into 8N slices and take them in order,
+  /// each mapping, parsing, extracting and detecting a slice at a time
+  /// (zone_file_slices / generated_slices + detect_sharded). Slicing
   /// starts at most N threads per zone.
   std::size_t shards = 1;
   /// Ignored: slices share no batch queue.
@@ -350,7 +370,8 @@ struct FleetReport {
 /// Run the fleet: one worker per zone, each with its own engine over the
 /// shared artifact, streaming its zone `passes` times on `shards` threads.
 /// Memory is bounded per zone by the generator head (generated zones) plus
-/// shards x (read buffer or chunk + batch), not the zone size. A `shards`
+/// shards x (one mapped slice or window of at most util::kMaxMapBytes, or
+/// one generator chunk, + batch), not the zone size. A `shards`
 /// of 0 or above kMaxShards throws std::invalid_argument before anything
 /// is loaded or any thread starts.
 [[nodiscard]] FleetReport run_fleet(const FleetOptions& options);

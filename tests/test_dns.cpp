@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
@@ -225,6 +227,25 @@ TEST(ZoneFile, DirectoryAndFailedReadThrow) {
   expect_named_error(test::process_temp_dir());
   // Reading this process's own memory at offset 0 fails (EIO).
   expect_named_error("/proc/self/mem");
+}
+
+TEST(ZoneFile, NonRegularFilesRejected) {
+  // A FIFO that has no writer would block a blocking open() forever, and
+  // /dev/null would read as an empty zone. Neither is a regular file; both
+  // are refused, naming the path.
+  const std::string fifo = test::temp_path("test_dns_zone.fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {fifo, std::string{"/dev/null"}}) {
+    try {
+      (void)parse_zone_file(path, [](const ResourceRecord&) {});
+      ADD_FAILURE() << path << " parsed as a zone";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(path), std::string::npos) << e.what();
+      EXPECT_NE(std::string{e.what()}.find("not a regular file"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(fifo.c_str());
 }
 
 // --- Range validation (truncation regressions) ------------------------
@@ -720,7 +741,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ZoneChunkProperty,
 // --- Oracles for the one-pass line scan -------------------------------
 
 /// The tokenizer before the mask scan, one byte at a time: drop a trailing
-/// CR, cut at the first ';', split on "C"-locale whitespace.
+/// CR, cut at the first ';', split on "C"-locale whitespace, keep at most
+/// kMaxTokens tokens.
 std::size_t reference_split_tokens(std::string_view line, detail::Tokens& out) {
   const auto is_space = [](char c) {
     return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
@@ -741,40 +763,82 @@ std::size_t reference_split_tokens(std::string_view line, detail::Tokens& out) {
   return count;
 }
 
-// Property: the mask tokenizer returns the byte loop's tokens, at the same
-// addresses, on random lines of 0-300 bytes followed by 0-70 more readable
-// bytes. Each line and its slack fill an exact-size heap block, so
-// AddressSanitizer reports a window loaded past the readable bytes.
+// Property: the line walk gives every line of a chunk the byte loop's
+// tokens, at the same addresses. Each trial draws a text of 1-40 lines of
+// 0-300 bytes from every whitespace byte but '\n', ';' and other bytes,
+// from no separators to mostly separators, so lines cross the 64-byte
+// windows and many hold more than 8 tokens. In half the trials the text
+// ends mid-line, a last line without '\n'. Half the trials walk the whole
+// text; the others walk only its complete lines with the whole text
+// readable, as feed() does with a chunk. Each text fills an exact-size heap
+// block, so AddressSanitizer reports a window loaded past its end.
 TEST(TokenizerProperty, MatchesByteLoopOracle) {
-  const std::string spaces = " \t\n\v\f\r";
+  const std::string spaces = " \t\v\f\r";
   std::string others = "$.-_";
   for (char c = 'A'; c <= 'Z'; ++c) others += c;
   for (int c = 0x80; c <= 0xFF; ++c) others += static_cast<char>(c);
   util::Rng rng{2026};
-  for (int trial = 0; trial < 20000; ++trial) {
-    const auto size = static_cast<std::size_t>(rng.below(301));
-    const auto slack = static_cast<std::size_t>(rng.below(71));
-    // Per line, from no separators to mostly separators, and from no ';'
-    // to a few.
-    const auto space_pct = rng.below(80);
-    const auto semicolon_pct = rng.below(3);
-    std::vector<char> bytes(size + slack);
-    for (char& c : bytes) {
-      const auto roll = rng.below(100);
-      c = roll < semicolon_pct             ? ';'
-          : roll < semicolon_pct + space_pct ? spaces[rng.below(spaces.size())]
-                                             : others[rng.below(others.size())];
+  std::size_t lines_walked = 0;
+  std::size_t lines_over_max_tokens = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string text;
+    std::vector<std::pair<std::size_t, std::size_t>> lines;  // [begin, end) of each
+    const auto count = 1 + rng.below(40);
+    bool terminated = true;  // the last line ends with '\n'
+    for (std::uint64_t l = 0; l < count; ++l) {
+      const auto size = rng.below(301);
+      const auto space_pct = rng.below(80);
+      const auto semicolon_pct = rng.below(3);
+      const std::size_t begin = text.size();
+      for (std::uint64_t i = 0; i < size; ++i) {
+        const auto roll = rng.below(100);
+        text += roll < semicolon_pct               ? ';'
+                : roll < semicolon_pct + space_pct ? spaces[rng.below(spaces.size())]
+                                                   : others[rng.below(others.size())];
+      }
+      lines.emplace_back(begin, text.size());
+      terminated = l + 1 < count || rng.below(2) == 0;
+      if (terminated) text += '\n';
     }
-    const std::string_view line{bytes.data(), size};
-    detail::Tokens want;
+    const std::vector<char> block(text.begin(), text.end());
+    std::size_t walk_size = block.size();
+    if (trial % 2 == 1) {
+      // Complete lines only: an unterminated last line is left unwalked.
+      if (!terminated) {
+        walk_size = lines.back().first;
+        lines.pop_back();
+      }
+    } else if (!terminated && lines.back().first == lines.back().second) {
+      lines.pop_back();  // an empty last line without '\n' is no line
+    }
+
+    std::size_t next = 0;
     detail::Tokens got;
-    const std::size_t count = reference_split_tokens(line, want);
-    ASSERT_EQ(detail::split_tokens(line, size + slack, got), count) << "trial " << trial;
-    for (std::size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(got[i].data(), want[i].data()) << "trial " << trial << " token " << i;
-      EXPECT_EQ(got[i].size(), want[i].size()) << "trial " << trial << " token " << i;
-    }
+    detail::walk_lines(
+        block.data(), walk_size, block.size(), got,
+        [&](std::string_view line, std::size_t got_count) {
+          ASSERT_LT(next, lines.size()) << "trial " << trial;
+          const auto [begin, end] = lines[next];
+          const std::string_view want_line{block.data() + begin, end - begin};
+          EXPECT_EQ(line.data(), want_line.data()) << "trial " << trial << " line " << next;
+          EXPECT_EQ(line.size(), want_line.size()) << "trial " << trial << " line " << next;
+          detail::Tokens want;
+          const std::size_t want_count = reference_split_tokens(want_line, want);
+          ASSERT_EQ(got_count, want_count) << "trial " << trial << " line " << next;
+          for (std::size_t i = 0; i < want_count; ++i) {
+            EXPECT_EQ(got[i].data(), want[i].data())
+                << "trial " << trial << " line " << next << " token " << i;
+            EXPECT_EQ(got[i].size(), want[i].size())
+                << "trial " << trial << " line " << next << " token " << i;
+          }
+          if (want_count == detail::kMaxTokens) ++lines_over_max_tokens;
+          ++next;
+        });
+    EXPECT_EQ(next, lines.size()) << "trial " << trial;
+    lines_walked += next;
   }
+  EXPECT_GT(lines_walked, 50000u);
+  EXPECT_GT(lines_over_max_tokens, 5000u);  // lines that run past the token cap
 }
 
 /// Each byte value at each window position, in a window of 'x'.
@@ -790,20 +854,22 @@ void for_each_byte_at_each_position(Check check) {
   }
 }
 
-// The table builder is the "C" locale's isspace plus ';', bit for bit.
+// The table builder is the "C" locale's isspace plus ';' and '\n', bit for
+// bit.
 TEST(WindowMaskProperty, TableMatchesIsspace) {
   for_each_byte_at_each_position([](const char* window, unsigned char byte, std::size_t at) {
     const auto masks = detail::window_masks_table(window);
     const std::uint64_t bit = std::uint64_t{1} << at;
     EXPECT_EQ(masks.space, std::isspace(byte) != 0 ? bit : 0) << int{byte} << " at " << at;
     EXPECT_EQ(masks.semicolon, byte == ';' ? bit : 0) << int{byte} << " at " << at;
+    EXPECT_EQ(masks.newline, byte == '\n' ? bit : 0) << int{byte} << " at " << at;
   });
 }
 
 #if defined(__SSE2__)
-// Property: the SSE2 builder equals the table builder on every byte at
-// every position, and on random unaligned windows drawn from all bytes and
-// from the bytes next to the biased compare's range.
+// Property: the SSE2 builder equals the table builder, all three masks, on
+// every byte at every position, and on random unaligned windows drawn from
+// all bytes and from the bytes next to the biased compare's range.
 TEST(WindowMaskProperty, Sse2MatchesTable) {
   for_each_byte_at_each_position([](const char* window, unsigned char byte, std::size_t at) {
     EXPECT_EQ(detail::window_masks_sse2(window), detail::window_masks_table(window))

@@ -3,11 +3,13 @@
 // zone equal to one sequential pass at every slice count, and the
 // generation-diff ingestion loop proven state-identical to a rebuild.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -27,6 +29,7 @@
 #include "measure/environment.hpp"
 #include "measure/scale_run.hpp"
 #include "unicode/confusables.hpp"
+#include "util/input_file.hpp"
 #include "util/rng.hpp"
 #include "temp_dir.hpp"
 
@@ -226,7 +229,25 @@ TEST(StreamZone, DirectoryThrows) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find(dir), std::string::npos) << e.what();
   }
-  EXPECT_THROW((void)zone_file_slices(dir, 4, {}, 4), std::runtime_error);
+  EXPECT_THROW((void)zone_file_slices(dir, 4, {}), std::runtime_error);
+}
+
+TEST(StreamZone, NonRegularFileThrows) {
+  // A FIFO without a writer must not block the scan, and /dev/null must not
+  // pass for an empty zone, at one slice or several.
+  const std::string fifo = test::temp_path("test_scale_zone.fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {fifo, std::string{"/dev/null"}}) {
+    for (const std::size_t slices : {std::size_t{1}, std::size_t{4}}) {
+      try {
+        (void)zone_file_slices(path, slices, {});
+        ADD_FAILURE() << path << " cut as a zone into " << slices;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string{e.what()}.find(path), std::string::npos) << e.what();
+      }
+    }
+  }
+  std::remove(fifo.c_str());
 }
 
 TEST(MergeOutcomes, SortsAndDeduplicates) {
@@ -269,7 +290,7 @@ TEST(StreamVsMaterialized, ByteIdenticalAtEveryBatchSize) {
     for (const auto strategy : {detect::Strategy::kSerial, detect::Strategy::kSkeleton}) {
       const auto streamed = detect_sharded(
           engine, kRefs, strategy,
-          zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = batch}, 1), 1);
+          zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = batch}), 1);
       EXPECT_EQ(streamed.verdicts, baseline.verdicts)
           << "batch " << batch << " strategy " << static_cast<int>(strategy);
       EXPECT_EQ(streamed.fingerprint, baseline.fingerprint);
@@ -371,7 +392,7 @@ TEST(DetectSharded, InvariantAcrossShardCountsAndBatchSizes) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
       const auto out = detect_sharded(
           rig.engine, kRefs, detect::Strategy::kSkeleton,
-          zone_file_slices(zone.path(), shards, {.tld = "com", .batch_size = batch}, shards),
+          zone_file_slices(zone.path(), shards, {.tld = "com", .batch_size = batch}),
           shards);
       EXPECT_EQ(out.verdicts, baseline.verdicts)
           << "shards " << shards << " batch " << batch;
@@ -433,7 +454,7 @@ TEST(DetectSharded, WorkerExceptionUnblocksProducer) {
   EXPECT_THROW(
       (void)detect_sharded(
           rig.engine, bad_refs, detect::Strategy::kSkeleton,
-          zone_file_slices(zone.path(), 4, {.tld = "com", .batch_size = 1}, 4), 4),
+          zone_file_slices(zone.path(), 4, {.tld = "com", .batch_size = 1}), 4),
       std::invalid_argument);
 
   std::atomic<int> finished{0};
@@ -465,7 +486,7 @@ TEST(DetectGenerated, MatchesStreamedFileAtEveryShardCount) {
   const StreamOptions options{.tld = "com", .batch_size = 512};
   const auto baseline =
       detect_sharded(engine, scenario.references, detect::Strategy::kSkeleton,
-                     zone_file_slices(zone.path(), 1, options, 1), 1);
+                     zone_file_slices(zone.path(), 1, options), 1);
   ASSERT_FALSE(baseline.verdicts.empty());
 
   const auto core = std::make_shared<const internet::ScenarioCore>(
@@ -534,7 +555,7 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
   const TempZone zone{"test_scale_fleet.zone", text};
   const auto baseline = detect_sharded(
       in_process, scenario.references, detect::Strategy::kSkeleton,
-      zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = 512}, 1), 1);
+      zone_file_slices(zone.path(), 1, {.tld = "com", .batch_size = 512}), 1);
   ASSERT_FALSE(baseline.verdicts.empty());
 
   std::vector<std::uint64_t> fingerprints;
@@ -741,7 +762,7 @@ TEST_P(SliceProperty, SlicesMatchSequentialAtEveryCount) {
         const StreamOptions options{.tld = "com", .batch_size = 1 + rng.below(8)};
         const auto out =
             detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
-                           zone_file_slices(zone.path(), slices, options, workers), workers);
+                           zone_file_slices(zone.path(), slices, options), workers);
         const auto where = ::testing::Message() << "owners " << owners << " slices "
                                                 << slices << " workers " << workers;
         EXPECT_EQ(out.stream.records, parsed.records.size()) << where;
@@ -807,7 +828,7 @@ TEST_P(SliceProperty, MalformedLineSameErrorAtEveryCount) {
                                                 << " workers " << workers;
         try {
           (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
-                               zone_file_slices(zone.path(), slices, {.tld = "com"}, workers),
+                               zone_file_slices(zone.path(), slices, {.tld = "com"}),
                                workers);
           ADD_FAILURE() << "no error; " << where;
         } catch (const dns::ZoneParseError& e) {
@@ -820,6 +841,112 @@ TEST_P(SliceProperty, MalformedLineSameErrorAtEveryCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SliceProperty, ::testing::Values(1u, 42u, 2019u, 77777u));
+
+// A line longer than one mapping lies before most cuts. It is the directive
+// that moves the origin to com, padded past util::kMaxMapBytes, so the
+// slice holding it is mapped in windows and the directive crosses from one
+// window into the next: the IDN owners after it count only if the windowed
+// scan found it. Every slice after it walks back over it to the last owner,
+// a walk that must stay linear in the line's length. At 4 workers the
+// slices must match one slice, which parses the line in windows too.
+TEST(Slices, LineLongerThanAMappingBeforeTheCuts) {
+  const ShardRig rig;
+  util::Rng rng{4096};
+  const auto labels = idn_labels(rig.db, rng);
+  ASSERT_FALSE(labels.empty());
+  std::string text = "$ORIGIN net.\n$TTL 300\n";
+  for (int i = 0; i < 2000; ++i) text += "host" + std::to_string(i) + " IN NS ns1.hoster.net.\n";
+  text += "$ORIGIN com." + std::string(util::kMaxMapBytes + (1 << 20), ' ') + "; long\n";
+  for (std::size_t i = 0; i < 2000; ++i) {
+    text += (i % 2 == 0 ? labels[i / 2 % labels.size()] : "after" + std::to_string(i)) +
+            " IN NS ns1.hoster.net.\n  IN A 192.0.2.1\n";
+  }
+  const TempZone zone{"test_scale_long_line.zone", text};
+  const StreamOptions options{.tld = "com", .batch_size = 64};
+
+  const auto one = detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
+                                  zone_file_slices(zone.path(), 1, options), 1);
+  EXPECT_EQ(one.stream.records, 2000u + 2 * 2000u);
+  EXPECT_EQ(one.stream.domains, 4000u);
+  ASSERT_GT(one.stream.idns, 0u);
+  ASSERT_FALSE(one.verdicts.empty());
+  for (const std::size_t slices : {std::size_t{4}, std::size_t{32}}) {
+    const auto out = detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
+                                    zone_file_slices(zone.path(), slices, options), 4);
+    EXPECT_EQ(out.stream.records, one.stream.records) << "slices " << slices;
+    EXPECT_EQ(out.stream.domains, one.stream.domains) << "slices " << slices;
+    EXPECT_EQ(out.stream.idns, one.stream.idns) << "slices " << slices;
+    EXPECT_EQ(out.verdicts, one.verdicts) << "slices " << slices;
+    EXPECT_EQ(out.fingerprint, one.fingerprint) << "slices " << slices;
+  }
+}
+
+// A zone of ordinary lines over twice the mapping cap, cut into 2 slices:
+// each slice is larger than one mapping, so it is scanned and parsed in
+// windows, and record lines cross the window edges. The directive that
+// moves the origin to com starts 4 bytes before slice 0's first window
+// edge: the IDN owners after it count only if the windowed scan carried
+// it into the next window.
+TEST(Slices, SlicesLargerThanAMappingAreReadInWindows) {
+  const ShardRig rig;
+  util::Rng rng{2048};
+  const auto labels = idn_labels(rig.db, rng);
+  ASSERT_FALSE(labels.empty());
+  const std::string tail = " IN NS ns1.hoster.net. ; " + std::string(1000, 'x') + "\n";
+  std::string text = "$ORIGIN net.\n$TTL 300\n";
+  std::size_t net = 0;
+  for (;; ++net) {
+    const auto line = "host" + std::to_string(net) + tail;
+    if (text.size() + line.size() > util::kMaxMapBytes - 8) break;
+    text += line;
+  }
+  text += ";" + std::string(util::kMaxMapBytes - 4 - text.size() - 2, 'z') + "\n";
+  ASSERT_EQ(text.size(), util::kMaxMapBytes - 4);
+  text += "$ORIGIN com.\n";
+  std::size_t com = 0;
+  for (; text.size() <= 2 * util::kMaxMapBytes + (1 << 20); ++com) {
+    text += (com % 2 == 0 ? labels[com / 2 % labels.size()] : "after" + std::to_string(com)) +
+            tail + "  IN A 192.0.2.1\n";
+  }
+  const TempZone zone{"test_scale_big_slices.zone", text};
+  const StreamOptions options{.tld = "com", .batch_size = 64};
+
+  const auto one = detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
+                                  zone_file_slices(zone.path(), 1, options), 1);
+  EXPECT_EQ(one.stream.records, net + 2 * com);
+  EXPECT_EQ(one.stream.domains, net + com);
+  ASSERT_GT(one.stream.idns, 0u);
+  ASSERT_FALSE(one.verdicts.empty());
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    const auto out = detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton,
+                                    zone_file_slices(zone.path(), 2, options), workers);
+    EXPECT_EQ(out.stream.records, one.stream.records) << "workers " << workers;
+    EXPECT_EQ(out.stream.domains, one.stream.domains) << "workers " << workers;
+    EXPECT_EQ(out.stream.idns, one.stream.idns) << "workers " << workers;
+    EXPECT_EQ(out.verdicts, one.verdicts) << "workers " << workers;
+    EXPECT_EQ(out.fingerprint, one.fingerprint) << "workers " << workers;
+  }
+}
+
+// A zone file that shrinks after it is cut: a slice whose range it lost
+// fails before it maps, naming the path, the slices after it fail without
+// waiting for it forever, and that error is the one reported.
+TEST(Slices, FileTruncatedAfterTheCutFailsNamingThePath) {
+  const ShardRig rig;
+  util::Rng rng{99};
+  const auto text = random_zone(rng, idn_labels(rig.db, rng), 400);
+  const TempZone zone{"test_scale_truncated.zone", text};
+  const auto producers = zone_file_slices(zone.path(), 16, {.tld = "com"});
+  std::filesystem::resize_file(zone.path(), text.size() / 3);
+  try {
+    (void)detect_sharded(rig.engine, kRefs, detect::Strategy::kSkeleton, producers, 4);
+    ADD_FAILURE() << "a truncated zone scanned";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(zone.path()), std::string::npos) << what;
+    EXPECT_NE(what.find("shrank while read"), std::string::npos) << what;
+  }
+}
 
 TEST(Slices, ProgressIsSerializedAndMonotone) {
   // Slices report concurrently; the callback must never run twice at once
@@ -844,7 +971,7 @@ TEST(Slices, ProgressIsSerializedAndMonotone) {
       inside = false;
     };
     const auto slices = generated ? generated_slices(core, {.which = 2}, 4, options)
-                                  : zone_file_slices(zone.path(), 4, options, 4);
+                                  : zone_file_slices(zone.path(), 4, options);
     const detect::Engine engine{env().db_union};
     const auto out = detect_sharded(engine, std::vector<std::string>{"google"},
                                     detect::Strategy::kSkeleton, slices, 4);

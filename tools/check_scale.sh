@@ -7,9 +7,13 @@
 # artifact whose per-TLD verdict fingerprints must agree, a zone with
 # mid-file directives and continuation lines scanned on 1, 2, 3 and 4
 # threads (1, 16, 24 and 32 slices) with identical counts and fingerprint,
-# a directory given as a zone rejected, and --shards 0 and 100000 rejected
-# as usage errors. Last, the whole tier-1 suite runs 20 times under
-# ctest -j8 and must pass every time.
+# a zone with a 48 MiB comment line among 4,000 NS records scanned on 1 and
+# 4 threads within 10 s each (every slice after the line walks back over it
+# to the last owner) with identical counts and fingerprint, a directory and
+# a FIFO without a writer given as zones rejected naming the path (the FIFO
+# within 10 s, not blocked in open), and --shards 0 and 100000 rejected as
+# usage errors. Last, the whole tier-1 suite runs 20 times under ctest -j8
+# and must pass every time.
 #
 #   $ tools/check_scale.sh                 # uses ./build (configures if absent)
 #   $ BUILD_DIR=build-asan tools/check_scale.sh
@@ -110,6 +114,40 @@ idns=$(grep -o '"idns": [0-9]*' "$TMP/sliced_1.json" | grep -o '[0-9]*')
 [ "$idns" -gt 0 ] || { echo "sliced zone decoded no IDNs"; exit 1; }
 echo "    records, domains, $idns IDNs and fingerprint identical at 1, 2, 3 and 4 shards"
 
+echo "=== CLI: 1 and 4 threads over a zone with a 48 MiB line ==="
+# The comment line is longer than one mapping, and every cut of the 4-thread
+# run falls inside it, so the slice after it walks back over all 48 MiB to
+# find the last owner. That walk is linear: each run must end within 10 s
+# and agree with the other on every count and the fingerprint.
+{
+  printf '$ORIGIN com.\n$TTL 300\n'
+  awk 'BEGIN { for (i = 0; i < 2000; i++) printf "long%d IN NS ns1.hoster.net.\n", i }'
+  printf '; '
+  head -c 50331648 /dev/zero | tr '\0' x
+  printf '\n'
+  while read -r sld; do printf '%s IN NS ns1.hoster.net.\n' "$sld"; done < "$TMP/slds"
+  awk 'BEGIN { for (i = 2000; i < 4000; i++) printf "long%d IN NS ns1.hoster.net.\n", i }'
+} > "$TMP/longline.zone"
+for shards in 1 4; do
+  status=0
+  timeout 10 "$BUILD_DIR"/examples/shamfinder_cli scale-run --db-file "$TMP/db.artifact" \
+    --zone "com:$TMP/longline.zone" --shards "$shards" > "$TMP/longline_$shards.json" ||
+    status=$?
+  [ "$status" -eq 0 ] || { echo "long-line run at $shards shard(s) exited $status"; exit 1; }
+  grep -q '"ok": true' "$TMP/longline_$shards.json" || {
+    echo "long-line run not ok at $shards shard(s):"; cat "$TMP/longline_$shards.json"; exit 1
+  }
+done
+for key in records domains idns verdict_fingerprint; do
+  one=$(grep -o "\"$key\": [0-9]*" "$TMP/longline_1.json")
+  many=$(grep -o "\"$key\": [0-9]*" "$TMP/longline_4.json")
+  if [ -z "$one" ] || [ "$one" != "$many" ]; then
+    echo "long-line zone: 1 vs 4 shards differ on $key: '$one' vs '$many'"; exit 1
+  fi
+done
+rm -f "$TMP/longline.zone"
+echo "    counts and fingerprint identical at 1 and 4 shards, each within 10 s"
+
 echo "=== scale-run rejects --shards outside 1-256 as a usage error ==="
 # Both values are refused before the artifact is loaded or a thread starts.
 for shards in 0 100000; do
@@ -134,6 +172,17 @@ for shards in 1 4; do
   grep -q 'directory' "$TMP/dir.err" || { echo "no diagnostic:"; cat "$TMP/dir.err"; exit 1; }
 done
 echo "    rejected with a diagnostic at 1 and 4 slices"
+
+echo "=== scale-run fails on a FIFO zone without waiting for a writer ==="
+mkfifo "$TMP/zone.fifo"
+status=0
+timeout 10 "$BUILD_DIR"/examples/shamfinder_cli scale-run --db-file "$TMP/db.artifact" \
+  --zone "com:$TMP/zone.fifo" >/dev/null 2>"$TMP/fifo.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+  echo "FIFO zone: exit $status (124: still waiting after 10 s)"; exit 1
+fi
+grep -q "$TMP/zone.fifo" "$TMP/fifo.err" || { echo "no diagnostic naming the FIFO:"; cat "$TMP/fifo.err"; exit 1; }
+echo "    exit $status, naming the path"
 
 echo "=== scale-run rejects an artifact without references ==="
 "$BUILD_DIR"/examples/shamfinder_cli build-db "$TMP/norefs.artifact" >/dev/null 2>&1
