@@ -178,8 +178,7 @@ int run_smoke() {
     const auto fresh = detect::Engine::from_db_file(path);
     const auto r = fresh.detect({.references = fresh.artifact()->references(),
                                  .idns = w.idns,
-                                 .strategy = detect::Strategy::kSkeleton,
-                                 .join = detect::SkeletonJoin::kReferenceIndex});
+                                 .strategy = detect::Strategy::kSkeleton});
     const bool seeded = r.stats.index_cache_hits == 1 &&
                         r.stats.skeleton_build_seconds == 0.0 &&
                         r.matches == baseline.matches;

@@ -70,9 +70,8 @@ int run_smoke() {
   const homoglyph::HomoglyphDb db{sim, unicode::ConfusablesDb::embedded(), db_config};
   const auto w = make_smoke_workload(300, 3000);
 
-  const detect::Engine engine{db};
-  const auto baseline = engine.detect(
-      {.references = w.refs, .idns = w.idns, .strategy = detect::Strategy::kSerial});
+  const detect::Engine serial{db, {.strategy = detect::Strategy::kSerial}};
+  const auto baseline = serial.detect({.references = w.refs, .idns = w.idns});
   std::printf("smoke: %zu refs x %zu IDNs, %zu matches (serial baseline)\n",
               w.refs.size(), w.idns.size(), baseline.matches.size());
   if (baseline.matches.empty()) {
@@ -88,10 +87,8 @@ int run_smoke() {
   bool ok = true;
   std::optional<detect::DetectionStats> single;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const auto r = engine.detect({.references = w.refs,
-                                  .idns = w.idns,
-                                  .strategy = detect::Strategy::kSkeleton,
-                                  .threads = threads});
+    const detect::Engine engine{db, {.threads = threads}};
+    const auto r = engine.detect({.references = w.refs, .idns = w.idns});
     if (!single) single = r.stats;
     const bool same =
         r.matches == baseline.matches &&
@@ -105,56 +102,53 @@ int run_smoke() {
   }
   // --- Cache-state equivalence -----------------------------------------
   // A cached engine must stay byte-identical to a freshly built serial
-  // engine in every cache state: cold build, warm (whole-response memo),
-  // after an in-place database update (incremental index patch), and
-  // under the inverted (reference-bucketed) join. The serial baseline is
-  // rebuilt from the *current* database each time, so it tracks the
-  // update too.
+  // engine in every cache state: under the inverted (reference-bucketed)
+  // join, warm (whole-response memo), under the forward join's cold build,
+  // and after an in-place database update (incremental index patch). The
+  // engine picks the join itself; the shape (300 refs x 3000 IDNs) and the
+  // call order below reach each state. The serial baseline is rebuilt from
+  // the *current* database each time, so it tracks the update too.
   homoglyph::HomoglyphDb mutable_db{sim, unicode::ConfusablesDb::embedded(),
                                     db_config};
   const detect::Engine cached{mutable_db, {.threads = 1}};
-  const auto serial_fresh = [&] {
+  std::vector<std::string> rotated{w.refs};
+  std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
+  const auto serial_fresh = [&](const std::vector<std::string>& refs) {
     const detect::Engine pure{mutable_db, {.threads = 1, .cache = false}};
-    return pure.detect({.references = w.refs,
-                        .idns = w.idns,
-                        .strategy = detect::Strategy::kSerial});
+    return pure.detect(
+        {.references = refs, .idns = w.idns, .strategy = detect::Strategy::kSerial});
   };
-  const auto cache_check = [&](const char* what, const detect::DetectResponse& r,
-                               bool state_ok) {
-    const bool same = r.matches == serial_fresh().matches && state_ok;
+  const auto cache_check = [&](const char* what, const std::vector<std::string>& refs,
+                               const detect::DetectResponse& r, bool state_ok) {
+    const bool same = r.matches == serial_fresh(refs).matches && state_ok;
     std::printf("  cache: %-20s %zu matches  [%s]\n", what, r.matches.size(),
                 same ? "OK" : "MISMATCH");
     ok = ok && same;
   };
-  const auto skeleton_query = [&](std::optional<detect::SkeletonJoin> join =
-                                      std::nullopt) {
-    return cached.detect({.references = w.refs,
-                          .idns = w.idns,
-                          .strategy = detect::Strategy::kSkeleton,
-                          .threads = 1,
-                          .join = join});
+  const auto query = [&](const std::vector<std::string>& refs) {
+    return cached.detect({.references = refs, .idns = w.idns});
   };
-  // Join direction pinned forward: at this shape (300 refs x 3000 IDNs)
-  // kAuto would start inverted and then promote to forward once the IDN
-  // set proves stable, which is correct but makes the per-call cache
-  // expectations below non-obvious; the promotion itself is unit-tested.
-  const auto cold = skeleton_query(detect::SkeletonJoin::kIdnIndex);
-  cache_check("cold", cold, cold.stats.index_cache_rebuilds == 1);
-  const auto warm = skeleton_query(detect::SkeletonJoin::kIdnIndex);
-  cache_check("warm (memo)", warm,
+  // refs x 4 <= IDNs: the first sight of the IDN set indexes the references.
+  const auto inverted = query(w.refs);
+  cache_check("inverted join", w.refs, inverted,
+              inverted.stats.inverted_join && inverted.stats.index_cache_rebuilds == 1);
+  const auto warm = query(w.refs);
+  cache_check("warm (memo)", w.refs, warm,
               warm.stats.result_cache_hits == 1 &&
                   warm.stats.skeleton_build_seconds == 0.0);
+  // Other references against the same, now stable, IDN set: the forward
+  // join builds the IDN index. Rotating the references only renumbers
+  // them, so the symmetric hash join sees the inverted call's candidates.
+  const auto cold = query(rotated);
+  cache_check("cold (forward)", rotated, cold,
+              !cold.stats.inverted_join && cold.stats.index_cache_rebuilds == 1 &&
+                  cold.stats.skeleton_candidates == inverted.stats.skeleton_candidates);
   const simchar::HomoglyphPair extra[] = {{'k', 'x', 1}};
   mutable_db.apply_update(extra);
-  const auto updated = skeleton_query(detect::SkeletonJoin::kIdnIndex);
-  cache_check("post-update (patched)", updated,
+  const auto updated = query(w.refs);
+  cache_check("post-update (patched)", w.refs, updated,
               updated.stats.index_cache_updates == 1 &&
                   updated.stats.index_cache_rebuilds == 0);
-  const auto inverted = skeleton_query(detect::SkeletonJoin::kReferenceIndex);
-  cache_check("inverted join", inverted,
-              inverted.stats.inverted_join &&
-                  inverted.stats.skeleton_candidates ==
-                      updated.stats.skeleton_candidates);
 
   std::printf("smoke: %s\n",
               ok ? "both strategies and all cache states byte-identical" : "FAILED");
@@ -229,17 +223,10 @@ int main(int argc, char** argv) {
   // shards the skeleton scan over 1/2/4/8 workers. Output is checked
   // byte-identical against the baseline each time.
   const std::span<const std::string> refs{ctx.scenario.references};
-  // Measurement engine: caching off so every best_of rep pays the full
-  // build + scan cost (the cached shape is measured separately below).
-  const detect::Engine engine{env.db_union, {.cache = false}};
-  const auto baseline = engine.detect(
-      {.references = refs, .idns = ctx.idns, .strategy = detect::Strategy::kSerial});
+  const auto baseline = serial_engine.detect({.references = refs, .idns = ctx.idns});
   const int reps = 3;
   const double serial_seconds = best_of(reps, [&] {
-    return engine
-        .detect({.references = refs, .idns = ctx.idns,
-                 .strategy = detect::Strategy::kSerial})
-        .stats.seconds;
+    return serial_engine.detect({.references = refs, .idns = ctx.idns}).stats.seconds;
   });
 
   util::TextTable sweep{{"threads", "shards", "seconds", "vs serial", "vs 1 thread",
@@ -252,12 +239,13 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   std::string json_rows;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    // Caching off so every best_of rep pays the full build + scan cost
+    // (the cached shape is measured separately below).
+    const detect::Engine engine{env.db_union, {.threads = threads, .cache = false}};
     detect::DetectionStats stats;
     bool identical = true;
     const double seconds = best_of(reps, [&] {
-      const auto r = engine.detect({.references = refs, .idns = ctx.idns,
-                                    .strategy = detect::Strategy::kSkeleton,
-                                    .threads = threads});
+      const auto r = engine.detect({.references = refs, .idns = ctx.idns});
       identical = identical && r.matches == baseline.matches;
       stats = r.stats;
       return r.stats.seconds;
@@ -304,8 +292,8 @@ int main(int argc, char** argv) {
     detect::DetectionStats stats;
     bool identical = true;
     const double seconds = best_of(reps, [&] {
-      const auto r = engine.detect({.references = refs, .idns = ctx.idns,
-                                    .strategy = strategy, .threads = 1});
+      const auto r = skeleton_engine.detect(
+          {.references = refs, .idns = ctx.idns, .strategy = strategy});
       identical = identical && r.matches == baseline.matches;
       stats = r.stats;
       return r.stats.seconds;

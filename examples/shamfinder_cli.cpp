@@ -18,8 +18,8 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -105,6 +105,39 @@ void check_positionals(const std::vector<std::string>& args, std::size_t max,
   }
 }
 
+/// Walk a command's flags, `args` from index `first` on: each flag in
+/// `value_flags` takes the next argument as its value, each in `switches`
+/// takes none (its value is empty), and `on_flag(flag, value)` sees them in
+/// order. An unknown flag, or a value flag with nothing after it, throws
+/// std::invalid_argument naming it, which main() reports as a usage error
+/// (exit 2) before any work; `on_flag` reports a bad value the same way.
+template <typename OnFlag>
+void parse_flags(const std::vector<std::string>& args, std::size_t first,
+                 std::initializer_list<std::string_view> value_flags,
+                 std::initializer_list<std::string_view> switches, OnFlag on_flag) {
+  for (std::size_t i = first; i < args.size(); ++i) {
+    const std::string& flag = args[i];
+    if (std::ranges::find(switches, flag) != switches.end()) {
+      on_flag(flag, std::string{});
+    } else if (std::ranges::find(value_flags, flag) == value_flags.end()) {
+      throw std::invalid_argument{"unknown argument " + flag};
+    } else if (i + 1 == args.size()) {
+      throw std::invalid_argument{flag + " needs a value"};
+    } else {
+      on_flag(flag, args[++i]);
+    }
+  }
+}
+
+/// The strategy `value` names; anything else throws std::invalid_argument.
+detect::Strategy strategy_flag(const std::string& value) {
+  const auto strategy = detect::parse_strategy(value);
+  if (!strategy) {
+    throw std::invalid_argument{"unknown strategy " + value + " (serial|skeleton)"};
+  }
+  return *strategy;
+}
+
 /// True when `--help` or `-h` appears anywhere in `args`.
 bool wants_help(const std::vector<std::string>& args) {
   for (const auto& arg : args) {
@@ -127,7 +160,6 @@ int usage() {
                "        [--strategy serial|skeleton] [--threads N]\n"
                "        [--repeat N]             run the query N times (shows the\n"
                "                                 engine's index/result cache at work)\n"
-               "        [--join auto|idn|refs]   skeleton join direction\n"
                "        [--stats-json]           print DetectionStats as JSON\n"
                "  candidates <brand> [max]       enumerate registerable homographs\n"
                "  revert <domain>                recover the spoofed original\n"
@@ -177,14 +209,9 @@ int cmd_build_db(const std::vector<std::string>& args) {
     return 2;
   }
   std::vector<std::string> refs;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--refs" && i + 1 < args.size()) {
-      for (const auto part : util::split(args[++i], ',')) refs.emplace_back(part);
-    } else {
-      std::fprintf(stderr, "build-db: unknown argument %s\n", args[i].c_str());
-      return 2;
-    }
-  }
+  parse_flags(args, 1, {"--refs"}, {}, [&](const std::string&, const std::string& value) {
+    for (const auto part : util::split(value, ',')) refs.emplace_back(part);
+  });
   const auto font = open_font();
   std::fprintf(stderr, "[db] building from %s ...\n", font->name().c_str());
   const auto finder = core::ShamFinder::build_from_font(*font);
@@ -230,53 +257,46 @@ int cmd_scale_run(const std::vector<std::string>& args) {
   std::uint64_t seed = 2019;
   std::size_t chunk_bytes = 256 * 1024;
   std::vector<std::string> tlds = {"com"};
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--db-file" && i + 1 < args.size()) {
-      options.db_file = args[++i];
-    } else if (args[i] == "--zone" && i + 1 < args.size()) {
-      const std::string spec = args[++i];
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-        std::fprintf(stderr, "scale-run: --zone expects <tld>:<path>, got '%s'\n",
-                     spec.c_str());
-        return 2;
-      }
-      options.zones.push_back({spec.substr(0, colon), spec.substr(colon + 1)});
-    } else if (args[i] == "--batch" && i + 1 < args.size()) {
-      options.batch_size = parse_number<std::size_t>("--batch", args[++i]);
-    } else if (args[i] == "--passes" && i + 1 < args.size()) {
-      options.passes = parse_number<std::size_t>("--passes", args[++i]);
-    } else if (args[i] == "--domains" && i + 1 < args.size()) {
-      domains = parse_number<std::size_t>("--domains", args[++i]);
-    } else if (args[i] == "--tlds" && i + 1 < args.size()) {
-      tlds.clear();
-      for (const auto part : util::split(args[++i], ',')) tlds.emplace_back(part);
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = parse_number<std::uint64_t>("--seed", args[++i]);
-    } else if (args[i] == "--shards" && i + 1 < args.size()) {
-      options.shards = parse_number<std::size_t>("--shards", args[++i]);
-      if (options.shards == 0 || options.shards > measure::kMaxShards) {
-        throw std::invalid_argument{"--shards needs 1-" +
-                                    std::to_string(measure::kMaxShards) + ", got '" +
-                                    args[i] + "'"};
-      }
-    } else if (args[i] == "--chunk-bytes" && i + 1 < args.size()) {
-      chunk_bytes = parse_number<std::size_t>("--chunk-bytes", args[++i]);
-    } else if (args[i] == "--progress" && i + 1 < args.size()) {
-      options.progress_interval = parse_number<std::size_t>("--progress", args[++i]);
-    } else if (args[i] == "--strategy" && i + 1 < args.size()) {
-      const auto strategy = detect::parse_strategy(args[++i]);
-      if (!strategy) {
-        std::fprintf(stderr, "scale-run: unknown strategy %s (serial|skeleton)\n",
-                     args[i].c_str());
-        return 2;
-      }
-      options.strategy = *strategy;
-    } else {
-      std::fprintf(stderr, "scale-run: unknown argument %s\n", args[i].c_str());
-      return 2;
-    }
-  }
+  parse_flags(
+      args, 0,
+      {"--db-file", "--zone", "--batch", "--passes", "--domains", "--tlds", "--seed",
+       "--shards", "--chunk-bytes", "--progress", "--strategy"},
+      {}, [&](const std::string& flag, const std::string& value) {
+        if (flag == "--db-file") {
+          options.db_file = value;
+        } else if (flag == "--zone") {
+          const auto colon = value.find(':');
+          if (colon == std::string::npos || colon == 0 || colon + 1 >= value.size()) {
+            throw std::invalid_argument{"--zone expects <tld>:<path>, got '" + value +
+                                        "'"};
+          }
+          options.zones.push_back({value.substr(0, colon), value.substr(colon + 1)});
+        } else if (flag == "--batch") {
+          options.batch_size = parse_number<std::size_t>(flag, value);
+        } else if (flag == "--passes") {
+          options.passes = parse_number<std::size_t>(flag, value);
+        } else if (flag == "--domains") {
+          domains = parse_number<std::size_t>(flag, value);
+        } else if (flag == "--tlds") {
+          tlds.clear();
+          for (const auto part : util::split(value, ',')) tlds.emplace_back(part);
+        } else if (flag == "--seed") {
+          seed = parse_number<std::uint64_t>(flag, value);
+        } else if (flag == "--shards") {
+          options.shards = parse_number<std::size_t>(flag, value);
+          if (options.shards == 0 || options.shards > measure::kMaxShards) {
+            throw std::invalid_argument{"--shards needs 1-" +
+                                        std::to_string(measure::kMaxShards) +
+                                        ", got '" + value + "'"};
+          }
+        } else if (flag == "--chunk-bytes") {
+          chunk_bytes = parse_number<std::size_t>(flag, value);
+        } else if (flag == "--progress") {
+          options.progress_interval = parse_number<std::size_t>(flag, value);
+        } else if (flag == "--strategy") {
+          options.strategy = strategy_flag(value);
+        }
+      });
   if (domains > 0) {
     // Synthetic fleet: one generated zone per TLD (which=2, the union
     // list, so every one of the N population indexes is streamed).
@@ -338,61 +358,30 @@ int cmd_check(const std::vector<std::string>& args) {
                  args[0].c_str());
     return 2;
   }
-  constexpr std::string_view kValueFlags[] = {"--db-file", "--repeat",   "--join",
-                                              "--refs",    "--strategy", "--threads"};
   bool stats_json = false;
   std::vector<std::string> refs;
   core::ShamFinderConfig config;
   std::size_t repeat = 1;
   std::string db_file;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--stats-json") {
-      stats_json = true;
-      continue;
-    }
-    if (std::ranges::find(kValueFlags, flag) == std::end(kValueFlags)) {
-      std::fprintf(stderr, "check: unknown argument %s\n", flag.c_str());
-      return 2;
-    }
-    if (i + 1 == args.size()) {
-      std::fprintf(stderr, "check: %s needs a value\n", flag.c_str());
-      return 2;
-    }
-    const std::string& value = args[++i];
-    if (flag == "--db-file") {
-      db_file = value;
-    } else if (flag == "--repeat") {
-      repeat = parse_number<std::size_t>("--repeat", value);
-      if (repeat == 0) {
-        std::fprintf(stderr, "check: --repeat needs a positive integer, got 0\n");
-        return 2;
-      }
-    } else if (flag == "--join") {
-      if (value == "auto") {
-        config.engine.join = detect::SkeletonJoin::kAuto;
-      } else if (value == "idn") {
-        config.engine.join = detect::SkeletonJoin::kIdnIndex;
-      } else if (value == "refs") {
-        config.engine.join = detect::SkeletonJoin::kReferenceIndex;
-      } else {
-        std::fprintf(stderr, "check: unknown join %s (auto|idn|refs)\n", value.c_str());
-        return 2;
-      }
-    } else if (flag == "--refs") {
-      for (const auto part : util::split(value, ',')) refs.emplace_back(part);
-    } else if (flag == "--strategy") {
-      const auto strategy = detect::parse_strategy(value);
-      if (!strategy) {
-        std::fprintf(stderr, "check: unknown strategy %s (serial|skeleton)\n",
-                     value.c_str());
-        return 2;
-      }
-      config.engine.strategy = *strategy;
-    } else if (flag == "--threads") {
-      config.engine.threads = parse_number<std::size_t>("--threads", value);
-    }
-  }
+  parse_flags(args, 1, {"--db-file", "--repeat", "--refs", "--strategy", "--threads"},
+              {"--stats-json"}, [&](const std::string& flag, const std::string& value) {
+                if (flag == "--stats-json") {
+                  stats_json = true;
+                } else if (flag == "--db-file") {
+                  db_file = value;
+                } else if (flag == "--repeat") {
+                  repeat = parse_number<std::size_t>(flag, value);
+                  if (repeat == 0) {
+                    throw std::invalid_argument{"--repeat needs a positive integer, got 0"};
+                  }
+                } else if (flag == "--refs") {
+                  for (const auto part : util::split(value, ',')) refs.emplace_back(part);
+                } else if (flag == "--strategy") {
+                  config.engine.strategy = strategy_flag(value);
+                } else if (flag == "--threads") {
+                  config.engine.threads = parse_number<std::size_t>(flag, value);
+                }
+              });
   const auto label = label_of(args[0]);
   if (!label) {
     std::fprintf(stderr, "check: cannot decode %s\n", args[0].c_str());
@@ -555,32 +544,29 @@ int cmd_serve(const std::vector<std::string>& args) {
   serve::ServerOptions options;
   bool stats_json = false;
   std::string db_file;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--stats-json") {
-      stats_json = true;
-    } else if (args[i] == "--db-file" && i + 1 < args.size()) {
-      db_file = args[++i];
-    } else if (args[i] == "--refs" && i + 1 < args.size()) {
-      for (const auto part : util::split(args[++i], ',')) refs.emplace_back(part);
-    } else if (args[i] == "--slots" && i + 1 < args.size()) {
-      options.slots = parse_number<std::size_t>("--slots", args[++i]);
-    } else if (args[i] == "--queue" && i + 1 < args.size()) {
-      options.queue_capacity = parse_number<std::size_t>("--queue", args[++i]);
-    } else if (args[i] == "--policy" && i + 1 < args.size()) {
-      const auto& value = args[++i];
-      if (value == "reject") {
-        options.overload = serve::OverloadPolicy::kRejectWhenFull;
-      } else if (value == "block") {
-        options.overload = serve::OverloadPolicy::kBlock;
-      } else {
-        std::fprintf(stderr, "serve: unknown policy %s (reject|block)\n", value.c_str());
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "serve: unknown argument %s\n", args[i].c_str());
-      return 2;
-    }
-  }
+  parse_flags(args, 0, {"--db-file", "--refs", "--slots", "--queue", "--policy"},
+              {"--stats-json"}, [&](const std::string& flag, const std::string& value) {
+                if (flag == "--stats-json") {
+                  stats_json = true;
+                } else if (flag == "--db-file") {
+                  db_file = value;
+                } else if (flag == "--refs") {
+                  for (const auto part : util::split(value, ',')) refs.emplace_back(part);
+                } else if (flag == "--slots") {
+                  options.slots = parse_number<std::size_t>(flag, value);
+                } else if (flag == "--queue") {
+                  options.queue_capacity = parse_number<std::size_t>(flag, value);
+                } else if (flag == "--policy") {
+                  if (value == "reject") {
+                    options.overload = serve::OverloadPolicy::kRejectWhenFull;
+                  } else if (value == "block") {
+                    options.overload = serve::OverloadPolicy::kBlock;
+                  } else {
+                    throw std::invalid_argument{"unknown policy " + value +
+                                                " (reject|block)"};
+                  }
+                }
+              });
   // The server borrows its database: either the font-built one inside the
   // facade, or a view-mode database reading a mapped artifact in place
   // (the artifact shared_ptr and the view database must outlive the
@@ -653,34 +639,22 @@ int cmd_replay(const std::vector<std::string>& args) {
   serve::ServerOptions options;
   options.queue_capacity = 128;
   std::string db_file;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&](std::size_t* out, const char* what) {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "replay: %s needs a non-negative integer\n", what);
-        return false;
-      }
-      *out = parse_number<std::size_t>(what, args[++i]);
-      return true;
-    };
-    if (args[i] == "--no-verify") {
-      config.verify = false;
-    } else if (args[i] == "--db-file" && i + 1 < args.size()) {
-      db_file = args[++i];
-    } else if (args[i] == "--clients") {
-      if (!need(&config.clients, "--clients")) return 2;
-    } else if (args[i] == "--requests") {
-      if (!need(&config.requests_per_client, "--requests")) return 2;
-    } else if (args[i] == "--slots") {
-      if (!need(&options.slots, "--slots")) return 2;
-    } else if (args[i] == "--seed") {
-      std::size_t seed = 0;
-      if (!need(&seed, "--seed")) return 2;
-      config.seed = seed;
-    } else {
-      std::fprintf(stderr, "replay: unknown argument %s\n", args[i].c_str());
-      return 2;
-    }
-  }
+  parse_flags(args, 0, {"--db-file", "--clients", "--requests", "--slots", "--seed"},
+              {"--no-verify"}, [&](const std::string& flag, const std::string& value) {
+                if (flag == "--no-verify") {
+                  config.verify = false;
+                } else if (flag == "--db-file") {
+                  db_file = value;
+                } else if (flag == "--clients") {
+                  config.clients = parse_number<std::size_t>(flag, value);
+                } else if (flag == "--requests") {
+                  config.requests_per_client = parse_number<std::size_t>(flag, value);
+                } else if (flag == "--slots") {
+                  options.slots = parse_number<std::size_t>(flag, value);
+                } else if (flag == "--seed") {
+                  config.seed = parse_number<std::uint64_t>(flag, value);
+                }
+              });
   std::optional<core::ShamFinder> finder;
   std::shared_ptr<const db::DbArtifact> artifact;
   std::optional<homoglyph::HomoglyphDb> view_db;

@@ -104,7 +104,7 @@ struct DetectionStats {
   std::uint64_t db_generation = 0;
   std::uint64_t index_generation = 0;
   /// True when the skeleton join ran inverted (references bucketed, IDNs
-  /// streamed) — see EngineOptions::join.
+  /// streamed). The engine picks the direction per call (engine.hpp).
   bool inverted_join = false;
 
   /// Fraction of skeleton candidates the exact per-character verification

@@ -20,11 +20,11 @@ namespace {
 /// more shards smooth out skewed buckets at a small merge cost).
 constexpr std::size_t kShardsPerThread = 4;
 
-/// SkeletonJoin::kAuto picks the inverted join only when
+/// The engine picks the inverted join only when
 ///   refs * kInvertedJoinRatio <= idns
-/// and the IDN-side index is neither cached nor looking stable — the
-/// margin keeps a reusable IDN index worth building near the break-even
-/// point.
+/// (or the reference-side index is warm) and the IDN-side index is neither
+/// cached nor looking stable — the margin keeps a reusable IDN index worth
+/// building near the break-even point.
 constexpr std::size_t kInvertedJoinRatio = 4;
 
 // --- Content fingerprints -------------------------------------------------
@@ -82,7 +82,7 @@ std::uint64_t fingerprint_of(std::span<const unicode::U32String> references) {
 }
 
 /// Per-shard output slot: owned by exactly one shard during the scan,
-/// touched again only after wait_idle() during the merge.
+/// touched again only during the merge, after parallel_for_chunks returns.
 struct ShardResult {
   std::vector<Match> matches;
   std::uint64_t candidates = 0;  // bucket entries handed to the verifier
@@ -215,23 +215,21 @@ struct Engine::CacheState {
   /// One whole-response memo entry. The engine keeps the last
   /// EngineOptions::result_cache_capacity distinct queries in an LRU
   /// (linear scan — capacity is single-digit) so rotating reference lists
-  /// against one zone snapshot all stay warm. Only kSkeleton responses are
-  /// stored (kSerial never touches the cache), so the strategy is not
-  /// part of the key.
+  /// against one zone snapshot all stay warm. The key is what the matches
+  /// depend on: neither the join direction nor the worker count changes
+  /// them. Only kSkeleton responses are stored (kSerial never touches the
+  /// cache), so the strategy is not part of the key either.
   struct ResultEntry {
     std::uint64_t ref_fingerprint = 0;
     std::uint64_t idn_fingerprint = 0;
     std::uint64_t generation = 0;
-    std::size_t workers = 0;
-    bool inverted = false;
     std::shared_ptr<const DetectResponse> response;
     std::uint64_t tick = 0;  // last-use time; smallest tick is evicted
 
     [[nodiscard]] bool matches(std::uint64_t ref_fp, std::uint64_t idn_fp,
-                               std::uint64_t gen, std::size_t w,
-                               bool inv) const noexcept {
+                               std::uint64_t gen) const noexcept {
       return ref_fingerprint == ref_fp && idn_fingerprint == idn_fp &&
-             generation == gen && workers == w && inverted == inv;
+             generation == gen;
     }
   };
 
@@ -240,11 +238,12 @@ struct Engine::CacheState {
   std::vector<ResultEntry> results;
   std::uint64_t result_tick = 0;
 
-  /// SkeletonJoin::kAuto stability promotion: when the same IDN set shows
-  /// up twice in a row it is treated as the stable snapshot and indexed
-  /// (forward join) even if the size rule says inverted — otherwise the
-  /// many-references heuristic would keep the cacheable side unindexed
-  /// forever.
+  /// Stability promotion: when the same IDN set shows up twice in a row it
+  /// is treated as the stable snapshot and indexed (forward join) even if
+  /// the size rule says inverted — otherwise the many-IDNs rule would keep
+  /// the cacheable side unindexed forever. A memo hit counts as a sighting,
+  /// so the promotion takes effect on the next memo miss against the same
+  /// IDN set: a call with other references, which can reuse the index.
   bool last_idn_seen = false;
   std::uint64_t last_idn_fingerprint = 0;
 };
@@ -369,8 +368,6 @@ DetectResponse Engine::detect(const DetectRequest& request) const {
   // requests fail identically under every strategy and input size.
   validate_request(request);
   const auto strategy = request.strategy.value_or(options_.strategy);
-  const auto threads = request.threads.value_or(options_.threads);
-  const auto join = request.join.value_or(options_.join);
   // Empty-input short-circuit: fully-zeroed stats under every strategy
   // (satellite bugfix — no index build, no cache traffic, no shard slots).
   if (request.idns.empty() ||
@@ -378,15 +375,14 @@ DetectResponse Engine::detect(const DetectRequest& request) const {
     return {};
   }
   if (!request.unicode_references.empty()) {
-    return run(request.unicode_references, request.idns, strategy, threads, join);
+    return run(request.unicode_references, request.idns, strategy);
   }
-  return run(request.references, request.idns, strategy, threads, join);
+  return run(request.references, request.idns, strategy);
 }
 
 template <typename RefString>
 DetectResponse Engine::run(std::span<const RefString> references,
-                           std::span<const IdnEntry> idns, Strategy strategy,
-                           std::size_t threads, SkeletonJoin join) const {
+                           std::span<const IdnEntry> idns, Strategy strategy) const {
   util::Stopwatch total;
   DetectResponse out;
   const HomographDetector detector{*db_};
@@ -413,57 +409,43 @@ DetectResponse Engine::run(std::span<const RefString> references,
     return out;
   }
 
-  const auto workers = resolve_threads(threads);
+  const auto workers = resolve_threads(options_.threads);
   const auto generation = db_->generation();
   const bool use_cache = cache_ != nullptr;
-
-  std::uint64_t ref_fp = 0;
-  std::uint64_t idn_fp = 0;
-  if (use_cache) {
-    ref_fp = fingerprint_of(references);
-    idn_fp = fingerprint_of(idns);
-  }
-
-  // Join direction: explicit request wins; kAuto prefers the side that is
-  // already cached (warm index beats any rebuild), then a stable-looking
-  // IDN set (build the reusable index), then the size rule (index the
-  // smaller side).
-  bool inverted = join == SkeletonJoin::kReferenceIndex;
-  if (join == SkeletonJoin::kAuto) {
-    const bool smaller_ref_side = references.size() * kInvertedJoinRatio <= idns.size();
-    if (!use_cache) {
-      inverted = smaller_ref_side;
-    } else {
-      std::lock_guard lock{cache_->mutex};
-      const bool idn_index_warm = cache_->idn.valid &&
-                                  cache_->idn.fingerprint == idn_fp &&
-                                  cache_->idn.skeleton != nullptr;
-      const bool idn_stable =
-          cache_->last_idn_seen && cache_->last_idn_fingerprint == idn_fp;
-      // A warm reference-side index (e.g. seeded from a DB artifact whose
-      // SKEL section indexes the reference list) beats the size rule, but
-      // never outranks a warm or stable IDN side — the stability promotion
-      // (see CacheState) must still win for repeated IDN snapshots.
-      const bool ref_index_warm = cache_->ref.valid &&
-                                  cache_->ref.fingerprint == ref_fp &&
-                                  cache_->ref.skeleton != nullptr &&
-                                  cache_->ref.skeleton_generation == generation;
-      inverted = !idn_index_warm && !idn_stable && (ref_index_warm || smaller_ref_side);
-    }
-  }
-  out.stats.inverted_join = inverted;
   out.stats.db_generation = generation;
   out.stats.index_generation = generation;
 
-  // L1: whole-response LRU. Key covers everything the response depends
-  // on; on a hit the stored response is copied and its timing/cache
-  // counters overwritten to describe *this* call (no build, no scan).
-  if (use_cache) {
+  // Join direction: the side that is already cached (warm index beats any
+  // rebuild), then a stable-looking IDN set (build the reusable index),
+  // then the size rule (index the smaller side). Without a cache the size
+  // rule decides alone.
+  bool inverted = references.size() * kInvertedJoinRatio <= idns.size();
+  std::uint64_t ref_fp = 0;
+  std::uint64_t idn_fp = 0;
+  std::shared_ptr<const SkeletonIndex> skeleton;
+  if (!use_cache) {
+    util::Stopwatch build;
+    skeleton = inverted ? std::make_shared<SkeletonIndex>(*db_, references)
+                        : std::make_shared<SkeletonIndex>(*db_, idns);
+    out.stats.skeleton_build_seconds = build.seconds();
+  } else {
+    ref_fp = fingerprint_of(references);
+    idn_fp = fingerprint_of(idns);
+    // One locked section: memo lookup, join choice, index acquisition
+    // (cached hit / incremental patch / rebuild) and the stability
+    // bookkeeping. The scan below runs with the lock released.
     std::lock_guard lock{cache_->mutex};
+    const bool idn_stable =
+        cache_->last_idn_seen && cache_->last_idn_fingerprint == idn_fp;
+    cache_->last_idn_seen = true;
+    cache_->last_idn_fingerprint = idn_fp;
+
+    // L1: whole-response LRU, looked up before any join is chosen. On a
+    // hit the stored response is copied and its timing/cache counters
+    // overwritten to describe *this* call (no build, no scan).
     const auto hit = std::find_if(
-        cache_->results.begin(), cache_->results.end(), [&](const auto& entry) {
-          return entry.matches(ref_fp, idn_fp, generation, workers, inverted);
-        });
+        cache_->results.begin(), cache_->results.end(),
+        [&](const auto& entry) { return entry.matches(ref_fp, idn_fp, generation); });
     if (hit != cache_->results.end()) {
       hit->tick = ++cache_->result_tick;
       out = *hit->response;
@@ -477,32 +459,28 @@ DetectResponse Engine::run(std::span<const RefString> references,
       out.stats.index_update_seconds = 0.0;
       out.stats.match_seconds = 0.0;
       out.stats.merge_seconds = 0.0;
-      out.stats.db_generation = generation;
-      out.stats.index_generation = generation;
-      cache_->last_idn_seen = true;
-      cache_->last_idn_fingerprint = idn_fp;
       out.stats.seconds = total.seconds();
       return out;
     }
-  }
 
-  // L2: index acquisition — cached (hit / incremental patch / rebuild)
-  // or a local uncached build.
-  std::shared_ptr<const SkeletonIndex> skeleton;
-  if (!use_cache) {
-    util::Stopwatch build;
-    skeleton = inverted ? std::make_shared<SkeletonIndex>(*db_, references)
-                        : std::make_shared<SkeletonIndex>(*db_, idns);
-    out.stats.skeleton_build_seconds = build.seconds();
-  } else {
-    std::lock_guard lock{cache_->mutex};
+    const bool idn_index_warm = cache_->idn.valid &&
+                                cache_->idn.fingerprint == idn_fp &&
+                                cache_->idn.skeleton != nullptr;
+    // A warm reference-side index (e.g. seeded from a DB artifact whose
+    // SKEL section indexes the reference list) beats the size rule, but
+    // never outranks a warm or stable IDN side — the stability promotion
+    // (see CacheState) must still win for repeated IDN snapshots.
+    const bool ref_index_warm = cache_->ref.valid &&
+                                cache_->ref.fingerprint == ref_fp &&
+                                cache_->ref.skeleton != nullptr &&
+                                cache_->ref.skeleton_generation == generation;
+    inverted = !idn_index_warm && !idn_stable && (ref_index_warm || inverted);
     skeleton = inverted ? acquire_index(cache_->ref, ref_fp, references, *db_,
                                         generation, out.stats)
                         : acquire_index(cache_->idn, idn_fp, idns, *db_, generation,
                                         out.stats);
-    cache_->last_idn_seen = true;
-    cache_->last_idn_fingerprint = idn_fp;
   }
+  out.stats.inverted_join = inverted;
   out.stats.skeleton_buckets = skeleton->bucket_count();
   out.stats.skeleton_bucket_histogram = skeleton->occupancy_histogram();
 
@@ -581,7 +559,7 @@ DetectResponse Engine::run(std::span<const RefString> references,
     std::lock_guard lock{cache_->mutex};
     auto& lru = cache_->results;
     auto slot = std::find_if(lru.begin(), lru.end(), [&](const auto& entry) {
-      return entry.matches(ref_fp, idn_fp, generation, workers, inverted);
+      return entry.matches(ref_fp, idn_fp, generation);
     });
     if (slot == lru.end()) {
       if (lru.size() >= options_.result_cache_capacity) {
@@ -594,8 +572,7 @@ DetectResponse Engine::run(std::span<const RefString> references,
         slot = lru.emplace(lru.end());
       }
     }
-    *slot = {ref_fp, idn_fp, generation, workers, inverted, nullptr,
-             ++cache_->result_tick};
+    *slot = {ref_fp, idn_fp, generation, nullptr, ++cache_->result_tick};
     out.stats.result_cache_entries = lru.size();
     slot->response = std::make_shared<DetectResponse>(out);
   }
@@ -605,10 +582,8 @@ DetectResponse Engine::run(std::span<const RefString> references,
 }
 
 template DetectResponse Engine::run(std::span<const std::string>,
-                                    std::span<const IdnEntry>, Strategy,
-                                    std::size_t, SkeletonJoin) const;
+                                    std::span<const IdnEntry>, Strategy) const;
 template DetectResponse Engine::run(std::span<const unicode::U32String>,
-                                    std::span<const IdnEntry>, Strategy,
-                                    std::size_t, SkeletonJoin) const;
+                                    std::span<const IdnEntry>, Strategy) const;
 
 }  // namespace sham::detect

@@ -8,13 +8,13 @@
 //              (skeleton_index.hpp); the other side costs one skeleton
 //              computation plus one bucket probe per label, and every
 //              candidate is re-verified with the exact per-character
-//              check. Which side gets indexed is the *join direction*
-//              (SkeletonJoin): forward buckets the IDNs and streams
-//              references; inverted buckets the references and streams
-//              IDNs (the many-references case). kAuto picks so build cost
-//              scales with min(refs, idns), preferring a side that is
-//              already cached. With more than one thread the streamed side
-//              is sharded over a util::ThreadPool.
+//              check. Which side gets indexed is the *join direction*:
+//              forward buckets the IDNs and streams references; inverted
+//              buckets the references and streams IDNs (the many-IDNs
+//              case). The engine picks it per call, preferring a side whose
+//              index it can reuse and otherwise indexing the smaller side
+//              (see engine.cpp); no caller chooses it. With more than one
+//              thread the streamed side is sharded over a util::ThreadPool.
 //   kSerial    Algorithm 1 as printed — outer loop over references, inner
 //              loop over all IDNs, restricted to equal lengths. The
 //              obviously-correct oracle every test compares against.
@@ -22,9 +22,11 @@
 // Caching: the engine owns its indexes. With EngineOptions::cache (the
 // default) it keeps the last-built skeleton index of each join side keyed
 // by a content fingerprint of the label set plus the HomoglyphDb
-// generation, and a whole-response memo for the exact (references, idns,
-// generation, threads, join) query. Repeated queries against a stable zone
-// snapshot therefore pay the index build once; when the database grows
+// generation, and a whole-response memo keyed on (reference fingerprint,
+// IDN fingerprint, generation) — everything the matches depend on, so a
+// repeated query is a memo hit whichever join first answered it.
+// Repeated queries against a stable zone snapshot therefore pay the index
+// build once; when the database grows
 // (HomoglyphDb::apply_update / update_with_new_characters) the cached
 // skeleton index is patched incrementally — only entries whose labels
 // contain a code point whose canonical representative moved are rehashed.
@@ -36,8 +38,8 @@
 // (copy-on-write updates), so concurrent detect() calls on one Engine
 // are safe.
 //
-// Determinism: both strategies and every cache state (cold, warm,
-// post-incremental-update, inverted join) produce the same match list
+// Determinism: both strategies, both join directions and every cache state
+// (cold, warm, post-incremental-update) produce the same match list
 // in the same (reference_index, idn_index) order. The parallel scan
 // shards the streamed side into contiguous ascending ranges, collects
 // one Match vector plus one counter set per shard (no shared mutable
@@ -73,13 +75,6 @@ enum class Strategy {
   kSkeleton,  // skeleton-hash candidate index + exact verification
 };
 
-/// Join direction for Strategy::kSkeleton (which side gets indexed).
-enum class SkeletonJoin {
-  kAuto,            // cheaper side: cached > stable > smaller (see engine.cpp)
-  kIdnIndex,        // forward: bucket IDNs, stream references
-  kReferenceIndex,  // inverted: bucket references, stream IDNs
-};
-
 [[nodiscard]] std::string_view strategy_name(Strategy strategy) noexcept;
 [[nodiscard]] std::optional<Strategy> parse_strategy(std::string_view name) noexcept;
 
@@ -87,15 +82,13 @@ struct EngineOptions {
   Strategy strategy = Strategy::kSkeleton;
   /// Worker threads for the kSkeleton scan; 0 means hardware_concurrency.
   std::size_t threads = 0;
-  /// Keep indexes (and a single-query response memo) on the engine across
+  /// Keep indexes (and the response memo) on the engine across
   /// detect() calls. Disable for one-shot engines or measurement code
   /// that needs every call to pay full cost.
   bool cache = true;
-  /// Join direction for Strategy::kSkeleton.
-  SkeletonJoin join = SkeletonJoin::kAuto;
-  /// Response-memo LRU capacity: the last K distinct
-  /// (references, idns, generation, threads, join) responses are
-  /// kept, so rotating reference lists against one zone snapshot all hit.
+  /// Response-memo LRU capacity: the last K distinct (references, idns,
+  /// generation) responses are kept, so rotating reference lists against
+  /// one zone snapshot all hit.
   /// 0 disables the response memo (index caching is unaffected).
   std::size_t result_cache_capacity = 8;
   /// Ignored; perfbench compiles against it.
@@ -104,7 +97,7 @@ struct EngineOptions {
 
 /// One detection run: references (exactly one of the two spans may be
 /// non-empty — ASCII reference names or decoded Unicode labels), the IDN
-/// set, and optional per-request overrides of the engine's defaults.
+/// set, and optionally the strategy, overriding EngineOptions::strategy.
 /// ASCII `references` must be pure ASCII: non-ASCII bytes are rejected
 /// with std::invalid_argument (put such labels in unicode_references —
 /// byte-wise matching of multi-byte UTF-8 would silently diverge from
@@ -117,9 +110,7 @@ struct DetectRequest {
   std::span<const std::string> references{};                 // ASCII (LDH) names
   std::span<const unicode::U32String> unicode_references{};  // non-Latin refs
   std::span<const IdnEntry> idns{};
-  std::optional<Strategy> strategy{};       // overrides EngineOptions::strategy
-  std::optional<std::size_t> threads{};     // overrides EngineOptions::threads
-  std::optional<SkeletonJoin> join{};       // overrides EngineOptions::join
+  std::optional<Strategy> strategy{};  // overrides EngineOptions::strategy
 };
 
 struct DetectResponse {
@@ -200,8 +191,8 @@ class Engine {
 
   template <typename RefString>
   [[nodiscard]] DetectResponse run(std::span<const RefString> references,
-                                   std::span<const IdnEntry> idns, Strategy strategy,
-                                   std::size_t threads, SkeletonJoin join) const;
+                                   std::span<const IdnEntry> idns,
+                                   Strategy strategy) const;
 
   const homoglyph::HomoglyphDb* db_;
   EngineOptions options_;

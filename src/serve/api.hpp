@@ -22,12 +22,11 @@
 #include <vector>
 
 #include "detect/detector.hpp"
-#include "detect/engine.hpp"
 #include "unicode/codepoint.hpp"
 
 namespace sham::serve {
 
-inline constexpr std::uint32_t kApiVersion = 1;
+inline constexpr std::uint32_t kApiVersion = 2;
 
 /// Immutable zone snapshot shared by every request detecting against the
 /// same registered-IDN set. The server fingerprints the *contents* (see
@@ -61,9 +60,6 @@ struct ServeRequest {
   std::vector<unicode::U32String> unicode_references;
   ZoneSnapshot idns;  // null behaves as an empty zone
   Priority priority = Priority::kNormal;
-  /// Per-request engine overrides (same semantics as DetectRequest).
-  std::optional<detect::Strategy> strategy;
-  std::optional<detect::SkeletonJoin> join;
   /// Max time the request may sit in the admission queue before it is
   /// answered kExpired instead of detected. Unset = the server default;
   /// zero = no deadline.

@@ -26,8 +26,6 @@ detect::DetectRequest to_detect_request(const ServeRequest& request) {
   if (request.idns != nullptr) {
     q.idns = std::span<const detect::IdnEntry>{*request.idns};
   }
-  q.strategy = request.strategy;
-  q.join = request.join;
   return q;
 }
 

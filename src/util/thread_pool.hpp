@@ -4,8 +4,9 @@
 //
 // parallel_for / parallel_for_chunks track completion per call (not via the
 // pool-wide in-flight counter), so independent callers may drive one shared
-// pool concurrently — the serving layer relies on this. wait_idle() still
-// waits for *everything*, including tasks enqueued with submit().
+// pool concurrently; today every caller (a parallel detect(), a SimChar
+// build) makes a pool of its own. wait_idle() still waits for *everything*,
+// including tasks enqueued with submit().
 #pragma once
 
 #include <condition_variable>

@@ -298,8 +298,7 @@ TEST(DbArtifact, EngineCacheIsPreSeededWithTheArtifactSkeleton) {
   // pre-seeded index is a cache hit — no skeleton build at all.
   const auto r = engine.detect({.references = engine.artifact()->references(),
                                 .idns = w.idns,
-                                .strategy = detect::Strategy::kSkeleton,
-                                .join = detect::SkeletonJoin::kReferenceIndex});
+                                .strategy = detect::Strategy::kSkeleton});
   EXPECT_EQ(r.stats.index_cache_hits, 1u);
   EXPECT_EQ(r.stats.index_cache_rebuilds, 0u);
   EXPECT_EQ(r.stats.skeleton_build_seconds, 0.0);
@@ -415,21 +414,31 @@ TEST(DbArtifact, RenamePublishNeverDisturbsALiveReader) {
   const std::vector<std::string> refs_new{w.refs.begin() + 20, w.refs.end()};
   const auto path = write_small_artifact("republish", sim, db, refs_old);
 
-  // Memo off: every call reads the mapped homoglyph DB, and the skeleton
-  // calls probe the mapped reference index.
+  // Memo off: every call reads the mapped homoglyph DB. The skeleton calls
+  // alternate between two IDN sets (all IDNs, all but the last), so none
+  // repeats the IDN set of the one before it and each probes the mapped
+  // reference index.
   const auto reader = detect::Engine::from_db_file(path, {.result_cache_capacity = 0});
-  const auto query = [&](detect::Strategy strategy) {
-    return reader
-        .detect({.references = reader.artifact()->references(),
-                 .idns = w.idns,
-                 .strategy = strategy,
-                 .join = detect::SkeletonJoin::kReferenceIndex})
-        .matches;
+  const std::vector<detect::IdnEntry> idn_sets[] = {w.idns,
+                                                    {w.idns.begin(), w.idns.end() - 1}};
+  const auto query = [&](detect::Strategy strategy, std::size_t set) {
+    const auto r = reader.detect({.references = reader.artifact()->references(),
+                                  .idns = idn_sets[set],
+                                  .strategy = strategy});
+    if (strategy == detect::Strategy::kSkeleton) {
+      EXPECT_TRUE(r.stats.inverted_join);
+      EXPECT_EQ(r.stats.index_cache_hits, 1u);
+    }
+    return r.matches;
   };
-  const auto first_serial = query(detect::Strategy::kSerial);
-  const auto first_skeleton = query(detect::Strategy::kSkeleton);
-  ASSERT_FALSE(first_serial.empty());
-  ASSERT_EQ(first_skeleton, first_serial);
+  std::vector<detect::Match> first_serial[2];
+  std::vector<detect::Match> first_skeleton[2];
+  for (std::size_t set = 0; set < 2; ++set) {
+    first_serial[set] = query(detect::Strategy::kSerial, set);
+    first_skeleton[set] = query(detect::Strategy::kSkeleton, set);
+    ASSERT_FALSE(first_serial[set].empty());
+    ASSERT_EQ(first_skeleton[set], first_serial[set]);
+  }
 
   std::atomic<bool> published{false};
   std::thread publisher{[&] {
@@ -439,8 +448,9 @@ TEST(DbArtifact, RenamePublishNeverDisturbsALiveReader) {
   std::size_t reads = 0;
   std::size_t mismatches = 0;
   while (!published.load() || reads < 20) {
-    if (query(detect::Strategy::kSerial) != first_serial) ++mismatches;
-    if (query(detect::Strategy::kSkeleton) != first_skeleton) ++mismatches;
+    const auto set = reads % 2;
+    if (query(detect::Strategy::kSerial, set) != first_serial[set]) ++mismatches;
+    if (query(detect::Strategy::kSkeleton, set) != first_skeleton[set]) ++mismatches;
     ++reads;
   }
   publisher.join();

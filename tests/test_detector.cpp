@@ -20,19 +20,22 @@ namespace {
 using unicode::CodePoint;
 using unicode::U32String;
 
-homoglyph::HomoglyphDb test_db() {
+simchar::SimCharDb test_sim() {
   // Matches the paper's Figure 2 example: о (Cyrillic) and օ (Armenian)
   // are homoglyphs of 'o'; plus a few more for variety.
-  simchar::SimCharDb sim{{
+  return simchar::SimCharDb{{
       {'o', 0x043E, 0},
       {'o', 0x0585, 2},
       {'e', 0x00E9, 3},
       {'a', 0x0430, 1},
       {'i', 0x0131, 2},
   }};
+}
+
+homoglyph::HomoglyphDb test_db() {
   homoglyph::DbConfig config;
   config.use_uc = false;  // keep the pair set small and explicit
-  return homoglyph::HomoglyphDb{sim, unicode::ConfusablesDb::embedded(), config};
+  return homoglyph::HomoglyphDb{test_sim(), unicode::ConfusablesDb::embedded(), config};
 }
 
 IdnEntry entry(const U32String& label) {
@@ -241,34 +244,38 @@ const EngineWorkload& paper_font_workload() {
 }
 
 TEST(Engine, ParallelIsByteIdenticalToSerialIndexedOnPaperFontWorkload) {
-  // The sharded kSkeleton scan at 1/2/8 threads against the kSerial oracle.
+  // The sharded kSkeleton scan at 1/2/8 threads, both join directions,
+  // against the kSerial oracle.
   const auto& w = paper_font_workload();
   const auto serial =
       one_shot(w.db).detect({.references = w.refs, .idns = w.idns}).matches;
   ASSERT_FALSE(serial.empty());  // workload must exercise the match path
 
-  const Engine engine{w.db};
   std::optional<DetectionStats> single_thread;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const auto r = engine.detect({.references = w.refs,
-                                  .idns = w.idns,
-                                  .strategy = Strategy::kSkeleton,
-                                  .threads = threads});
-    // Exact equality: same matches, same order, same diffs (incl. provenance).
-    EXPECT_EQ(r.matches, serial) << "threads=" << threads;
-    // Counters are summed per shard, so the shard count never moves them.
-    if (!single_thread) single_thread = r.stats;
-    EXPECT_EQ(r.stats.length_bucket_hits, single_thread->length_bucket_hits);
-    EXPECT_EQ(r.stats.char_comparisons, single_thread->char_comparisons);
-    if (threads > 1) {
-      EXPECT_EQ(r.stats.threads_used, threads);
-      EXPECT_GT(r.stats.shards_used, 1u);
+    // Memo off, so the repeat runs: the first call indexes the references
+    // (refs x 4 <= IDNs), the repeat finds the IDN set stable and indexes it.
+    const Engine engine{w.db, {.threads = threads, .result_cache_capacity = 0}};
+    for (const bool inverted : {true, false}) {
+      const auto r = engine.detect({.references = w.refs, .idns = w.idns});
+      ASSERT_EQ(r.stats.inverted_join, inverted) << "threads=" << threads;
+      // Exact equality: same matches, same order, same diffs (incl. provenance).
+      EXPECT_EQ(r.matches, serial) << "threads=" << threads << " inverted=" << inverted;
+      // Counters are summed per shard, so neither the shard count nor the
+      // join direction moves them.
+      if (!single_thread) single_thread = r.stats;
+      EXPECT_EQ(r.stats.length_bucket_hits, single_thread->length_bucket_hits);
+      EXPECT_EQ(r.stats.char_comparisons, single_thread->char_comparisons);
+      if (threads > 1) {
+        EXPECT_EQ(r.stats.threads_used, threads);
+        EXPECT_GT(r.stats.shards_used, 1u);
+      }
+      // Per-shard candidate counts are an exact decomposition of the total.
+      std::uint64_t sum = 0;
+      for (const auto c : r.stats.shard_candidates) sum += c;
+      EXPECT_EQ(sum, r.stats.length_bucket_hits);
+      EXPECT_EQ(r.stats.shard_candidates.size(), r.stats.shards_used);
     }
-    // Per-shard candidate counts are an exact decomposition of the total.
-    std::uint64_t sum = 0;
-    for (const auto c : r.stats.shard_candidates) sum += c;
-    EXPECT_EQ(sum, r.stats.length_bucket_hits);
-    EXPECT_EQ(r.stats.shard_candidates.size(), r.stats.shards_used);
   }
 }
 
@@ -283,12 +290,10 @@ TEST(Engine, AllStrategiesAgreeOnUnicodeReferences) {
   const auto serial =
       one_shot(w.db).detect({.unicode_references = urefs, .idns = w.idns}).matches;
 
-  const Engine engine{w.db};
+  const Engine engine{w.db, {.threads = 4}};
   for (const auto strategy : {Strategy::kSerial, Strategy::kSkeleton}) {
-    const auto r = engine.detect({.unicode_references = urefs,
-                                  .idns = w.idns,
-                                  .strategy = strategy,
-                                  .threads = 4});
+    const auto r = engine.detect(
+        {.unicode_references = urefs, .idns = w.idns, .strategy = strategy});
     EXPECT_EQ(r.matches, serial) << strategy_name(strategy);
   }
 }
@@ -331,13 +336,11 @@ TEST(Engine, RejectsAmbiguousRequest) {
 
 TEST(Engine, RequestOverridesEngineOptions) {
   const auto db = test_db();
-  const Engine engine{db, {.strategy = Strategy::kSerial, .threads = 1}};
+  const Engine engine{db, {.strategy = Strategy::kSerial, .threads = 2}};
   const std::vector<std::string> refs{"google", "apple"};
   const std::vector<IdnEntry> idns{entry({'g', 0x043E, 'o', 'g', 'l', 'e'})};
-  const auto r = engine.detect({.references = refs,
-                                .idns = idns,
-                                .strategy = Strategy::kSkeleton,
-                                .threads = 2});
+  const auto r = engine.detect(
+      {.references = refs, .idns = idns, .strategy = Strategy::kSkeleton});
   EXPECT_EQ(r.stats.threads_used, 2u);
   EXPECT_EQ(r.matches.size(), 1u);
 }
@@ -356,16 +359,12 @@ TEST(Engine, StrategyNamesRoundTrip) {
 
 TEST(Engine, SkeletonIsByteIdenticalToSerialOnPaperFontWorkload) {
   const auto& w = paper_font_workload();
-  const Engine engine{w.db};
-  const auto serial = engine.detect(
-      {.references = w.refs, .idns = w.idns, .strategy = Strategy::kSerial});
+  const auto serial = one_shot(w.db).detect({.references = w.refs, .idns = w.idns});
   ASSERT_FALSE(serial.matches.empty());
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const auto r = engine.detect({.references = w.refs,
-                                  .idns = w.idns,
-                                  .strategy = Strategy::kSkeleton,
-                                  .threads = threads});
+    const Engine engine{w.db, {.threads = threads}};
+    const auto r = engine.detect({.references = w.refs, .idns = w.idns});
     // Exact equality: same matches, same order, same diffs and provenance.
     EXPECT_EQ(r.matches, serial.matches) << "threads=" << threads;
     // Candidate accounting: the skeleton probe must examine far fewer
@@ -426,13 +425,10 @@ TEST(Engine, SkeletonAgreesOnUnicodeReferences) {
     for (const char c : ref) u.push_back(static_cast<unsigned char>(c));
     urefs.push_back(u);
   }
-  const Engine engine{w.db};
+  const Engine engine{w.db, {.threads = 4}};
   const auto serial = engine.detect(
       {.unicode_references = urefs, .idns = w.idns, .strategy = Strategy::kSerial});
-  const auto skel = engine.detect({.unicode_references = urefs,
-                                   .idns = w.idns,
-                                   .strategy = Strategy::kSkeleton,
-                                   .threads = 4});
+  const auto skel = engine.detect({.unicode_references = urefs, .idns = w.idns});
   EXPECT_EQ(skel.matches, serial.matches);
 }
 
@@ -557,11 +553,8 @@ TEST(Engine, StatsSecondsIsWallClockNotShardSum) {
   // the wall-clock stages (index build + match + merge), never the sum of
   // per-shard times (which would exceed it under real parallelism).
   const auto& w = paper_font_workload();
-  const Engine engine{w.db};
-  const auto r = engine.detect({.references = w.refs,
-                                .idns = w.idns,
-                                .strategy = Strategy::kSkeleton,
-                                .threads = 4});
+  const Engine engine{w.db, {.threads = 4}};
+  const auto r = engine.detect({.references = w.refs, .idns = w.idns});
   EXPECT_GE(r.stats.seconds + 1e-9, r.stats.skeleton_build_seconds +
                                         r.stats.match_seconds + r.stats.merge_seconds);
   EXPECT_GT(r.stats.match_seconds, 0.0);
@@ -783,7 +776,6 @@ TEST(EngineCache, SerialIsNeverCached) {
 
 TEST(EngineCache, InvertedJoinMatchesForward) {
   const auto db = test_db();
-  const Engine engine{db, {.strategy = Strategy::kSkeleton, .threads = 1}};
   std::vector<std::string> refs{"google", "mail", "ok"};
   std::vector<IdnEntry> idns;
   for (const CodePoint o : {CodePoint{0x043E}, CodePoint{0x0585}, CodePoint{'o'}}) {
@@ -792,10 +784,15 @@ TEST(EngineCache, InvertedJoinMatchesForward) {
     idns.push_back(entry({o, 'k'}));
     idns.push_back(entry({'z', 'z', 'z'}));
   }
-  const auto forward = engine.detect(
-      {.references = refs, .idns = idns, .join = SkeletonJoin::kIdnIndex});
-  const auto inverted = engine.detect(
-      {.references = refs, .idns = idns, .join = SkeletonJoin::kReferenceIndex});
+  // refs x 4 <= IDNs: a cold engine indexes the references.
+  const Engine cold{db, {.strategy = Strategy::kSkeleton, .threads = 1}};
+  const auto inverted = cold.detect({.references = refs, .idns = idns});
+  // An engine that has seen the same IDN set with other references takes
+  // it as the stable snapshot and indexes the IDNs instead.
+  const Engine promoted{db, {.strategy = Strategy::kSkeleton, .threads = 1}};
+  const std::vector<std::string> other{"zzz"};
+  (void)promoted.detect({.references = other, .idns = idns});
+  const auto forward = promoted.detect({.references = refs, .idns = idns});
   EXPECT_FALSE(forward.stats.inverted_join);
   EXPECT_TRUE(inverted.stats.inverted_join);
   EXPECT_EQ(inverted.matches, forward.matches);
@@ -817,18 +814,65 @@ TEST(EngineCache, AutoJoinInvertsThenPromotesStableIdnSet) {
   // 1 ref vs 8 IDNs: the size rule picks the inverted join on first sight.
   const auto first = engine.detect({.references = refs, .idns = idns});
   EXPECT_TRUE(first.stats.inverted_join);
-  // Same IDN set again: promoted to the forward join so the reusable
-  // IDN-side index gets built and cached.
+  EXPECT_EQ(first.stats.index_cache_rebuilds, 1u);
+  // The same query again is served from the response memo.
   const auto second = engine.detect({.references = refs, .idns = idns});
-  EXPECT_FALSE(second.stats.inverted_join);
-  EXPECT_EQ(second.stats.index_cache_rebuilds, 1u);
-  // Third time: the exact query is served from the response memo.
-  const auto third = engine.detect({.references = refs, .idns = idns});
+  EXPECT_EQ(second.stats.result_cache_hits, 1u);
+  EXPECT_EQ(second.stats.index_cache_rebuilds, 0u);
+  // Other references against the same IDN set: promoted to the forward
+  // join so the reusable IDN-side index gets built and cached.
+  const std::vector<std::string> other{"ko"};
+  const auto third = engine.detect({.references = other, .idns = idns});
   EXPECT_FALSE(third.stats.inverted_join);
-  EXPECT_EQ(third.stats.result_cache_hits, 1u);
+  EXPECT_EQ(third.stats.result_cache_hits, 0u);
+  EXPECT_EQ(third.stats.index_cache_rebuilds, 1u);
   EXPECT_EQ(second.matches, first.matches);
-  EXPECT_EQ(third.matches, first.matches);
   EXPECT_EQ(first.matches, fresh_serial(db, refs, idns));
+  EXPECT_EQ(third.matches, fresh_serial(db, other, idns));
+}
+
+TEST(EngineCache, RepeatedQueryIsAMemoHitWithNoSkeletonBuild) {
+  // The memo keys on what the matches depend on, not on the join that
+  // answered: the second identical call is a hit whichever side the first
+  // call indexed, never a build on the other side. The seeded engine's
+  // first call probes the artifact's reference index; the plain engine's
+  // (1 ref vs 4 IDNs) builds one.
+  const auto sim = test_sim();
+  const auto db = test_db();
+  const std::vector<std::string> refs{"google"};
+  const std::vector<IdnEntry> idns{
+      entry({'g', 0x043E, 'o', 'g', 'l', 'e'}),
+      entry({'g', 'o', 0x0585, 'g', 'l', 'e'}),
+      entry({'m', 0x0430, 'i', 'l'}),
+      entry({'z', 'z', 'z'}),
+  };
+  const auto flat = SkeletonIndex{db, std::span<const std::string>{refs}}.to_flat();
+  db::WriteRequest request;
+  request.simchar = &sim;
+  request.homoglyph = &db;
+  request.references = refs;
+  request.reference_fingerprint = label_set_fingerprint(std::span<const std::string>{refs});
+  request.skeleton = &flat;
+  const auto path = test::temp_path("sham_repeat_query.artifact");
+  db::write_db_file(path, request);
+
+  const Engine plain{db, {.threads = 1}};
+  const auto seeded = Engine::from_db_file(path, {.threads = 1});
+  for (const Engine* engine : {&plain, &seeded}) {
+    const bool is_seeded = engine == &seeded;
+    const auto first = engine->detect({.references = refs, .idns = idns});
+    EXPECT_TRUE(first.stats.inverted_join) << "seeded=" << is_seeded;
+    EXPECT_EQ(first.stats.index_cache_hits, is_seeded ? 1u : 0u);
+    EXPECT_EQ(first.stats.index_cache_rebuilds, is_seeded ? 0u : 1u);
+    const auto second = engine->detect({.references = refs, .idns = idns});
+    EXPECT_EQ(second.stats.result_cache_hits, 1u) << "seeded=" << is_seeded;
+    EXPECT_EQ(second.stats.index_cache_rebuilds, 0u) << "seeded=" << is_seeded;
+    EXPECT_EQ(second.stats.skeleton_build_seconds, 0.0) << "seeded=" << is_seeded;
+    EXPECT_EQ(second.matches, first.matches);
+    EXPECT_EQ(first.matches, fresh_serial(db, refs, idns));
+    EXPECT_EQ(first.matches.size(), 2u);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(EngineCache, RejectsNonAsciiReferences) {

@@ -214,14 +214,11 @@ class SkeletonEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SkeletonEquivalence, ByteIdenticalToSerialOnRandomizedDbs) {
   const auto w = random_skeleton_workload(GetParam());
-  const detect::Engine engine{w.db};
-  const auto serial = engine.detect(
-      {.references = w.refs, .idns = w.idns, .strategy = detect::Strategy::kSerial});
   for (const std::size_t threads : {1u, 4u}) {
-    const auto skel = engine.detect({.references = w.refs,
-                                     .idns = w.idns,
-                                     .strategy = detect::Strategy::kSkeleton,
-                                     .threads = threads});
+    const detect::Engine engine{w.db, {.threads = threads}};
+    const auto serial = engine.detect(
+        {.references = w.refs, .idns = w.idns, .strategy = detect::Strategy::kSerial});
+    const auto skel = engine.detect({.references = w.refs, .idns = w.idns});
     EXPECT_EQ(skel.matches, serial.matches) << "seed=" << GetParam()
                                             << " threads=" << threads;
     EXPECT_EQ(skel.stats.skeleton_rejected,
@@ -259,13 +256,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SkeletonEquivalence,
 
 // --- Engine cache invalidation under randomized interleavings --------------
 
-/// A single long-lived caching engine is driven through a random
-/// interleaving of detect() calls (random threads and join direction),
+/// Two long-lived caching engines, one on 1 thread and one on 4, are
+/// driven in lockstep through a random interleaving of detect() calls,
 /// in-place database growth (apply_update — the layer under
 /// update_with_new_characters), and in-place IDN-set mutations (the span
 /// address never changes, so only the content fingerprint can catch the
-/// swap). After every detect() the warm engine must be byte-identical to
-/// a freshly-constructed uncached serial engine over the same state.
+/// swap). After every detect() each warm engine must be byte-identical to
+/// a freshly-constructed uncached serial engine over the same state. The
+/// engines pick the join themselves; every walk must take both directions.
 class CacheInvalidationProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CacheInvalidationProperty, WarmEngineTracksFreshSerialBaseline) {
@@ -276,10 +274,10 @@ TEST_P(CacheInvalidationProperty, WarmEngineTracksFreshSerialBaseline) {
   for (char c = 'a'; c <= 'j'; ++c) alphabet.push_back(static_cast<CodePoint>(c));
   for (int i = 0; i < 10; ++i) alphabet.push_back(0x0430 + i);
 
-  const detect::Engine warm{w.db, {.strategy = detect::Strategy::kSkeleton}};
-  const detect::SkeletonJoin joins[] = {detect::SkeletonJoin::kAuto,
-                                        detect::SkeletonJoin::kIdnIndex,
-                                        detect::SkeletonJoin::kReferenceIndex};
+  const detect::Engine warm_engines[] = {
+      detect::Engine{w.db, {.strategy = detect::Strategy::kSkeleton, .threads = 1}},
+      detect::Engine{w.db, {.strategy = detect::Strategy::kSkeleton, .threads = 4}}};
+  bool took_join[2] = {false, false};  // indexed by inverted_join
   int detects = 0;
   for (int step = 0; step < 48; ++step) {
     const auto action = rng.below(4);
@@ -305,24 +303,32 @@ TEST_P(CacheInvalidationProperty, WarmEngineTracksFreshSerialBaseline) {
       continue;
     }
     ++detects;
-    const std::size_t threads = rng.below(2) == 0 ? 1 : 4;
-    const auto got = warm.detect({.references = w.refs,
-                                  .idns = w.idns,
-                                  .threads = threads,
-                                  .join = joins[rng.below(std::size(joins))]});
     const detect::Engine fresh{
         w.db,
         {.strategy = detect::Strategy::kSerial, .threads = 1, .cache = false}};
     const auto want = fresh.detect({.references = w.refs, .idns = w.idns});
-    ASSERT_EQ(got.matches, want.matches)
-        << "seed=" << GetParam() << " step=" << step << " threads=" << threads;
-    // The closure over-approximates: every candidate either matched or
-    // was rejected by the exact re-verification, nothing is dropped.
-    EXPECT_EQ(got.stats.skeleton_rejected,
-              got.stats.skeleton_candidates - got.matches.size());
+    bool inverted[2] = {false, false};
+    for (int e = 0; e < 2; ++e) {
+      const auto got = warm_engines[e].detect({.references = w.refs, .idns = w.idns});
+      ASSERT_EQ(got.matches, want.matches)
+          << "seed=" << GetParam() << " step=" << step
+          << " threads=" << warm_engines[e].options().threads;
+      // The closure over-approximates: every candidate either matched or
+      // was rejected by the exact re-verification, nothing is dropped.
+      EXPECT_EQ(got.stats.skeleton_rejected,
+                got.stats.skeleton_candidates - got.matches.size());
+      inverted[e] = got.stats.inverted_join;
+    }
+    // The join follows the call history, never the thread count.
+    EXPECT_EQ(inverted[0], inverted[1]) << "seed=" << GetParam() << " step=" << step;
+    took_join[inverted[0]] = true;
   }
-  // The interleaving must actually have exercised the warm path.
+  // The interleaving must actually have exercised the warm path, and both
+  // join directions.
   EXPECT_GE(detects, 5) << "seed " << GetParam() << " produced a degenerate walk";
+  EXPECT_TRUE(took_join[0] && took_join[1])
+      << "seed " << GetParam() << " took only the "
+      << (took_join[1] ? "inverted" : "forward") << " join";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheInvalidationProperty,

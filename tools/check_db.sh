@@ -100,6 +100,20 @@ expect_usage_naming "unknown argument --thread" "$CLI" check xn--ggle-0nda.com \
   --refs google --thread 4
 expect_usage_naming "--threads needs a value" "$CLI" check xn--ggle-0nda.com \
   --refs google --threads
+# Every command reports a value flag given last without its value.
+expect_usage_naming "--refs needs a value" "$CLI" check xn--ggle-0nda.com --refs
+expect_usage_naming "--refs needs a value" "$CLI" build-db out.artifact --refs
+expect_usage_naming "--db-file needs a value" "$CLI" scale-run --db-file
+expect_usage_naming "--zone needs a value" "$CLI" scale-run --db-file x --zone
+expect_usage_naming "--shards needs a value" "$CLI" scale-run --db-file x --domains 10 \
+  --shards
+expect_usage_naming "--slots needs a value" "$CLI" serve --slots
+expect_usage_naming "--refs needs a value" "$CLI" serve --refs
+expect_usage_naming "--db-file needs a value" "$CLI" replay --db-file
+expect_usage_naming "--clients needs a value" "$CLI" replay --clients
+# The engine picks the skeleton join itself; check has no --join.
+expect_usage_naming "unknown argument --join" "$CLI" check xn--ggle-0nda.com \
+  --refs google --join auto
 expect_usage_naming "domain '--refs'" "$CLI" check --refs google xn--ggle-0nda.com
 expect_usage_naming "unexpected argument 'extra'" "$CLI" candidates google 3 extra
 expect_usage_naming "unexpected argument 'extra'" "$CLI" revert xn--ggle-0nda.com extra

@@ -194,8 +194,8 @@ fi
 echo "    rejected (non-zero exit)"
 
 echo "=== tier-1 suite: ctest -j8, repeated until failure (20 runs) ==="
-# The --gtest_filter smoke ctests rerun test cases alongside their
-# discovered copies; every process must keep to its own temporary files.
+# Test processes run side by side; every process must keep to its own
+# temporary files.
 cmake --build "$BUILD_DIR" -j >/dev/null
 if ! (cd "$BUILD_DIR" && ctest -j8 --repeat until-fail:20 --output-on-failure \
         > "$TMP/ctest.log" 2>&1); then
